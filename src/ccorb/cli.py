@@ -21,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from ._version import __version__
 from .diagnostics import (
@@ -32,7 +32,6 @@ from .diagnostics import (
     starshape_scan,
 )
 from .dynamics import (
-    EnergyLevel,
     PhaseState,
     SystemParams,
     first_critical_value,
@@ -48,24 +47,25 @@ from .errors import (
     TangentialRootError,
     UsageError,
 )
-from .integrator import Flow, IntegrationSettings, export_csv, integrate
+from .integrator import Flow, IntegrationSettings, _fmt, export_csv, integrate
 from .regularization import (
     Chart,
     MoserChartPoint,
     RegularizedLevel,
     collision_point,
+    fiber_image,
     phase_to_chart,
 )
-from .shooting import Branch, refine_chord, scan_and_bracket
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+from .shooting import Branch, ShotSpec, _shoot, refine_chord, scan_and_bracket
 
 
 @dataclass
 class RunConfig:
-    """Everything needed to reproduce a run; embedded in all outputs."""
+    """Everything needed to reproduce a run.
+
+    Outputs embed :meth:`to_dict`: only the fields that change the result,
+    so neither ``jobs`` nor ``out`` (same bytes on any machine and path).
+    """
 
     command: str
     mu: float
@@ -83,7 +83,8 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if v is not None}
+        d = {k: v for k, v in asdict(self).items()
+             if v is not None and k not in ("jobs", "out")}
         extra = d.pop("extra", {})
         d.update(extra)
         d["artifact_version"] = __version__
@@ -176,8 +177,7 @@ def _scan_ranges(args_range, params: SystemParams, level: RegularizedLevel
         lo, hi = args_range
         side = "pos" if lo > 0 else "neg"
         return [(lo, hi, side)]
-    hill = hill_component_interval(params,
-                                   EnergyLevel(f=level.f))
+    hill = hill_component_interval(params, level)
     if math.isinf(hill.s_min) or math.isinf(hill.s_max):
         raise UsageError(
             "unbounded Hill interval: give an explicit --s-range")
@@ -288,7 +288,7 @@ def cmd_integrate(run: RunConfig, state: PhaseState | None,
     settings = run.settings()
     flow = Flow.REGULARIZED if regularized else Flow.PHYSICAL
     traj = integrate(flow, initial, level, settings)
-    comments = dict(run.to_dict())
+    comments = run.to_dict()
     comments["flow"] = flow.value
     if run.out:
         with open(run.out, "w", encoding="utf-8", newline="") as fh:
@@ -350,21 +350,14 @@ def cmd_starshape(run: RunConfig, base_grid: int, ray_grid: int,
 # orbit SVG
 
 
-def _chord_path_points(entry: dict, n_samples: int = 400
-                       ) -> list[tuple[float, float]]:
+def _chord_path_points(entry: dict, settings: IntegrationSettings,
+                       n_samples: int = 400) -> list[tuple[float, float]]:
     """Rotating-frame positions of a cataloged chord, mirror-completed."""
-    from .shooting import ShotSpec, _shoot
-
     params = SystemParams(entry["mu"])
     level = RegularizedLevel(params, f=-entry["jacobi"])
-    tols = entry.get("integrator_tolerances", {})
-    settings = IntegrationSettings(
-        rel_tol=tols.get("rel_tol", 1e-10),
-        abs_tol=tols.get("abs_tol", 1e-12),
-        t_max=50.0)
     spec = ShotSpec(s=entry["s0"], branch=Branch(entry["branch"]),
                     params=params, level=level)
-    traj, hits = _shoot(spec, settings, entry["pericenter_index"], 0.2)
+    traj, hits = _shoot(spec, settings, entry["pericenter_index"])
     if len(hits) < entry["pericenter_index"]:
         raise NumericalError("cataloged chord did not reproduce")
     sigma_end = hits[entry["pericenter_index"] - 1].t
@@ -372,14 +365,10 @@ def _chord_path_points(entry: dict, n_samples: int = 400
     for j in range(n_samples + 1):
         sigma = sigma_end * j / n_samples
         chart, y = traj.eval(sigma)
-        a1, a2, b1, b2 = y[0], y[1], y[2], y[3]
         if chart is Chart.NORTH:
-            q1, q2 = b1, b2
+            fwd.append((y[2], y[3]))
         else:
-            alpha = a1 * a1 + a2 * a2
-            w = a1 * b1 + a2 * b2
-            q1, q2 = alpha * b1 - 2.0 * w * a1, alpha * b2 - 2.0 * w * a2
-        fwd.append((q1, q2))
+            fwd.append(fiber_image(y[0], y[1], y[2], y[3]))
     back = [(q1, -q2) for q1, q2 in reversed(fwd)]
     return back + fwd
 
@@ -395,22 +384,31 @@ def _zvc_polyline(mu: float, f: float, n_angles: int = 720
         return []
     for i in range(n_angles + 1):
         th = 2.0 * math.pi * i / n_angles
-        r = _zvc_radius_along(math.cos(th), math.sin(th), mu, f, 1024)
+        r = _zvc_radius_along(math.cos(th), math.sin(th), mu, f)
         if not math.isnan(r):
             pts.append((r * math.cos(th), r * math.sin(th)))
     return pts
 
 
-def cmd_orbit_svg(catalog_path: str, index: int, out: str,
-                  run: RunConfig | None = None) -> int:
+def cmd_orbit_svg(catalog_path: str, index: int, out: str) -> int:
     if not os.path.exists(catalog_path):
         raise UsageError(f"catalog {catalog_path!r} does not exist")
     catalog = ChordCatalog.load(catalog_path)
     if not 0 <= index < len(catalog.entries):
         raise UsageError(
             f"catalog index {index} out of range 0..{len(catalog.entries)-1}")
+    if "t_max" not in catalog.run_config:
+        raise UsageError(
+            f"catalog {catalog_path!r} header has no t_max; cannot re-shoot "
+            "the chord")
     entry = catalog.entries[index]
-    orbit = _chord_path_points(entry)
+    tols = entry.get("integrator_tolerances", {})
+    run = RunConfig(command="orbit-svg", mu=entry["mu"],
+                    jacobi=entry["jacobi"],
+                    rel_tol=tols.get("rel_tol", 1e-10),
+                    abs_tol=tols.get("abs_tol", 1e-12),
+                    t_max=catalog.run_config["t_max"])
+    orbit = _chord_path_points(entry, run.settings())
     zvc = _zvc_polyline(entry["mu"], -entry["jacobi"])
 
     xs = [p[0] for p in orbit + zvc] + [0.0, 1.0]
@@ -426,10 +424,7 @@ def cmd_orbit_svg(catalog_path: str, index: int, out: str,
     def pix(p: tuple[float, float]) -> str:
         return f"{(p[0]-x0)*scale:.2f},{(y1-p[1])*scale:.2f}"
 
-    if run is None:
-        run = RunConfig(command="orbit-svg", mu=entry["mu"],
-                        jacobi=entry["jacobi"], out=out)
-    cfg = dict(run.to_dict())
+    cfg = run.to_dict()
     cfg["catalog"] = catalog_path
     cfg["index"] = index
     cfg["entry_s0"] = entry["s0"]

@@ -25,8 +25,19 @@ import numpy as np
 from ._version import __version__
 from .dynamics import SystemParams, _bisect_with_secant, first_critical_value
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
-from .integrator import IntegrationSettings, _rhs_regularized
-from .regularization import Chart, RegularizedLevel
+from .integrator import (
+    Flow,
+    IntegrationSettings,
+    _rhs_regularized,
+    _transition_state,
+    integrate,
+)
+from .regularization import (
+    Chart,
+    MoserChartPoint,
+    RegularizedLevel,
+    fiber_image,
+)
 from .shooting import Chord
 
 #: chords closer than this in both Reeb time and endpoint are duplicates
@@ -34,6 +45,13 @@ DEDUPE_TAU_TOL = 1e-6
 DEDUPE_ENDPOINT_TOL = 1e-6
 #: quadrature action must match the integrated Reeb clock this closely
 ACTION_AGREEMENT_TOL = 1e-6
+#: interior times at which ``symmetry_defect`` compares the mirror halves
+SYMMETRY_SAMPLES = 100
+#: star-shape scan: base-disk radius in either chart, grid points per
+#: fiber ray, radial samples locating the zero-velocity curve
+STAR_CHART_RADIUS = 1.25
+RAY_SAMPLES = 256
+ZVC_SAMPLES = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +129,7 @@ def _sigma_at_phys(traj, t_phys: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _transition_tuple(chart: Chart, y: tuple) -> tuple[Chart, tuple]:
-    """Chart involution on a raw regularized state vector."""
-    a1, a2, b1, b2 = y[0], y[1], y[2], y[3]
-    alpha = a1 * a1 + a2 * a2
-    if alpha == 0.0:
-        raise UsageError("cannot transition the collision fiber a = 0")
-    w = a1 * b1 + a2 * b2
-    other = Chart.SOUTH if chart is Chart.NORTH else Chart.NORTH
-    return other, (a1 / alpha, a2 / alpha,
-                   alpha * b1 - 2.0 * w * a1, alpha * b2 - 2.0 * w * a2,
-                   *y[4:])
-
-
-def symmetry_defect(chord: Chord, settings: IntegrationSettings,
-                    samples: int = 100) -> float:
+def symmetry_defect(chord: Chord, settings: IntegrationSettings) -> float:
     """Largest mirror-symmetry violation of a chord, by re-integration.
 
     Integrates the chord independently from its reconstructed start on the
@@ -135,9 +139,6 @@ def symmetry_defect(chord: Chord, settings: IntegrationSettings,
     times (5..95 percent of the flight) where neither endpoint fiber
     blow-up nor the terminal event tolerance contributes.
     """
-    from .integrator import Flow, integrate
-    from .regularization import MoserChartPoint
-
     level = chord.spec.level
     total = chord.flight_time
     start = MoserChartPoint(chart=Chart.SOUTH, a=(0.0, 0.0),
@@ -152,15 +153,15 @@ def symmetry_defect(chord: Chord, settings: IntegrationSettings,
         raise UsageError("re-integration fell short of the flight time")
 
     worst = 0.0
-    for j in range(1, samples + 1):
-        t = total * (0.05 + 0.9 * j / (samples + 1))
+    for j in range(1, SYMMETRY_SAMPLES + 1):
+        t = total * (0.05 + 0.9 * j / (SYMMETRY_SAMPLES + 1))
         sa = _sigma_at_phys(traj, t)
         sb = _sigma_at_phys(traj, total - t)
         chart_a, ya = traj.eval(sa)
         chart_b, yb = traj.eval(sb)
         mb = (-yb[0], yb[1], yb[2], -yb[3])
         if chart_b is not chart_a:
-            chart_b, mb = _transition_tuple(chart_b, mb)
+            chart_b, mb = _transition_state(chart_b, mb)
         if chart_b is not chart_a:
             raise UsageError("chart alignment failed in symmetry check")
         defect = max(abs(ya[i] - mb[i]) for i in range(4))
@@ -222,10 +223,9 @@ def _base_disk(n: int, radius: float) -> list[tuple[float, float]]:
     return pts
 
 
-def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float,
-                      rd_samples: int) -> float:
+def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float) -> float:
     """First zero-velocity radius along the unit position direction."""
-    rd = np.linspace(1e-4, 2.0, rd_samples)
+    rd = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
     with np.errstate(divide="ignore", invalid="ignore"):
         dist_e = np.sqrt(rd * rd - 2.0 * rd * wh1 + 1.0)
         u = (-0.5 * (rd * rd - 2.0 * rd * mu * wh1 + mu * mu)
@@ -246,8 +246,7 @@ def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float,
 
 
 def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
-               mu: float, f: float, target: float, t_samples: int,
-               rd_samples: int) -> None:
+               mu: float, f: float, target: float) -> None:
     """Certify one fiber ray b = t v, t > 0.
 
     Along the ray G(t) = c1 t + c2 t^2 - mu rho t / d(t) with d the
@@ -264,8 +263,7 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
         w1, w2 = v1, v2
     else:
         rho = alpha
-        av = a1 * v1 + a2 * v2
-        w1, w2 = alpha * v1 - 2.0 * av * a1, alpha * v2 - 2.0 * av * a2
+        w1, w2 = fiber_image(a1, a2, v1, v2)
     c2 = rho * (a1 * v2 - a2 * v1)
 
     if rho < 1e-9:
@@ -274,7 +272,7 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
         # crossing near t = 2 target with room to spare.
         t_cap = 6.0
     else:
-        rd = _zvc_radius_along(w1 / rho, w2 / rho, mu, f, rd_samples)
+        rd = _zvc_radius_along(w1 / rho, w2 / rho, mu, f)
         if math.isnan(rd):
             report.notes.append(
                 f"no zero-velocity cap on chart {chart.value} ray; "
@@ -294,7 +292,7 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
         d = math.sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
         return c1 + 2.0 * c2 * t - mu * rho * (1.0 - t * w1) / d ** 3
 
-    t_grid = np.linspace(0.0, t_cap, t_samples + 1)
+    t_grid = np.linspace(0.0, t_cap, RAY_SAMPLES + 1)
     if mu == 0.0:
         g_arr = c1 * t_grid + c2 * t_grid * t_grid
     else:
@@ -343,9 +341,7 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
 
 
 def starshape_scan(params: SystemParams, level: RegularizedLevel,
-                   base_grid: int = 24, ray_grid: int = 48, *,
-                   chart_radius: float = 1.25, t_samples: int = 256,
-                   rd_samples: int = 1024) -> StarshapeReport:
+                   base_grid: int = 24, ray_grid: int = 48) -> StarshapeReport:
     """Sample fiberwise star-shapedness of the regularized level.
 
     Scans both charts over a golden-angle disk of base points (the origin,
@@ -367,7 +363,7 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
     target = 1.0 - mu
     report = StarshapeReport(mu=mu, jacobi=c, base_count=base_grid,
                              ray_count=ray_grid)
-    bases = _base_disk(base_grid, chart_radius)
+    bases = _base_disk(base_grid, STAR_CHART_RADIUS)
     angles = [2.0 * math.pi * i / ray_grid for i in range(ray_grid)]
     rays = [(math.cos(t), math.sin(t)) for t in angles]
     for chart in (Chart.NORTH, Chart.SOUTH):
@@ -376,8 +372,7 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
             rho = 1.0 if chart is Chart.NORTH else alpha
             c1 = 0.5 * (1.0 + alpha) + mu * a0[1] + (f - 0.5) * rho
             for v in rays:
-                _check_ray(report, chart, a0, v, c1, mu, f, target,
-                           t_samples, rd_samples)
+                _check_ray(report, chart, a0, v, c1, mu, f, target)
     return report
 
 

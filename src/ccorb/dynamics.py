@@ -45,16 +45,6 @@ class SystemParams:
         if not (0.0 <= self.mu < 1.0):
             raise UsageError(f"mass ratio must satisfy 0 <= mu < 1, got {self.mu}")
 
-    @property
-    def primary_o(self) -> tuple[float, float]:
-        """Position of the heavy primary O."""
-        return (0.0, 0.0)
-
-    @property
-    def primary_e(self) -> tuple[float, float]:
-        """Position of the light primary E."""
-        return (1.0, 0.0)
-
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -74,14 +64,9 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class EnergyLevel:
-    """Fixed energy surface {H = c} with the offset convention c = -f.
-
-    ``below_first_critical`` caches the (mu-dependent) admissibility check;
-    ``None`` means not yet evaluated.
-    """
+    """Fixed energy surface {H = c} with the offset convention c = -f."""
 
     f: float
-    below_first_critical: bool | None = None
 
     @property
     def c(self) -> float:
@@ -253,8 +238,8 @@ def _axis_gradient(s: float, mu: float) -> float:
     return -(s - mu) + (1.0 - mu) * s / abs(s) ** 3 + e_term
 
 
-def _bisect_with_secant(fn, lo: float, hi: float, width: float = 1e-13,
-                        max_iter: int = 200) -> float:
+def _bisect_with_secant(fn, lo: float, hi: float, width: float = 1e-13
+                        ) -> float:
     """Bracketed bisection refined by one final secant step.
 
     Derivative-free and robust next to the axis singularities; the secant
@@ -269,7 +254,7 @@ def _bisect_with_secant(fn, lo: float, hi: float, width: float = 1e-13,
     if (flo > 0.0) == (fhi > 0.0):
         raise RootFindingError(
             f"no sign change on bracket [{lo}, {hi}]", interval=(lo, hi))
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo < width:
             break
         mid = 0.5 * (lo + hi)
@@ -377,6 +362,9 @@ def hill_component_interval(params: SystemParams, level: EnergyLevel
     flagged ``degenerate`` instead of raising.  For mu > 0 an energy at or
     above the first critical value is refused, since the component around O
     is then no longer separated.
+
+    Only the Jacobi energy ``level.c`` is read, so a
+    :class:`~ccorb.regularization.RegularizedLevel` serves as well.
     """
     mu = params.mu
     c = level.c

@@ -21,7 +21,7 @@ vector is plain (q1, q2, p1, p2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import dynamics, regularization
@@ -81,6 +81,10 @@ SWITCH_UPPER = 1.25
 SWITCH_LOWER = 0.8
 #: physical-flow guard radius around O
 PHYSICAL_GUARD_RADIUS = 1e-6
+#: accepted-step budget of one integration run
+MAX_STEPS = 2_000_000
+#: interpolant subsamples per step that bracket event roots
+EVENT_SUBSTEPS = 8
 
 
 class Flow(Enum):
@@ -96,7 +100,7 @@ class IntegrationSettings:
 
     ``fixed_step`` disables the adaptive controller and forces a constant
     step (used by the convergence-order study); ``event_tol`` is the time
-    resolution of event bisection.
+    resolution of event bisection in :func:`locate_event`.
     """
 
     rel_tol: float = 1e-10
@@ -105,8 +109,6 @@ class IntegrationSettings:
     t_max: float = 50.0
     event_tol: float = 1e-12
     fixed_step: float | None = None
-    first_step: float | None = None
-    max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -160,32 +162,26 @@ class Trajectory:
     Samples are the accepted step endpoints; dense output is available on
     every step through :meth:`eval`.  The conserved quantity (H for the
     physical flow, KCheck for the regularized flow) can be logged at all
-    samples for drift checks.
+    samples for drift checks.  ``settings`` are the ones the run used.
     """
 
     def __init__(self, flow: Flow, level: RegularizedLevel,
-                 chart0: Chart | None, y0: tuple[float, ...]) -> None:
+                 settings: IntegrationSettings, chart0: Chart | None,
+                 y0: tuple[float, ...]) -> None:
         self.flow = flow
         self.level = level
+        self.settings = settings
         self._chart0 = chart0
         self._y0 = y0
         self.steps: list[Step] = []
 
     # -- basic geometry ------------------------------------------------
     @property
-    def t0(self) -> float:
-        return 0.0
-
-    @property
     def t_end(self) -> float:
         if not self.steps:
             return 0.0
         last = self.steps[-1]
         return last.t0 + last.h
-
-    @property
-    def initial(self) -> tuple[Chart | None, tuple[float, ...]]:
-        return self._chart0, self._y0
 
     def samples(self):
         """Yield (t, chart, y) at the initial point and each step end."""
@@ -366,7 +362,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
         rhs = _rhs_physical(mu)
     else:
         rhs = _rhs_regularized(mu, level.f)
-    traj = Trajectory(flow, level, chart, y)
+    traj = Trajectory(flow, level, settings, chart, y)
 
     atol, rtol = settings.abs_tol, settings.rel_tol
     t = 0.0
@@ -377,17 +373,15 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
         raise UsageError(f"singular initial condition: {exc}") from exc
     if settings.fixed_step is not None:
         h = settings.fixed_step
-    elif settings.first_step is not None:
-        h = settings.first_step
     else:
         h = _initial_step(rhs, chart, y, f_now, atol, rtol, settings.max_step)
     n = len(y)
     rejected = False
 
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
-        if len(traj.steps) >= settings.max_steps:
+        if len(traj.steps) >= MAX_STEPS:
             raise NumericalError(
-                f"step budget {settings.max_steps} exhausted at t={t}")
+                f"step budget {MAX_STEPS} exhausted at t={t}")
         h = min(h, settings.max_step, t_max - t)
         if h < 1e-15 * max(1.0, abs(t)):
             raise StepUnderflowError(
@@ -457,8 +451,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
     return traj
 
 
-def locate_event(traj: Trajectory, event, direction: int = 0,
-                 sub: int = 8, event_tol: float | None = None
+def locate_event(traj: Trajectory, event, direction: int = 0
                  ) -> list[EventHit]:
     """All roots of a scalar event function along a trajectory.
 
@@ -472,19 +465,18 @@ def locate_event(traj: Trajectory, event, direction: int = 0,
         ``direction=+1`` to keep only minima.
     direction : {-1, 0, +1}
         +1 keeps only - to + crossings, -1 only + to -, 0 both.
-    sub : int
-        Interpolant subsamples per step used to bracket roots; roots
-        closer together than h/sub within one step may merge.
-    event_tol : float, optional
-        Override of the trajectory settings' bisection tolerance (time
-        units); default 1e-12.
+
+    Roots are bracketed on :data:`EVENT_SUBSTEPS` interpolant subsamples
+    per step (roots closer together than h/EVENT_SUBSTEPS within one step
+    may merge) and bisected to the trajectory's ``settings.event_tol``.
 
     Returns
     -------
     list of EventHit
         In increasing time order; empty when no crossing exists.
     """
-    tol = 1e-12 if event_tol is None else event_tol
+    sub = EVENT_SUBSTEPS
+    tol = traj.settings.event_tol
     hits: list[EventHit] = []
 
     def crossing(va: float, vb: float) -> bool:
@@ -513,6 +505,8 @@ def locate_event(traj: Trajectory, event, direction: int = 0,
             vlo = va
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break  # adjacent floats: the bracket cannot shrink
                 vm = event(mid, st.chart, st.eval(mid))
                 if crossing(vlo, vm):
                     hi = mid
@@ -566,8 +560,8 @@ def _csv_row(traj: Trajectory, t: float, chart: Chart | None,
                      _fmt(y[0]), _fmt(y[1]), _fmt(y[2]), _fmt(y[3])])
 
 
-def export_csv(traj: Trajectory, stream, header_comments: dict | None = None,
-               mark_collisions: bool = True) -> None:
+def export_csv(traj: Trajectory, stream, header_comments: dict | None = None
+               ) -> None:
     """Write the trajectory as CSV.
 
     One row per sample (initial point and each accepted step end).  For
@@ -583,11 +577,13 @@ def export_csv(traj: Trajectory, stream, header_comments: dict | None = None,
         for key, value in header_comments.items():
             stream.write(f"# {key}: {value}\n")
     stream.write(CSV_HEADER + "\n")
-    rows = [(t, chart, y) for t, chart, y in traj.samples()]
-    if mark_collisions and traj.flow is Flow.REGULARIZED:
+    rows = list(traj.samples())
+    if traj.flow is Flow.REGULARIZED:
+        rhs = _rhs_regularized(traj.level.params.mu, traj.level.f)
+
         def radial_rate(t, chart, y):
             # d|a|^2/dt via the chart vector field
-            f = _rhs_regularized(traj.level.params.mu, traj.level.f)(chart, y)
+            f = rhs(chart, y)
             return 2.0 * (y[0] * f[0] + y[1] * f[1])
         for hit in locate_event(traj, radial_rate, direction=+1):
             if (hit.chart is Chart.SOUTH

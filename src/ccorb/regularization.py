@@ -109,16 +109,25 @@ def k_value(state: PhaseState, level: RegularizedLevel) -> float:
             - e_term - (1.0 - mu))
 
 
+def fiber_image(a1: float, a2: float, b1: float, b2: float
+                ) -> tuple[float, float]:
+    """Fiber half of the chart involution: |a|^2 b - 2 (a.b) a.
+
+    Applied to a South-chart point it is the physical position q, which
+    stays regular (and is O) on the collision fiber a = 0.
+    """
+    alpha = a1 * a1 + a2 * a2
+    w = a1 * b1 + a2 * b2
+    return alpha * b1 - 2.0 * w * a1, alpha * b2 - 2.0 * w * a2
+
+
 def _pullback_position(chart: Chart, a1: float, a2: float,
                        b1: float, b2: float) -> tuple[float, float, float]:
     """Physical position (q1, q2) and radius r represented by chart data."""
     if chart is Chart.NORTH:
         return b1, b2, math.hypot(b1, b2)
-    alpha = a1 * a1 + a2 * a2
-    w = a1 * b1 + a2 * b2
-    q1 = alpha * b1 - 2.0 * w * a1
-    q2 = alpha * b2 - 2.0 * w * a2
-    return q1, q2, alpha * math.hypot(b1, b2)
+    q1, q2 = fiber_image(a1, a2, b1, b2)
+    return q1, q2, (a1 * a1 + a2 * a2) * math.hypot(b1, b2)
 
 
 def g_value(chart: Chart, a1: float, a2: float, b1: float, b2: float,
@@ -244,17 +253,12 @@ def chart_transition(pt: MoserChartPoint) -> MoserChartPoint:
     a1 b2 - a2 b1.  The pole a = 0 has no image.
     """
     a1, a2 = pt.a
-    b1, b2 = pt.b
     alpha = a1 * a1 + a2 * a2
     if alpha == 0.0:
         raise UsageError("the pole a = 0 has no image in the other chart")
-    w = a1 * b1 + a2 * b2
     other = Chart.SOUTH if pt.chart is Chart.NORTH else Chart.NORTH
-    return MoserChartPoint(
-        chart=other,
-        a=(a1 / alpha, a2 / alpha),
-        b=(alpha * b1 - 2.0 * w * a1, alpha * b2 - 2.0 * w * a2),
-    )
+    return MoserChartPoint(chart=other, a=(a1 / alpha, a2 / alpha),
+                           b=fiber_image(a1, a2, *pt.b))
 
 
 def regularized_vector_field(pt: MoserChartPoint, level: RegularizedLevel
@@ -282,41 +286,26 @@ def physical_state(pt: MoserChartPoint) -> PhaseState:
     AtCollisionError
         At the South-chart pole a = 0, which carries no physical momentum.
     """
-    a1, a2 = pt.a
-    b1, b2 = pt.b
-    if pt.chart is Chart.NORTH:
-        return PhaseState(q=(b1, b2), p=(a1, a2))
-    alpha = a1 * a1 + a2 * a2
-    if alpha == 0.0:
-        raise AtCollisionError(
-            "chart point is at the collision locus a = 0; no physical "
-            "momentum exists there")
-    w = a1 * b1 + a2 * b2
-    return PhaseState(
-        q=(alpha * b1 - 2.0 * w * a1, alpha * b2 - 2.0 * w * a2),
-        p=(a1 / alpha, a2 / alpha),
-    )
+    if pt.chart is Chart.SOUTH:
+        try:
+            pt = chart_transition(pt)
+        except UsageError as exc:
+            raise AtCollisionError(
+                "chart point is at the collision locus a = 0; no physical "
+                "momentum exists there") from exc
+    return PhaseState(q=pt.b, p=pt.a)
 
 
-def phase_to_chart(state: PhaseState, switch_radius: float = 1.0
-                   ) -> MoserChartPoint:
+def phase_to_chart(state: PhaseState) -> MoserChartPoint:
     """Embed a physical state in the chart suited to its momentum size.
 
-    Slow momenta (|p| <= switch_radius) go to the North chart where a = p;
-    fast momenta go to the South chart, keeping |a| bounded near
-    collisions.
+    Slow momenta (|p| <= 1) go to the North chart where a = p; fast
+    momenta go to the South chart, keeping |a| bounded near collisions.
     """
-    p1, p2 = state.p
-    q1, q2 = state.q
-    if math.hypot(p1, p2) <= switch_radius:
-        return MoserChartPoint(chart=Chart.NORTH, a=(p1, p2), b=(q1, q2))
-    n2 = p1 * p1 + p2 * p2
-    w = p1 * q1 + p2 * q2
-    return MoserChartPoint(
-        chart=Chart.SOUTH,
-        a=(p1 / n2, p2 / n2),
-        b=(n2 * q1 - 2.0 * w * p1, n2 * q2 - 2.0 * w * p2),
-    )
+    north = MoserChartPoint(chart=Chart.NORTH, a=state.p, b=state.q)
+    if math.hypot(*state.p) <= 1.0:
+        return north
+    return chart_transition(north)
 
 
 def legendrian_membership(pt: MoserChartPoint, level: RegularizedLevel,

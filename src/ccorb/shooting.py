@@ -21,11 +21,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .dynamics import (
-    EnergyLevel,
-    HillInterval,
     PhaseState,
     SystemParams,
     hamiltonian_values,
@@ -48,7 +46,8 @@ from .integrator import (
 from .regularization import Chart, RegularizedLevel, phase_to_chart
 
 #: pericenter minima with |q| above this radius are not near passes (D12)
-R_NEAR_DEFAULT = 0.2
+R_NEAR = 0.2
+_R_NEAR_SQ = R_NEAR * R_NEAR
 #: bisection stops when the s-interval is below this width
 S_INTERVAL_TOL = 1e-13
 #: grid points with |m| below this but no sign change flag tangential roots
@@ -87,8 +86,9 @@ class MissSample:
     ``m`` is the signed miss at the k-th pericenter, ``r_peri`` the
     pericenter distance to O, ``t_peri`` the physical flight time to it
     and ``t_reg`` the regularized flow time (the integration variable).
-    ``valid`` is False when fewer than k near passes occur within t_max;
-    that is an answer, not an error.
+    ``b_end`` is the fiber coordinate there.  ``valid`` is False when
+    fewer than k near passes occur within t_max, or when the shot cannot
+    start; that is an answer, not an error.
     """
 
     s: float
@@ -100,8 +100,6 @@ class MissSample:
     t_reg: float
     valid: bool
     b_end: tuple[float, float] | None = None
-    chart_end: Chart | None = None
-    tau_end: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -147,15 +145,8 @@ class Chord:
     def side(self) -> str:
         return self.spec.side
 
-    @property
-    def s_star(self) -> float:
-        return self.spec.s
 
-
-@lru_cache(maxsize=64)
-def _hill_cached(mu: float, f: float) -> HillInterval:
-    return hill_component_interval(SystemParams(mu),
-                                   EnergyLevel(f=f))
+_hill_cached = lru_cache(maxsize=64)(hill_component_interval)
 
 
 def axis_discriminant(s: float, branch: Branch, mu: float, c: float) -> float:
@@ -176,7 +167,7 @@ def axis_initial_state(spec: ShotSpec) -> PhaseState:
     s = spec.s
     mu = spec.params.mu
     c = spec.level.c
-    hill = _hill_cached(mu, spec.level.f)
+    hill = _hill_cached(spec.params, spec.level)
     if not hill.contains(s):
         raise UsageError(
             f"shot start s={s} outside the Hill axis interval "
@@ -227,10 +218,9 @@ class _PericenterCounter:
     integration can only stop late, never before the k-th pericenter.
     """
 
-    def __init__(self, level: RegularizedLevel, k: int, r_near: float):
+    def __init__(self, level: RegularizedLevel, k: int):
         self.rate = _pericenter_rate(level)
         self.k = k
-        self.r2 = r_near * r_near
         self.count = 0
 
     def __call__(self, traj: Trajectory) -> bool:
@@ -242,95 +232,85 @@ class _PericenterCounter:
         for j in range(2):
             if vals[j] < 0.0 <= vals[j + 1]:
                 if min(_radius_sq(st.chart, nodes[j][1]),
-                       _radius_sq(st.chart, nodes[j + 1][1])) < self.r2:
+                       _radius_sq(st.chart, nodes[j + 1][1])) < _R_NEAR_SQ:
                     self.count += 1
         return self.count >= self.k
 
 
-def pericenter_hits(traj: Trajectory, r_near: float = R_NEAR_DEFAULT):
+def pericenter_hits(traj: Trajectory):
     """Ordered near-pass pericenters of a regularized trajectory.
 
     Minima of the smooth |q|^2 surrogate located on the dense output;
-    shallow minima with |q| >= r_near are ignored.
+    shallow minima with |q| >= :data:`R_NEAR` are ignored.
     """
     rate = _pericenter_rate(traj.level)
-    hits = locate_event(traj, rate, direction=+1, sub=8)
-    r2 = r_near * r_near
-    return [h for h in hits if _radius_sq(h.chart, h.y) < r2]
+    hits = locate_event(traj, rate, direction=+1)
+    return [h for h in hits if _radius_sq(h.chart, h.y) < _R_NEAR_SQ]
 
 
-def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int,
-           r_near: float):
+def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
     """Integrate a shot until its k-th near pass; returns (traj, hits)."""
     state = axis_initial_state(spec)
-    counter = _PericenterCounter(spec.level, k, r_near)
+    counter = _PericenterCounter(spec.level, k)
     traj = integrate(Flow.REGULARIZED, phase_to_chart(state), spec.level,
                      settings, until=counter)
-    return traj, pericenter_hits(traj, r_near)
+    return traj, pericenter_hits(traj)
+
+
+def _miss_sample(spec: ShotSpec, k: int, hits) -> MissSample:
+    """Grade a shot at its k-th near pass (invalid when it has none).
+
+    The miss is the cross product a1 b2 - a2 b1 at the pass, read with
+    the pericenter distance and both clocks from the located event.
+    """
+    if len(hits) < k:
+        return MissSample(s=spec.s, branch=spec.branch, pericenter_index=k,
+                          m=math.nan, r_peri=math.nan, t_peri=math.nan,
+                          t_reg=math.nan, valid=False)
+    hit = hits[k - 1]
+    y = hit.y
+    return MissSample(
+        s=spec.s, branch=spec.branch, pericenter_index=k,
+        m=y[0] * y[3] - y[1] * y[2],
+        r_peri=math.sqrt(_radius_sq(hit.chart, y)), t_peri=y[4],
+        t_reg=hit.t, valid=True, b_end=(y[2], y[3]))
 
 
 def miss_function(spec: ShotSpec, settings: IntegrationSettings,
-                  pericenter_index: int = 1,
-                  r_near: float = R_NEAR_DEFAULT) -> MissSample:
+                  pericenter_index: int = 1) -> MissSample:
     """Signed miss of one shot at its k-th pericenter.
 
     The miss is the conserved-through-collision cross product
     a1 b2 - a2 b1 at the pericenter event; it is continuous in s along a
     branch and vanishes iff the shot collides at that passage.
     """
-    traj, hits = _shoot(spec, settings, pericenter_index, r_near)
-    if len(hits) < pericenter_index:
-        return MissSample(s=spec.s, branch=spec.branch,
-                          pericenter_index=pericenter_index,
-                          m=math.nan, r_peri=math.nan, t_peri=math.nan,
-                          t_reg=math.nan, valid=False)
-    hit = hits[pericenter_index - 1]
-    y = hit.y
-    m = y[0] * y[3] - y[1] * y[2]
-    return MissSample(
-        s=spec.s, branch=spec.branch, pericenter_index=pericenter_index,
-        m=m, r_peri=math.sqrt(_radius_sq(hit.chart, y)), t_peri=y[4],
-        t_reg=hit.t, valid=True, b_end=(y[2], y[3]), chart_end=hit.chart,
-        tau_end=y[5])
+    _, hits = _shoot(spec, settings, pericenter_index)
+    return _miss_sample(spec, pericenter_index, hits)
 
 
-def _eval_shot_worker(args):
-    """Top-level grid worker (picklable): all k misses of one shot."""
-    (s, branch_name, mu, f, rel_tol, abs_tol, t_max, event_tol,
-     k_max, r_near) = args
-    spec = ShotSpec(s=s, branch=Branch(branch_name),
-                    params=SystemParams(mu),
-                    level=RegularizedLevel(SystemParams(mu), f))
-    settings = IntegrationSettings(rel_tol=rel_tol, abs_tol=abs_tol,
-                                   t_max=t_max, event_tol=event_tol)
+def _eval_shot_worker(spec: ShotSpec, settings: IntegrationSettings,
+                      k_max: int) -> list[MissSample]:
+    """Top-level grid worker (picklable): all k misses of one shot.
+
+    A shot that cannot start yields k_max invalid samples.
+    """
     try:
-        traj, hits = _shoot(spec, settings, k_max, r_near)
+        _, hits = _shoot(spec, settings, k_max)
     except (UsageError, EnergeticallyForbiddenError):
-        return [None] * k_max
-    out = []
-    for k in range(1, k_max + 1):
-        if len(hits) < k:
-            out.append(None)
-            continue
-        hit = hits[k - 1]
-        y = hit.y
-        out.append((y[0] * y[3] - y[1] * y[2],
-                    math.sqrt(_radius_sq(hit.chart, y)), y[4], hit.t))
-    return out
+        hits = []
+    return [_miss_sample(spec, k, hits) for k in range(1, k_max + 1)]
 
 
 def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
                      params: SystemParams, level: RegularizedLevel,
                      settings: IntegrationSettings, k_max: int = 3,
-                     r_near: float = R_NEAR_DEFAULT,
-                     grazing_tol: float = GRAZING_TOL, jobs: int = 1,
-                     return_samples: bool = False):
+                     jobs: int = 1) -> list[Bracket]:
     """Sweep a uniform s-grid and bracket miss-function sign changes.
 
     Each shot is integrated once; its pericenter passes 1..k_max define
     the k-indexed miss families.  Adjacent valid samples with opposite
     signs of m become refinable brackets; isolated grid points with
-    |m| < grazing_tol but no sign change are flagged as tangential
+    |m| < :data:`GRAZING_TOL` but no sign change are flagged as tangential
     candidates.  With ``jobs`` > 1 the grid fans out over a process pool;
     results are merged in grid order, so the output is identical to a
     serial run.
@@ -340,54 +320,46 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
         raise UsageError("need s_lo < s_hi and a grid of at least 2 points")
     if lo <= 0.0 <= hi:
         raise UsageError("s-range must not contain the primary at s = 0")
-    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    args = [(s, branch.value, params.mu, level.f, settings.rel_tol,
-             settings.abs_tol, settings.t_max, settings.event_tol,
-             k_max, r_near) for s in grid]
+    specs = [ShotSpec(s=lo + (hi - lo) * i / (n - 1), branch=branch,
+                      params=params, level=level) for i in range(n)]
+    worker = partial(_eval_shot_worker, settings=settings, k_max=k_max)
     if jobs > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_eval_shot_worker, args, chunksize=1))
+                results = list(pool.map(worker, specs, chunksize=1))
         except (OSError, PermissionError):
-            results = [_eval_shot_worker(a) for a in args]
+            results = [worker(spec) for spec in specs]
     else:
-        results = [_eval_shot_worker(a) for a in args]
+        results = [worker(spec) for spec in specs]
 
     brackets: list[Bracket] = []
-    samples: list[list] = results
     for k in range(1, k_max + 1):
-        row = [(grid[i], results[i][k - 1]) for i in range(n)]
-        for i in range(n - 1):
-            (s_a, r_a), (s_b, r_b) = row[i], row[i + 1]
-            if r_a is None or r_b is None:
+        row = [shot[k - 1] for shot in results]
+        for a, b in zip(row, row[1:]):
+            if not (a.valid and b.valid):
                 continue
-            m_a, m_b = r_a[0], r_b[0]
-            if (m_a < 0.0) != (m_b < 0.0):
-                brackets.append(Bracket(s_lo=s_a, s_hi=s_b, m_lo=m_a,
-                                        m_hi=m_b, pericenter_index=k,
+            if (a.m < 0.0) != (b.m < 0.0):
+                brackets.append(Bracket(s_lo=a.s, s_hi=b.s, m_lo=a.m,
+                                        m_hi=b.m, pericenter_index=k,
                                         branch=branch))
-        for i in range(n):
-            if row[i][1] is None:
-                continue
-            m_i = row[i][1][0]
-            if abs(m_i) >= grazing_tol:
+        for sample in row:
+            if not sample.valid or abs(sample.m) >= GRAZING_TOL:
                 continue
             near_change = any(
-                b.pericenter_index == k and b.s_lo <= row[i][0] <= b.s_hi
+                b.pericenter_index == k and b.s_lo <= sample.s <= b.s_hi
                 for b in brackets)
             if not near_change:
                 brackets.append(Bracket(
-                    s_lo=row[i][0], s_hi=row[i][0], m_lo=m_i, m_hi=m_i,
-                    pericenter_index=k, branch=branch, kind="tangential"))
+                    s_lo=sample.s, s_hi=sample.s, m_lo=sample.m,
+                    m_hi=sample.m, pericenter_index=k, branch=branch,
+                    kind="tangential"))
     brackets.sort(key=lambda b: (b.pericenter_index, b.s_lo))
-    if return_samples:
-        return brackets, samples
     return brackets
 
 
 def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
-                 level: RegularizedLevel, settings: IntegrationSettings,
-                 r_near: float = R_NEAR_DEFAULT) -> Chord:
+                 level: RegularizedLevel, settings: IntegrationSettings
+                 ) -> Chord:
     """Bisect a miss bracket down to a certified collision chord.
 
     Bisection proceeds until the s-interval is below 1e-13 (the graded
@@ -405,12 +377,6 @@ def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
             f"bracket at s={bracket.s_lo} has no sign change; refine by "
             "minimization manually")
     k = bracket.pericenter_index
-
-    def miss_at(s: float) -> MissSample:
-        spec = ShotSpec(s=s, branch=branch, params=params, level=level)
-        return miss_function(spec, settings, pericenter_index=k,
-                             r_near=r_near)
-
     s_lo, s_hi = bracket.s_lo, bracket.s_hi
     m_lo, m_hi = bracket.m_lo, bracket.m_hi
     history = [(s_lo, m_lo), (s_hi, m_hi)]
@@ -418,7 +384,8 @@ def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
         mid = 0.5 * (s_lo + s_hi)
         if mid == s_lo or mid == s_hi:
             break
-        sample = miss_at(mid)
+        sample = miss_function(ShotSpec(s=mid, branch=branch, params=params,
+                                        level=level), settings, k)
         if not sample.valid:
             raise BisectionStagnationError(
                 f"pericenter {k} lost during bisection at s={mid}",
@@ -434,35 +401,34 @@ def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
 
     s_star = 0.5 * (s_lo + s_hi)
     spec = ShotSpec(s=s_star, branch=branch, params=params, level=level)
-    traj, hits = _shoot(spec, settings, k, r_near)
-    if len(hits) < k:
+    traj, hits = _shoot(spec, settings, k)
+    sample = _miss_sample(spec, k, hits)
+    if not sample.valid:
         raise BisectionStagnationError(
             f"refined shot lost its pericenter {k}", interval=(s_lo, s_hi))
-    hit = hits[k - 1]
-    y = hit.y
-    r_peri = math.sqrt(_radius_sq(hit.chart, y))
-    if r_peri >= R_PERI_COLLISION:
+    if sample.r_peri >= R_PERI_COLLISION:
         raise BisectionStagnationError(
             f"bisection converged in s but the pericenter distance "
-            f"{r_peri:.3e} is not a collision (tangential root?)",
+            f"{sample.r_peri:.3e} is not a collision (tangential root?)",
             interval=(s_lo, s_hi))
+    hit = hits[k - 1]
     if hit.chart is not Chart.SOUTH:
         raise BisectionStagnationError(
             "collision passage not in the South chart; cannot read the "
             "Legendrian endpoint", interval=(s_lo, s_hi))
-    b_end = (y[2], y[3])
+    b_end = sample.b_end
     b_start = (b_end[0], -b_end[1])
     closure = math.hypot(b_end[0] - b_start[0], b_end[1] - b_start[1])
     return Chord(
         spec=spec,
         pericenter_index=k,
-        tau_reeb=2.0 * y[5],
-        flight_time=2.0 * y[4],
+        tau_reeb=2.0 * hit.y[5],
+        flight_time=2.0 * sample.t_peri,
         endpoint_start_b=b_start,
         endpoint_end_b=b_end,
-        r_peri=r_peri,
+        r_peri=sample.r_peri,
         samples=traj,
-        t_reg_collision=hit.t,
+        t_reg_collision=sample.t_reg,
         symmetric=True,
         periodic_candidate=closure < PERIODIC_CANDIDATE_TOL,
         conditioning=_conditioning(history),

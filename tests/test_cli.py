@@ -74,13 +74,19 @@ def test_scan_finds_the_oracle_chord(oracle_catalog, capsys):
 
 
 def test_scan_output_is_deterministic(tmp_path):
-    # Same destination twice: byte-identical (the config embeds the path).
+    # Same destination twice, then other destinations at --jobs 1 and
+    # --jobs 2: all byte-identical, since the catalog header holds only
+    # the fields that change the result (neither the path nor the jobs).
     p = tmp_path / "repeat.jsonl"
     contents = []
     for _ in range(2):
         assert main(ORACLE_SCAN + ["--out", str(p)]) == 0
         contents.append(p.read_bytes())
-    assert contents[0] == contents[1]
+    for jobs in ("1", "2"):
+        q = tmp_path / f"jobs{jobs}.jsonl"
+        assert main(ORACLE_SCAN + ["--jobs", jobs, "--out", str(q)]) == 0
+        contents.append(q.read_bytes())
+    assert all(c == contents[0] for c in contents)
 
 
 def test_scan_without_chords_exits_three(tmp_path, capsys):
@@ -239,6 +245,28 @@ def test_orbit_svg_missing_catalog(tmp_path):
     rc = main(["orbit-svg", "--catalog", str(tmp_path / "nope.jsonl"),
                "--index", "0", "--out", str(tmp_path / "x.svg")])
     assert rc == 2
+
+
+def test_orbit_svg_needs_t_max_in_the_header(oracle_catalog, tmp_path,
+                                            capsys):
+    """The chord is re-shot with the catalog's own horizon, never a guess."""
+    svg = tmp_path / "chord.svg"
+    assert main(["orbit-svg", "--catalog", str(oracle_catalog),
+                 "--index", "0", "--out", str(svg)]) == 0
+    assert '"t_max": 10.0' in svg.read_text()
+
+    header, *rows = oracle_catalog.read_text().splitlines()
+    head = json.loads(header)
+    assert head["run_config"]["t_max"] == 10.0
+    del head["run_config"]["t_max"]
+    stripped = tmp_path / "no_tmax.jsonl"
+    stripped.write_text("\n".join([json.dumps(head)] + rows) + "\n")
+    out = tmp_path / "x.svg"
+    rc = main(["orbit-svg", "--catalog", str(stripped), "--index", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "t_max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- oberth

@@ -24,7 +24,7 @@ from ccorb import (
     regularized_vector_field,
 )
 from ccorb import hamiltonian
-from ccorb.errors import UsageError
+from ccorb.errors import AtCollisionError, UsageError
 from ccorb.regularization import g_and_gradient
 
 LEVEL = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
@@ -76,6 +76,13 @@ def test_transition_undefined_at_the_pole():
     with pytest.raises(UsageError):
         chart_transition(MoserChartPoint(chart=Chart.SOUTH, a=(0.0, 0.0),
                                          b=(1.0, 0.0)))
+
+
+def test_physical_state_undefined_at_the_pole():
+    """The collision fiber has a position (O) but no physical momentum."""
+    with pytest.raises(AtCollisionError):
+        physical_state(MoserChartPoint(chart=Chart.SOUTH, a=(0.0, 0.0),
+                                       b=(1.0, 0.0)))
 
 
 def test_g_agrees_across_charts():

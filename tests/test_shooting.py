@@ -125,6 +125,29 @@ def test_miss_matches_the_kepler_closed_form(s, kepler_params, kepler_level,
     assert sample.m == pytest.approx(-s * _closed_form_p2(s, -2.0), abs=1e-9)
 
 
+def test_event_tol_sets_the_pericenter_time_resolution(kepler_params,
+                                                        kepler_level,
+                                                        tight_settings):
+    """The located pericenter time is resolved to settings.event_tol.
+
+    A tolerance below the float spacing at the event time still ends:
+    bisection stops once the bracket is two adjacent floats.
+    """
+    spec = ShotSpec(s=0.47, branch=Branch.MINUS, params=kepler_params,
+                    level=kepler_level)
+
+    def t_reg(event_tol: float) -> float:
+        run = replace(tight_settings, event_tol=event_tol)
+        return miss_function(spec, run).t_reg
+
+    reference = t_reg(1e-14)
+    coarse, fine = t_reg(1e-3), t_reg(1e-12)
+    assert coarse != fine
+    assert abs(coarse - reference) <= 1e-3
+    assert abs(fine - reference) <= 1e-12
+    assert abs(t_reg(1e-300) - reference) <= 1e-14
+
+
 def test_miss_changes_sign_across_the_root(kepler_params, kepler_level,
                                            tight_settings):
     lo = miss_function(ShotSpec(s=0.40, branch=Branch.MINUS,
