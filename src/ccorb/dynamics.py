@@ -374,13 +374,12 @@ def hill_component_interval(params: SystemParams, level: EnergyLevel
         pos = _bisect_with_secant(lambda s: _axis_potential(s, 0.0) - c,
                                   1e-12, 1.0)
         return HillInterval(-pos, pos)
-    crit = first_critical_value(params)
-    if c >= crit:
+    cfg = lagrange_points(params)
+    if c >= cfg.first_critical_value:
         raise EnergyAboveCriticalError(
             f"Jacobi energy {c} is not below the first critical value "
-            f"{crit:.12g} for mu={mu}; the Hill component around O is not "
-            "bounded there")
-    cfg = lagrange_points(params)
+            f"{cfg.first_critical_value:.12g} for mu={mu}; the Hill "
+            "component around O is not bounded there")
     s_l1 = cfg.points["L1"][0]
     s_l3 = cfg.points["L3"][0]
     pos = _bisect_with_secant(lambda s: _axis_potential(s, mu) - c,

@@ -5,8 +5,8 @@ Characteristics
 * Dormand-Prince embedded pair of orders 5(4), FSAL
 * proportional step control with safety factor and growth clamps
 * quartic dense-output interpolant on every accepted step
-* event location by bisection on the interpolant, never by step clipping,
-  so the step sequence is independent of event queries
+* event location step by step, by bisection on the interpolant and never
+  by step clipping, so the step sequence is independent of event queries
 * automatic stereographic chart switching for the regularized flow with a
   hysteresis band (switch out at |a| > 1.25, re-entry happens below 0.8)
 * bitwise-deterministic: no randomness, no wall-clock dependence
@@ -21,6 +21,7 @@ vector is plain (q1, q2, p1, p2).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,8 +84,6 @@ SWITCH_LOWER = 0.8
 PHYSICAL_GUARD_RADIUS = 1e-6
 #: accepted-step budget of one integration run
 MAX_STEPS = 2_000_000
-#: interpolant subsamples per step that bracket event roots
-EVENT_SUBSTEPS = 8
 
 
 class Flow(Enum):
@@ -100,7 +99,7 @@ class IntegrationSettings:
 
     ``fixed_step`` disables the adaptive controller and forces a constant
     step (used by the convergence-order study); ``event_tol`` is the time
-    resolution of event bisection in :func:`locate_event`.
+    resolution of event bisection in :func:`step_roots`.
     """
 
     rel_tol: float = 1e-10
@@ -196,14 +195,8 @@ class Trajectory:
         """Index of the step whose interval contains t (bisection)."""
         if not self.steps:
             raise UsageError("empty trajectory")
-        lo, hi = 0, len(self.steps) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.steps[mid].t0 + self.steps[mid].h < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return min(bisect_left(self.steps, t, key=lambda st: st.t0 + st.h),
+                   len(self.steps) - 1)
 
     def eval(self, t: float) -> tuple[Chart | None, tuple[float, ...]]:
         """Dense-output state at any 0 <= t <= t_end.
@@ -451,6 +444,49 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
     return traj
 
 
+def _crosses(direction: int, va: float, vb: float) -> bool:
+    """Whether va -> vb is a root crossing kept by ``direction``."""
+    return ((direction >= 0 and va < 0.0 <= vb)
+            or (direction <= 0 and va > 0.0 >= vb))
+
+
+def step_roots(st: Step, event, direction: int, tol: float, prev_end=None
+               ) -> tuple[list[EventHit], tuple]:
+    """Roots of ``event`` within one accepted step, in time order.
+
+    Brackets are the step's start, midpoint and end (roots less than h/2
+    apart may merge); each that crosses zero as ``direction`` asks is
+    bisected on the dense output to ``tol`` or to adjacent floats.  Also
+    returns ``(st.y1, value there)``: passed back as ``prev_end``, it is
+    the next step's start value unless a chart switch gave that step a
+    new state tuple.
+    """
+    ts = (st.t0, st.t0 + 0.5 * st.h, st.t0 + st.h)
+    if prev_end is not None and prev_end[0] is st.y0:
+        v0 = prev_end[1]
+    else:
+        v0 = event(st.t0, st.chart, st.y0)
+    vs = (v0, event(ts[1], st.chart, st.eval(ts[1])),
+          event(ts[2], st.chart, st.y1))
+    hits: list[EventHit] = []
+    for j in range(2):
+        if not _crosses(direction, vs[j], vs[j + 1]):
+            continue
+        lo, hi, vlo = ts[j], ts[j + 1], vs[j]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent floats: the bracket cannot shrink
+            vm = event(mid, st.chart, st.eval(mid))
+            if _crosses(direction, vlo, vm):
+                hi = mid
+            else:
+                lo, vlo = mid, vm
+        t_star = 0.5 * (lo + hi)
+        hits.append(EventHit(t=t_star, chart=st.chart, y=st.eval(t_star)))
+    return hits, (st.y1, vs[2])
+
+
 def locate_event(traj: Trajectory, event, direction: int = 0
                  ) -> list[EventHit]:
     """All roots of a scalar event function along a trajectory.
@@ -466,55 +502,20 @@ def locate_event(traj: Trajectory, event, direction: int = 0
     direction : {-1, 0, +1}
         +1 keeps only - to + crossings, -1 only + to -, 0 both.
 
-    Roots are bracketed on :data:`EVENT_SUBSTEPS` interpolant subsamples
-    per step (roots closer together than h/EVENT_SUBSTEPS within one step
-    may merge) and bisected to the trajectory's ``settings.event_tol``.
+    Each step goes through :func:`step_roots` at the trajectory's
+    ``settings.event_tol``; a step boundary is evaluated once per chart.
 
     Returns
     -------
     list of EventHit
         In increasing time order; empty when no crossing exists.
     """
-    sub = EVENT_SUBSTEPS
     tol = traj.settings.event_tol
     hits: list[EventHit] = []
-
-    def crossing(va: float, vb: float) -> bool:
-        if direction >= 0 and va < 0.0 <= vb:
-            return True
-        if direction <= 0 and va > 0.0 >= vb:
-            return True
-        return False
-
+    end = None
     for st in traj.steps:
-        ts = [st.t0 + st.h * j / sub for j in range(sub + 1)]
-        vs = []
-        for j, tj in enumerate(ts):
-            if j == 0:
-                yj = st.y0
-            elif j == sub:
-                yj = st.y1
-            else:
-                yj = st.eval(tj)
-            vs.append(event(tj, st.chart, yj))
-        for j in range(sub):
-            va, vb = vs[j], vs[j + 1]
-            if not crossing(va, vb):
-                continue
-            lo, hi = ts[j], ts[j + 1]
-            vlo = va
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break  # adjacent floats: the bracket cannot shrink
-                vm = event(mid, st.chart, st.eval(mid))
-                if crossing(vlo, vm):
-                    hi = mid
-                else:
-                    lo, vlo = mid, vm
-            t_star = 0.5 * (lo + hi)
-            hits.append(EventHit(t=t_star, chart=st.chart,
-                                 y=st.eval(t_star)))
+        found, end = step_roots(st, event, direction, tol, end)
+        hits += found
     return hits
 
 

@@ -41,6 +41,7 @@ from .integrator import (
     Trajectory,
     integrate,
     locate_event,
+    step_roots,
     _rhs_regularized,
 )
 from .regularization import Chart, RegularizedLevel, phase_to_chart
@@ -212,29 +213,25 @@ def _radius_sq(chart: Chart, y) -> float:
 
 
 class _PericenterCounter:
-    """Early-stop predicate: counts near-pass minima step by step.
+    """Early-stop predicate that locates near passes step by step.
 
-    Node sampling may undercount (never overcount) qualifying minima, so
-    integration can only stop late, never before the k-th pericenter.
+    Minima of |q|^2 located by :func:`step_roots` closer to O than
+    :data:`R_NEAR` go to ``hits``; the run stops at the k-th one's step.
     """
 
     def __init__(self, level: RegularizedLevel, k: int):
         self.rate = _pericenter_rate(level)
         self.k = k
-        self.count = 0
+        self.hits = []
+        self._end = None
 
     def __call__(self, traj: Trajectory) -> bool:
         st = traj.steps[-1]
-        t_mid = st.t0 + 0.5 * st.h
-        nodes = ((st.t0, st.y0), (t_mid, st.eval(t_mid)),
-                 (st.t0 + st.h, st.y1))
-        vals = [self.rate(t, st.chart, y) for t, y in nodes]
-        for j in range(2):
-            if vals[j] < 0.0 <= vals[j + 1]:
-                if min(_radius_sq(st.chart, nodes[j][1]),
-                       _radius_sq(st.chart, nodes[j + 1][1])) < _R_NEAR_SQ:
-                    self.count += 1
-        return self.count >= self.k
+        found, self._end = step_roots(st, self.rate, +1,
+                                      traj.settings.event_tol, self._end)
+        self.hits += [h for h in found
+                      if _radius_sq(h.chart, h.y) < _R_NEAR_SQ]
+        return len(self.hits) >= self.k
 
 
 def pericenter_hits(traj: Trajectory):
@@ -254,7 +251,7 @@ def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
     counter = _PericenterCounter(spec.level, k)
     traj = integrate(Flow.REGULARIZED, phase_to_chart(state), spec.level,
                      settings, until=counter)
-    return traj, pericenter_hits(traj)
+    return traj, counter.hits
 
 
 def _miss_sample(spec: ShotSpec, k: int, hits) -> MissSample:

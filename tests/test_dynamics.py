@@ -23,6 +23,7 @@ from ccorb import (
     oberth_energy_gain,
     reflect,
 )
+from ccorb import dynamics
 from ccorb.dynamics import effective_potential_gradient
 
 # Keeps hypothesis points away from both primaries and the far field.
@@ -218,6 +219,19 @@ def test_hill_interval_unbounded_above_kepler_threshold():
     hill = hill_component_interval(SystemParams(mu=0.0), EnergyLevel(f=0.5))
     assert hill.degenerate
     assert hill.s_min == -math.inf and hill.s_max == math.inf
+
+
+def test_hill_interval_solves_the_lagrange_points_once(monkeypatch):
+    params = SystemParams(mu=0.1)
+    level = EnergyLevel(f=-(first_critical_value(params) - 0.1))
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return lagrange_points(p)
+    monkeypatch.setattr(dynamics, "lagrange_points", counted)
+    hill_component_interval(params, level)
+    assert len(calls) == 1
 
 
 def test_hill_interval_refuses_supercritical_energy():

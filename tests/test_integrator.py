@@ -227,6 +227,27 @@ def test_event_on_signless_function_is_empty():
     assert locate_event(traj, lambda t, chart, y: 1.0 + y[0] ** 2) == []
 
 
+def test_event_location_evaluates_each_step_boundary_once():
+    """A step start reuses the previous step's end value, unless the chart
+    switched there; then the event is read in both charts."""
+    start = collision_point((1.0, 0.0), KEPLER)
+    traj = integrate(Flow.REGULARIZED, start, KEPLER,
+                     IntegrationSettings(t_max=6.0))
+    calls = []
+
+    def event(t, chart, y):
+        calls.append((t, chart))
+        return y[1]
+    locate_event(traj, event)
+    assert len(calls) == len(set(calls))
+    switches = [(prev.t0 + prev.h, prev.chart, st.chart)
+                for prev, st in zip(traj.steps, traj.steps[1:])
+                if st.chart is not prev.chart]
+    assert switches
+    for t, before, after in switches:
+        assert (t, before) in calls and (t, after) in calls
+
+
 def test_early_stop_predicate_truncates_the_run():
     traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
                      IntegrationSettings(t_max=10.0),

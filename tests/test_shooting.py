@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -30,7 +32,18 @@ from ccorb import (
     scan_and_bracket,
 )
 from ccorb.dynamics import EnergyLevel
-from ccorb.shooting import axis_discriminant
+from ccorb.shooting import _shoot, axis_discriminant, pericenter_hits
+
+#: the benchmark's seed-0 chord table
+REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "reference.json")
+
+
+def _reference_level() -> tuple[SystemParams, RegularizedLevel]:
+    """The benchmark's level: mu = 0.1, 0.1 below the first critical value."""
+    params = SystemParams(mu=0.1)
+    c = first_critical_value(params) - 0.1
+    return params, RegularizedLevel(params=params, f=-c)
 
 
 def _closed_form_p2(s: float, c: float) -> float:
@@ -148,6 +161,21 @@ def test_event_tol_sets_the_pericenter_time_resolution(kepler_params,
     assert abs(t_reg(1e-300) - reference) <= 1e-14
 
 
+def test_shot_locates_its_passes_in_the_step_loop():
+    """One detector: a shot's own hits are the sweep of its trajectory,
+    and the run ends with the step that holds the k-th pass."""
+    params, level = _reference_level()
+    chord = next(c for c in json.loads(REFERENCE.read_text())["chords"]
+                 if (c["side"], c["branch"], c["k"]) == ("pos", "minus", 3))
+    spec = ShotSpec(s=chord["s0"], branch=Branch.MINUS, params=params,
+                    level=level)
+    traj, hits = _shoot(spec, IntegrationSettings(), 3)
+    assert len(hits) >= 3
+    assert hits == pericenter_hits(traj)  # t, chart and y, bit for bit
+    last = traj.steps[-1]
+    assert last.t0 <= hits[2].t <= last.t0 + last.h
+
+
 def test_miss_changes_sign_across_the_root(kepler_params, kepler_level,
                                            tight_settings):
     lo = miss_function(ShotSpec(s=0.40, branch=Branch.MINUS,
@@ -228,6 +256,25 @@ def test_grid_refinement_keeps_every_bracket(kepler_params, kepler_level,
                   if f.pericenter_index == b.pericenter_index
                   and b.s_lo <= f.s_lo and f.s_hi <= b.s_hi]
         assert inside, f"bracket {b.s_lo}:{b.s_hi} lost under refinement"
+
+
+def test_reference_level_brackets_survive_grid_doubling():
+    """Completeness: grids N = 8 and 2N = 16 on the reference level find
+    the same sign changes, each fine bracket inside a coarse one."""
+    params, level = _reference_level()
+    hill = hill_component_interval(params, level)
+    s_range = (0.02 * hill.s_max, hill.s_max - 0.02 * hill.s_max)
+
+    def sign_changes(n):
+        return [b for b in scan_and_bracket(s_range, n, Branch.MINUS, params,
+                                            level, IntegrationSettings(),
+                                            k_max=1)
+                if b.kind == "sign_change"]
+    coarse, fine = sign_changes(8), sign_changes(16)
+    assert coarse and len(fine) == len(coarse)
+    for f in fine:
+        assert any(b.s_lo <= f.s_lo and f.s_hi <= b.s_hi for b in coarse), (
+            f"bracket {f.s_lo}:{f.s_hi} outside every grid-8 bracket")
 
 
 @pytest.mark.parametrize("bad", [(-0.1, 0.2), (0.5, 0.4), (0.3, 0.3)])
