@@ -23,7 +23,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import SystemParams, _bisect_with_secant, first_critical_value
+from .dynamics import (
+    SystemParams,
+    _bisect_with_secant,
+    bisect_bracket,
+    first_critical_value,
+)
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
 from .integrator import (
     Flow,
@@ -110,22 +115,17 @@ def _sigma_at_phys(traj, t_phys: float) -> float:
     The clock component y[4] is nondecreasing along the regularized flow,
     so a bisection over the dense output suffices.
     """
-    lo, hi = 0.0, traj.t_end
     if t_phys <= 0.0:
         return 0.0
-    end_clock = traj.eval(hi)[1][4]
+    t_end = traj.t_end
+    end_clock = traj.eval(t_end)[1][4]
     if t_phys >= end_clock:
         raise UsageError(
             f"physical time {t_phys} beyond the trajectory clock "
             f"{end_clock}")
-    for _ in range(200):
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if traj.eval(mid)[1][4] < t_phys:
-            lo = mid
-        else:
-            hi = mid
+    lo, _, hi, _ = bisect_bracket(lambda s: traj.eval(s)[1][4] - t_phys,
+                                  0.0, -t_phys, t_end, end_clock - t_phys,
+                                  1e-13 * max(1.0, t_end))
     return 0.5 * (lo + hi)
 
 

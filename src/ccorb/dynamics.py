@@ -238,6 +238,30 @@ def _axis_gradient(s: float, mu: float) -> float:
     return -(s - mu) + (1.0 - mu) * s / abs(s) ** 3 + e_term
 
 
+def bisect_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
+                   width: float) -> tuple[float, float, float, float]:
+    """Halve a sign-change bracket whose end values are already known.
+
+    ``flo`` = fn(lo) and ``fhi`` = fn(hi) lie on opposite sides of zero
+    (zero counts as positive).  Halving stops once hi - lo <= ``width``,
+    once lo and hi are adjacent floats, or at a midpoint where fn is
+    exactly 0, which comes back as lo = hi.  Returns (lo, flo, hi, fhi)
+    of the final bracket; fn is never called at its ends.
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: the bracket cannot shrink
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid, fm, mid, fm
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return lo, flo, hi, fhi
+
+
 def _bisect_with_secant(fn, lo: float, hi: float, width: float = 1e-13
                         ) -> float:
     """Bracketed bisection refined by one final secant step.
@@ -254,17 +278,7 @@ def _bisect_with_secant(fn, lo: float, hi: float, width: float = 1e-13
     if (flo > 0.0) == (fhi > 0.0):
         raise RootFindingError(
             f"no sign change on bracket [{lo}, {hi}]", interval=(lo, hi))
-    for _ in range(200):
-        if hi - lo < width:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+    lo, flo, hi, fhi = bisect_bracket(fn, lo, flo, hi, fhi, width)
     if fhi != flo:
         secant = lo - flo * (hi - lo) / (fhi - flo)
         if lo <= secant <= hi:

@@ -84,6 +84,8 @@ SWITCH_LOWER = 0.8
 PHYSICAL_GUARD_RADIUS = 1e-6
 #: accepted-step budget of one integration run
 MAX_STEPS = 2_000_000
+#: largest step the adaptive controller may take
+MAX_STEP = 1.0
 
 
 class Flow(Enum):
@@ -104,7 +106,6 @@ class IntegrationSettings:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 1.0
     t_max: float = 50.0
     event_tol: float = 1e-12
     fixed_step: float | None = None
@@ -114,8 +115,8 @@ class IntegrationSettings:
             raise UsageError("tolerances must be positive")
         if self.t_max <= 0:
             raise UsageError("t_max must be positive")
-        if self.max_step <= 0 or self.event_tol <= 0:
-            raise UsageError("max_step and event_tol must be positive")
+        if self.event_tol <= 0:
+            raise UsageError("event_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ def _scaled_error(e: tuple[float, ...], y0: tuple[float, ...],
     return math.sqrt(acc / n)
 
 
-def _initial_step(rhs, chart, y0, f0, atol, rtol, max_step) -> float:
+def _initial_step(rhs, chart, y0, f0, atol, rtol) -> float:
     """Deterministic starting-step heuristic (scaled Euler probe)."""
     n = len(y0)
     sc = [atol + rtol * abs(y0[i]) for i in range(n)]
@@ -278,13 +279,13 @@ def _initial_step(rhs, chart, y0, f0, atol, rtol, max_step) -> float:
     try:
         f1 = rhs(chart, y1)
     except SingularInputError:
-        return min(h0, max_step)
+        return min(h0, MAX_STEP)
     d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(n)) / n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step)
+    return min(100 * h0, h1, MAX_STEP)
 
 
 def _transition_state(chart: Chart, y: tuple[float, ...]
@@ -367,7 +368,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
     if settings.fixed_step is not None:
         h = settings.fixed_step
     else:
-        h = _initial_step(rhs, chart, y, f_now, atol, rtol, settings.max_step)
+        h = _initial_step(rhs, chart, y, f_now, atol, rtol)
     n = len(y)
     rejected = False
 
@@ -375,7 +376,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
         if len(traj.steps) >= MAX_STEPS:
             raise NumericalError(
                 f"step budget {MAX_STEPS} exhausted at t={t}")
-        h = min(h, settings.max_step, t_max - t)
+        h = min(h, MAX_STEP, t_max - t)
         if h < 1e-15 * max(1.0, abs(t)):
             raise StepUnderflowError(
                 f"step size underflow ({h:.3e}) at t={t}", t=t)
@@ -456,10 +457,10 @@ def step_roots(st: Step, event, direction: int, tol: float, prev_end=None
 
     Brackets are the step's start, midpoint and end (roots less than h/2
     apart may merge); each that crosses zero as ``direction`` asks is
-    bisected on the dense output to ``tol`` or to adjacent floats.  Also
-    returns ``(st.y1, value there)``: passed back as ``prev_end``, it is
-    the next step's start value unless a chart switch gave that step a
-    new state tuple.
+    halved on the dense output by :func:`~ccorb.dynamics.bisect_bracket`
+    to ``tol`` or to adjacent floats.  Also returns ``(st.y1, value
+    there)``: passed back as ``prev_end``, it is the next step's start
+    value unless a chart switch gave that step a new state tuple.
     """
     ts = (st.t0, st.t0 + 0.5 * st.h, st.t0 + st.h)
     if prev_end is not None and prev_end[0] is st.y0:
@@ -472,16 +473,9 @@ def step_roots(st: Step, event, direction: int, tol: float, prev_end=None
     for j in range(2):
         if not _crosses(direction, vs[j], vs[j + 1]):
             continue
-        lo, hi, vlo = ts[j], ts[j + 1], vs[j]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # adjacent floats: the bracket cannot shrink
-            vm = event(mid, st.chart, st.eval(mid))
-            if _crosses(direction, vlo, vm):
-                hi = mid
-            else:
-                lo, vlo = mid, vm
+        lo, _, hi, _ = dynamics.bisect_bracket(
+            lambda t: event(t, st.chart, st.eval(t)),
+            ts[j], vs[j], ts[j + 1], vs[j + 1], tol)
         t_star = 0.5 * (lo + hi)
         hits.append(EventHit(t=t_star, chart=st.chart, y=st.eval(t_star)))
     return hits, (st.y1, vs[2])

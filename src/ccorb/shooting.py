@@ -26,6 +26,7 @@ from functools import lru_cache, partial
 from .dynamics import (
     PhaseState,
     SystemParams,
+    bisect_bracket,
     hamiltonian_values,
     hill_component_interval,
 )
@@ -150,7 +151,7 @@ class Chord:
 _hill_cached = lru_cache(maxsize=64)(hill_component_interval)
 
 
-def axis_discriminant(s: float, branch: Branch, mu: float, c: float) -> float:
+def axis_discriminant(s: float, mu: float, c: float) -> float:
     """Discriminant (s-mu)^2 + 2(c + (1-mu)/|s| + mu/|s-1|) of the p2 solve."""
     if s == 0.0 or s == 1.0:
         raise UsageError("axis shot cannot start on a primary")
@@ -173,7 +174,7 @@ def axis_initial_state(spec: ShotSpec) -> PhaseState:
         raise UsageError(
             f"shot start s={s} outside the Hill axis interval "
             f"({hill.s_min:.6g}, {hill.s_max:.6g})")
-    disc = axis_discriminant(s, spec.branch, mu, c)
+    disc = axis_discriminant(s, mu, c)
     if disc < 0.0:
         raise EnergeticallyForbiddenError(
             f"axis shot at s={s} is energetically forbidden "
@@ -324,7 +325,7 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(worker, specs, chunksize=1))
-        except (OSError, PermissionError):
+        except OSError:
             results = [worker(spec) for spec in specs]
     else:
         results = [worker(spec) for spec in specs]
@@ -367,35 +368,27 @@ def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
     The full chord is the forward trajectory to the collision passage plus
     its rho-mirror as the backward half: flight time and Reeb time are
     twice the forward clocks, and the start endpoint is the mirror of the
-    collision fiber coordinate.
+    collision fiber coordinate.  The reported |dm/ds| is the slope of the
+    miss across the final bracket.
     """
     if bracket.kind != "sign_change":
         raise TangentialRootError(
             f"bracket at s={bracket.s_lo} has no sign change; refine by "
             "minimization manually")
     k = bracket.pericenter_index
-    s_lo, s_hi = bracket.s_lo, bracket.s_hi
-    m_lo, m_hi = bracket.m_lo, bracket.m_hi
-    history = [(s_lo, m_lo), (s_hi, m_hi)]
-    while s_hi - s_lo > S_INTERVAL_TOL:
-        mid = 0.5 * (s_lo + s_hi)
-        if mid == s_lo or mid == s_hi:
-            break
-        sample = miss_function(ShotSpec(s=mid, branch=branch, params=params,
+
+    def miss(s: float) -> float:
+        sample = miss_function(ShotSpec(s=s, branch=branch, params=params,
                                         level=level), settings, k)
         if not sample.valid:
             raise BisectionStagnationError(
-                f"pericenter {k} lost during bisection at s={mid}",
-                interval=(s_lo, s_hi))
-        history.append((mid, sample.m))
-        if sample.m == 0.0:
-            s_lo = s_hi = mid
-            break
-        if (sample.m < 0.0) == (m_lo < 0.0):
-            s_lo, m_lo = mid, sample.m
-        else:
-            s_hi, m_hi = mid, sample.m
+                f"pericenter {k} lost during bisection at s={s}",
+                interval=(bracket.s_lo, bracket.s_hi))
+        return sample.m
 
+    s_lo, m_lo, s_hi, m_hi = bisect_bracket(
+        miss, bracket.s_lo, bracket.m_lo, bracket.s_hi, bracket.m_hi,
+        S_INTERVAL_TOL)
     s_star = 0.5 * (s_lo + s_hi)
     spec = ShotSpec(s=s_star, branch=branch, params=params, level=level)
     traj, hits = _shoot(spec, settings, k)
@@ -428,28 +421,9 @@ def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
         t_reg_collision=sample.t_reg,
         symmetric=True,
         periodic_candidate=closure < PERIODIC_CANDIDATE_TOL,
-        conditioning=_conditioning(history),
+        conditioning=(abs(m_hi - m_lo) / (s_hi - s_lo) if s_hi > s_lo
+                      else math.nan),
     )
-
-
-def _conditioning(history: list[tuple[float, float]]) -> float:
-    """|dm/ds| proxy from bisection history, read at a robust width.
-
-    Slopes from the final, nearly degenerate brackets are dominated by
-    integration noise; the estimate uses the opposite-sign pair whose
-    width is closest to 1e-6.
-    """
-    best = math.nan
-    best_score = math.inf
-    pts = sorted(p for p in history if not math.isnan(p[1]))
-    for (s_a, m_a), (s_b, m_b) in zip(pts, pts[1:]):
-        if s_b - s_a <= 0.0 or (m_a < 0.0) == (m_b < 0.0):
-            continue
-        score = abs(math.log10((s_b - s_a) / 1e-6))
-        if score < best_score:
-            best_score = score
-            best = abs((m_b - m_a) / (s_b - s_a))
-    return best
 
 
 def kepler_oracle_return_time(c: float) -> float:

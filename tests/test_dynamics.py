@@ -188,6 +188,43 @@ def test_small_mass_critical_value_scaling():
     assert abs(value - asymptotic) < 5e-6
 
 
+# -------------------------------------------------------------- bisection
+
+
+def test_bisect_bracket_width_zero_ends_on_adjacent_floats():
+    def fn(x):
+        return x * x - 2.0
+    lo, flo, hi, fhi = dynamics.bisect_bracket(fn, 1.0, fn(1.0), 2.0,
+                                               fn(2.0), 0.0)
+    assert lo < hi and math.nextafter(lo, math.inf) == hi
+    assert lo <= math.sqrt(2.0) <= hi
+    assert flo == fn(lo) < 0.0 < fhi == fn(hi)
+
+
+def test_bisect_bracket_returns_an_exact_zero_as_a_point():
+    def fn(x):
+        return x - 0.75  # zero at the second midpoint of [0, 1]
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return fn(x)
+    lo, flo, hi, fhi = dynamics.bisect_bracket(counted, 0.0, fn(0.0), 1.0,
+                                               fn(1.0), 1e-12)
+    assert lo == hi == 0.75 and flo == fhi == 0.0
+    assert seen == [0.5, 0.75]
+
+
+def test_bisect_bracket_end_values_match_the_function():
+    def fn(x):
+        return math.cos(x) - x
+    lo, flo, hi, fhi = dynamics.bisect_bracket(fn, 0.0, fn(0.0), 1.0,
+                                               fn(1.0), 1e-9)
+    assert 0.0 < hi - lo <= 1e-9
+    assert flo == fn(lo) and fhi == fn(hi)
+    assert (flo < 0.0) != (fhi < 0.0)
+
+
 # ----------------------------------------------------------- Hill regions
 
 

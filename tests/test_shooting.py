@@ -114,8 +114,8 @@ def test_shot_outside_the_hill_region_is_forbidden(kepler_params,
                                     params=kepler_params, level=kepler_level))
     # The momentum discriminant is exactly 2 (c - U) on the axis, so it
     # goes negative precisely outside the Hill interval.
-    assert axis_discriminant(0.6, Branch.MINUS, 0.0, -2.0) < 0.0
-    assert axis_discriminant(0.5, Branch.MINUS, 0.0, -2.0) > 0.0
+    assert axis_discriminant(0.6, 0.0, -2.0) < 0.0
+    assert axis_discriminant(0.5, 0.0, -2.0) > 0.0
 
 
 def test_shot_from_the_primary_is_rejected(kepler_params, kepler_level):
@@ -313,6 +313,19 @@ def test_refined_chord_reproduces_the_radial_orbit(oracle_chord):
     # The turn sweeps an eighth of a circle before the mirror completes it.
     angle = math.atan2(-b_end[1], -b_end[0])
     assert angle == pytest.approx(-math.pi / 8.0, abs=1e-8)
+
+
+def test_conditioning_is_the_slope_of_the_miss(oracle_chord, kepler_params,
+                                               kepler_level, tight_settings):
+    """|dm/ds| agrees with a central difference of the miss at s* +- 1e-6."""
+    s, h = oracle_chord.spec.s, 1e-6
+    m_plus, m_minus = (
+        miss_function(ShotSpec(s=x, branch=Branch.MINUS, params=kepler_params,
+                               level=kepler_level), tight_settings, 1).m
+        for x in (s + h, s - h))
+    slope = abs(m_plus - m_minus) / (2.0 * h)
+    assert slope == pytest.approx(4.0, rel=1e-6)
+    assert oracle_chord.conditioning == pytest.approx(slope, rel=0.01)
 
 
 def test_chord_endpoints_lie_on_the_legendrian(oracle_chord, kepler_level):
