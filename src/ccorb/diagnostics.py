@@ -33,7 +33,6 @@ from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
 from .integrator import (
     Flow,
     IntegrationSettings,
-    _rhs_regularized,
     _transition_state,
     integrate,
 )
@@ -43,7 +42,7 @@ from .regularization import (
     RegularizedLevel,
     fiber_image,
 )
-from .shooting import Chord
+from .shooting import PERIODIC_CANDIDATE_TOL, Chord
 
 #: chords closer than this in both Reeb time and endpoint are duplicates
 DEDUPE_TAU_TOL = 1e-6
@@ -70,14 +69,14 @@ def chord_action(chord: Chord, refinement: int = 2,
     Integrates -b . da/ds over the forward half and doubles (the mirror
     half contributes equally); ``half`` skips the doubling.  The
     quadrature runs at two resolutions with one Richardson sweep; it
-    shares only the accepted step polynomials with the integrator, not
-    its clock accumulation, so agreement with ``tau_reeb`` is a real
+    shares only the accepted steps (dense polynomials, and the first
+    stage as the rate at each step start) with the integrator, not its
+    clock accumulation, so agreement with ``tau_reeb`` is a real
     cross-check of the action = Reeb period identity.
     """
     if refinement < 0:
         raise UsageError("refinement must be >= 0")
-    level = chord.spec.level
-    rhs = _rhs_regularized(level.params.mu, level.f)
+    rhs = chord.samples.rhs
     sigma = chord.t_reg_collision
 
     def quad(nseg: int) -> float:
@@ -88,12 +87,10 @@ def chord_action(chord: Chord, refinement: int = 2,
                 break
             t1 = min(st.t0 + st.h, sigma)
             h = (t1 - t0) / nseg
-            acc = 0.0
-            for j in range(nseg + 1):
-                t = t0 + j * h
-                y = st.y0 if j == 0 else st.eval(t)
-                w = 1.0 if j in (0, nseg) else (4.0 if j % 2 else 2.0)
-                acc += w * rhs(st.chart, y)[5]
+            acc = st.k[0][5]
+            for j in range(1, nseg + 1):
+                w = 1.0 if j == nseg else (4.0 if j % 2 else 2.0)
+                acc += w * rhs(st.chart, st.eval(t0 + j * h))[5]
             total += acc * h / 3.0
         return total
 
@@ -517,7 +514,7 @@ def catalog_insert(catalog: ChordCatalog, chord: Chord,
     return True
 
 
-def _mark_chains(catalog: ChordCatalog, tol: float = 1e-8) -> None:
+def _mark_chains(catalog: ChordCatalog) -> None:
     """Flag chords whose collision endpoint continues another chord.
 
     If the end fiber of one entry matches the start fiber of another (or
@@ -528,6 +525,7 @@ def _mark_chains(catalog: ChordCatalog, tol: float = 1e-8) -> None:
     starts = [e["endpoint_start_b"] for e in catalog.entries]
     for i, e_i in enumerate(ends):
         for j, s_j in enumerate(starts):
-            if math.hypot(e_i[0] - s_j[0], e_i[1] - s_j[1]) < tol:
+            if (math.hypot(e_i[0] - s_j[0], e_i[1] - s_j[1])
+                    < PERIODIC_CANDIDATE_TOL):
                 catalog.entries[i]["periodic_candidate"] = True
                 catalog.entries[j]["periodic_candidate"] = True

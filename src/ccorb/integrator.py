@@ -162,7 +162,9 @@ class Trajectory:
     Samples are the accepted step endpoints; dense output is available on
     every step through :meth:`eval`.  The conserved quantity (H for the
     physical flow, KCheck for the regularized flow) can be logged at all
-    samples for drift checks.  ``settings`` are the ones the run used.
+    samples for drift checks.  ``settings`` are the ones the run used, and
+    ``rhs(chart, y)`` is the vector field it integrated; a step's ``k[0]``
+    and ``k[6]`` are that field at its ``y0`` and ``y1``.
     """
 
     def __init__(self, flow: Flow, level: RegularizedLevel,
@@ -171,6 +173,10 @@ class Trajectory:
         self.flow = flow
         self.level = level
         self.settings = settings
+        if flow is Flow.PHYSICAL:
+            self.rhs = _rhs_physical(level.params.mu)
+        else:
+            self.rhs = _rhs_regularized(level.params.mu, level.f)
         self._chart0 = chart0
         self._y0 = y0
         self.steps: list[Step] = []
@@ -350,13 +356,9 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
     StepUnderflowError
         Required step below floating-point resolution.
     """
-    mu = level.params.mu
     chart, y = prepare_initial(flow, initial, level)
-    if flow is Flow.PHYSICAL:
-        rhs = _rhs_physical(mu)
-    else:
-        rhs = _rhs_regularized(mu, level.f)
     traj = Trajectory(flow, level, settings, chart, y)
+    rhs = traj.rhs
 
     atol, rtol = settings.abs_tol, settings.rel_tol
     t = 0.0
@@ -380,7 +382,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
         if h < 1e-15 * max(1.0, abs(t)):
             raise StepUnderflowError(
                 f"step size underflow ({h:.3e}) at t={t}", t=t)
-        # stages
+        # stages; the input of the last one is the fifth-order solution y1
         k = [f_now]
         singular = False
         for s in range(1, 7):
@@ -391,8 +393,9 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
                 for j in range(s):
                     acc += a_row[j] * k[j][m]
                 ys[m] = y[m] + h * acc
+            ys = tuple(ys)
             try:
-                k.append(rhs(chart, tuple(ys)))
+                k.append(rhs(chart, ys))
             except SingularInputError as exc:
                 if flow is Flow.PHYSICAL:
                     raise SingularityApproachError(
@@ -405,8 +408,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
             rejected = True
             h *= 0.25
             continue
-        y1 = tuple(y[m] + h * sum(_B5[i] * k[i][m] for i in range(7))
-                   for m in range(n))
+        y1 = ys
         err_vec = tuple(h * sum(_E[i] * k[i][m] for i in range(7))
                         for m in range(n))
         if settings.fixed_step is not None:
@@ -451,34 +453,36 @@ def _crosses(direction: int, va: float, vb: float) -> bool:
             or (direction <= 0 and va > 0.0 >= vb))
 
 
-def step_roots(st: Step, event, direction: int, tol: float, prev_end=None
-               ) -> tuple[list[EventHit], tuple]:
+def step_roots(st: Step, rhs, event, direction: int, tol: float
+               ) -> list[EventHit]:
     """Roots of ``event`` within one accepted step, in time order.
 
     Brackets are the step's start, midpoint and end (roots less than h/2
     apart may merge); each that crosses zero as ``direction`` asks is
     halved on the dense output by :func:`~ccorb.dynamics.bisect_bracket`
-    to ``tol`` or to adjacent floats.  Also returns ``(st.y1, value
-    there)``: passed back as ``prev_end``, it is the next step's start
-    value unless a chart switch gave that step a new state tuple.
+    to ``tol`` or to adjacent floats.  The vector field at the step's ends
+    is its own first and last stage, ``st.k[0]`` and ``st.k[6]``;
+    ``rhs`` is called only at the midpoint and at bisection points.
     """
-    ts = (st.t0, st.t0 + 0.5 * st.h, st.t0 + st.h)
-    if prev_end is not None and prev_end[0] is st.y0:
-        v0 = prev_end[1]
-    else:
-        v0 = event(st.t0, st.chart, st.y0)
-    vs = (v0, event(ts[1], st.chart, st.eval(ts[1])),
-          event(ts[2], st.chart, st.y1))
+    chart = st.chart
+
+    def value(t: float) -> float:
+        y = st.eval(t)
+        return event(t, chart, y, rhs(chart, y))
+
+    t1 = st.t0 + st.h
+    ts = (st.t0, st.t0 + 0.5 * st.h, t1)
+    vs = (event(st.t0, chart, st.y0, st.k[0]), value(ts[1]),
+          event(t1, chart, st.y1, st.k[6]))
     hits: list[EventHit] = []
     for j in range(2):
         if not _crosses(direction, vs[j], vs[j + 1]):
             continue
         lo, _, hi, _ = dynamics.bisect_bracket(
-            lambda t: event(t, st.chart, st.eval(t)),
-            ts[j], vs[j], ts[j + 1], vs[j + 1], tol)
+            value, ts[j], vs[j], ts[j + 1], vs[j + 1], tol)
         t_star = 0.5 * (lo + hi)
-        hits.append(EventHit(t=t_star, chart=st.chart, y=st.eval(t_star)))
-    return hits, (st.y1, vs[2])
+        hits.append(EventHit(t=t_star, chart=chart, y=st.eval(t_star)))
+    return hits
 
 
 def locate_event(traj: Trajectory, event, direction: int = 0
@@ -489,7 +493,8 @@ def locate_event(traj: Trajectory, event, direction: int = 0
     ----------
     traj : Trajectory
     event : callable
-        ``event(t, chart, y) -> float``, piecewise smooth along the
+        ``event(t, chart, y, dy) -> float``, where ``dy`` is the vector
+        field ``traj.rhs(chart, y)``; piecewise smooth along the
         trajectory.  For minimum-type events pass the time derivative of
         the monitored quantity (e.g. the radial rate for pericenters) and
         ``direction=+1`` to keep only minima.
@@ -497,7 +502,7 @@ def locate_event(traj: Trajectory, event, direction: int = 0
         +1 keeps only - to + crossings, -1 only + to -, 0 both.
 
     Each step goes through :func:`step_roots` at the trajectory's
-    ``settings.event_tol``; a step boundary is evaluated once per chart.
+    ``settings.event_tol``.
 
     Returns
     -------
@@ -506,10 +511,8 @@ def locate_event(traj: Trajectory, event, direction: int = 0
     """
     tol = traj.settings.event_tol
     hits: list[EventHit] = []
-    end = None
     for st in traj.steps:
-        found, end = step_roots(st, event, direction, tol, end)
-        hits += found
+        hits += step_roots(st, traj.rhs, event, direction, tol)
     return hits
 
 
@@ -574,12 +577,9 @@ def export_csv(traj: Trajectory, stream, header_comments: dict | None = None
     stream.write(CSV_HEADER + "\n")
     rows = list(traj.samples())
     if traj.flow is Flow.REGULARIZED:
-        rhs = _rhs_regularized(traj.level.params.mu, traj.level.f)
-
-        def radial_rate(t, chart, y):
+        def radial_rate(t, chart, y, dy):
             # d|a|^2/dt via the chart vector field
-            f = rhs(chart, y)
-            return 2.0 * (y[0] * f[0] + y[1] * f[1])
+            return 2.0 * (y[0] * dy[0] + y[1] * dy[1])
         for hit in locate_event(traj, radial_rate, direction=+1):
             if (hit.chart is Chart.SOUTH
                     and math.hypot(hit.y[0], hit.y[1]) < COLLISION_RADIUS):

@@ -43,7 +43,6 @@ from .integrator import (
     integrate,
     locate_event,
     step_roots,
-    _rhs_regularized,
 )
 from .regularization import Chart, RegularizedLevel, phase_to_chart
 
@@ -189,20 +188,15 @@ def axis_initial_state(spec: ShotSpec) -> PhaseState:
     return state
 
 
-def _pericenter_rate(level: RegularizedLevel):
+def _pericenter_rate(t, chart, y, dy) -> float:
     """Event function d|q|^2/dt evaluated chart-smoothly."""
-    rhs = _rhs_regularized(level.params.mu, level.f)
-
-    def rate(t, chart, y):
-        f = rhs(chart, y)
-        bdot = y[2] * f[2] + y[3] * f[3]
-        if chart is Chart.NORTH:
-            return 2.0 * bdot
-        alpha = y[0] * y[0] + y[1] * y[1]
-        beta2 = y[2] * y[2] + y[3] * y[3]
-        adot = y[0] * f[0] + y[1] * f[1]
-        return 2.0 * alpha * (2.0 * beta2 * adot + alpha * bdot)
-    return rate
+    bdot = y[2] * dy[2] + y[3] * dy[3]
+    if chart is Chart.NORTH:
+        return 2.0 * bdot
+    alpha = y[0] * y[0] + y[1] * y[1]
+    beta2 = y[2] * y[2] + y[3] * y[3]
+    adot = y[0] * dy[0] + y[1] * dy[1]
+    return 2.0 * alpha * (2.0 * beta2 * adot + alpha * bdot)
 
 
 def _radius_sq(chart: Chart, y) -> float:
@@ -213,26 +207,9 @@ def _radius_sq(chart: Chart, y) -> float:
     return alpha * alpha * beta2
 
 
-class _PericenterCounter:
-    """Early-stop predicate that locates near passes step by step.
-
-    Minima of |q|^2 located by :func:`step_roots` closer to O than
-    :data:`R_NEAR` go to ``hits``; the run stops at the k-th one's step.
-    """
-
-    def __init__(self, level: RegularizedLevel, k: int):
-        self.rate = _pericenter_rate(level)
-        self.k = k
-        self.hits = []
-        self._end = None
-
-    def __call__(self, traj: Trajectory) -> bool:
-        st = traj.steps[-1]
-        found, self._end = step_roots(st, self.rate, +1,
-                                      traj.settings.event_tol, self._end)
-        self.hits += [h for h in found
-                      if _radius_sq(h.chart, h.y) < _R_NEAR_SQ]
-        return len(self.hits) >= self.k
+def _near_passes(hits):
+    """The pericenter hits closer to O than :data:`R_NEAR`."""
+    return [h for h in hits if _radius_sq(h.chart, h.y) < _R_NEAR_SQ]
 
 
 def pericenter_hits(traj: Trajectory):
@@ -241,18 +218,27 @@ def pericenter_hits(traj: Trajectory):
     Minima of the smooth |q|^2 surrogate located on the dense output;
     shallow minima with |q| >= :data:`R_NEAR` are ignored.
     """
-    rate = _pericenter_rate(traj.level)
-    hits = locate_event(traj, rate, direction=+1)
-    return [h for h in hits if _radius_sq(h.chart, h.y) < _R_NEAR_SQ]
+    return _near_passes(locate_event(traj, _pericenter_rate, direction=+1))
 
 
 def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
-    """Integrate a shot until its k-th near pass; returns (traj, hits)."""
+    """Integrate a shot until its k-th near pass; returns (traj, hits).
+
+    The passes are located step by step as the run goes, and the run
+    stops at the step that holds the k-th one.
+    """
     state = axis_initial_state(spec)
-    counter = _PericenterCounter(spec.level, k)
+    hits = []
+
+    def until(traj: Trajectory) -> bool:
+        hits.extend(_near_passes(step_roots(
+            traj.steps[-1], traj.rhs, _pericenter_rate, +1,
+            settings.event_tol)))
+        return len(hits) >= k
+
     traj = integrate(Flow.REGULARIZED, phase_to_chart(state), spec.level,
-                     settings, until=counter)
-    return traj, counter.hits
+                     settings, until=until)
+    return traj, hits
 
 
 def _miss_sample(spec: ShotSpec, k: int, hits) -> MissSample:
@@ -294,7 +280,7 @@ def _eval_shot_worker(spec: ShotSpec, settings: IntegrationSettings,
     """
     try:
         _, hits = _shoot(spec, settings, k_max)
-    except (UsageError, EnergeticallyForbiddenError):
+    except UsageError:
         hits = []
     return [_miss_sample(spec, k, hits) for k in range(1, k_max + 1)]
 

@@ -208,13 +208,13 @@ def test_both_clock_components_are_monotone():
 def test_event_location_finds_axis_crossings():
     traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
                      IntegrationSettings(t_max=10.0))
-    hits = locate_event(traj, lambda t, chart, y: y[1])
+    hits = locate_event(traj, lambda t, chart, y, dy: y[1])
     assert hits
     assert all(b.t > a.t for a, b in zip(hits, hits[1:]))
     for hit in hits:
         assert abs(hit.y[1]) < 1e-9
-    ups = locate_event(traj, lambda t, chart, y: y[1], direction=+1)
-    downs = locate_event(traj, lambda t, chart, y: y[1], direction=-1)
+    ups = locate_event(traj, lambda t, chart, y, dy: y[1], direction=+1)
+    downs = locate_event(traj, lambda t, chart, y, dy: y[1], direction=-1)
     assert len(ups) + len(downs) == len(hits)
     for hit in ups:
         _, y = traj.eval(min(hit.t + 1e-5, traj.t_end))
@@ -224,26 +224,51 @@ def test_event_location_finds_axis_crossings():
 def test_event_on_signless_function_is_empty():
     traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
                      IntegrationSettings(t_max=2.0))
-    assert locate_event(traj, lambda t, chart, y: 1.0 + y[0] ** 2) == []
+    assert locate_event(traj, lambda t, chart, y, dy: 1.0 + y[0] ** 2) == []
 
 
-def test_event_location_evaluates_each_step_boundary_once():
-    """A step start reuses the previous step's end value, unless the chart
-    switched there; then the event is read in both charts."""
+def _switching_run():
+    """A mu = 0 collision run that switches charts several times."""
     start = collision_point((1.0, 0.0), KEPLER)
     traj = integrate(Flow.REGULARIZED, start, KEPLER,
                      IntegrationSettings(t_max=6.0))
-    calls = []
-
-    def event(t, chart, y):
-        calls.append((t, chart))
-        return y[1]
-    locate_event(traj, event)
-    assert len(calls) == len(set(calls))
     switches = [(prev.t0 + prev.h, prev.chart, st.chart)
                 for prev, st in zip(traj.steps, traj.steps[1:])
                 if st.chart is not prev.chart]
     assert switches
+    return traj, switches
+
+
+def test_step_stages_are_the_vector_field_at_the_step_ends():
+    """FSAL: the first and last stages are the field at y0 and y1, bit for
+    bit, also where the chart switched at the step start."""
+    traj, _ = _switching_run()
+    for st in traj.steps:
+        assert st.k[0] == traj.rhs(st.chart, st.y0)
+        assert st.k[6] == traj.rhs(st.chart, st.y1)
+
+
+def test_event_location_reads_step_end_rates_from_the_stages():
+    """The event gets the field at a step's ends from the step's stages, so
+    no field call lands on a y0 or y1; each event value off the ends costs
+    one call.  A chart-switch boundary is read in both charts."""
+    traj, switches = _switching_run()
+    rhs = traj.rhs
+    field_args = []
+
+    def counted_rhs(chart, y):
+        field_args.append(y)
+        return rhs(chart, y)
+    traj.rhs = counted_rhs
+    calls = []
+
+    def event(t, chart, y, dy):
+        calls.append((t, chart))
+        return y[1]
+    assert locate_event(traj, event)
+    ends = {st.y0 for st in traj.steps} | {st.y1 for st in traj.steps}
+    assert not ends.intersection(field_args)
+    assert len(field_args) == len(calls) - 2 * len(traj.steps)
     for t, before, after in switches:
         assert (t, before) in calls and (t, after) in calls
 
