@@ -21,7 +21,6 @@ from .dynamics import (
     hamiltonian_vector_field,
     hill_component_interval,
     lagrange_points,
-    oberth_energy_gain,
     reflect,
 )
 from .errors import (
@@ -51,7 +50,6 @@ from .regularization import (
     legendrian_membership,
     phase_to_chart,
     physical_state,
-    regularized_vector_field,
 )
 from .integrator import (
     Flow,
@@ -90,7 +88,7 @@ __all__ = [
     "SystemParams", "PhaseState", "EnergyLevel", "LagrangeConfig",
     "HillInterval", "hamiltonian", "hamiltonian_vector_field", "reflect",
     "effective_potential", "lagrange_points", "first_critical_value",
-    "hill_component_interval", "oberth_energy_gain",
+    "hill_component_interval",
     # errors
     "CcorbError", "UsageError", "SingularInputError",
     "EnergyAboveCriticalError", "AtCollisionError",
@@ -99,9 +97,8 @@ __all__ = [
     "BisectionStagnationError", "TangentialRootError", "IntegrityError",
     # regularization
     "Chart", "MoserChartPoint", "RegularizedLevel", "k_value", "g_value",
-    "kcheck_value", "chart_transition", "regularized_vector_field",
-    "physical_state", "phase_to_chart", "legendrian_membership",
-    "collision_point",
+    "kcheck_value", "chart_transition", "physical_state", "phase_to_chart",
+    "legendrian_membership", "collision_point",
     # integrator
     "Flow", "IntegrationSettings", "Trajectory", "integrate",
     "locate_event", "export_csv",

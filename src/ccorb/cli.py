@@ -7,7 +7,6 @@ Subcommands:
 * ``integrate``  one trajectory (physical or regularized) as CSV
 * ``starshape``  fiberwise star-shapedness certificate
 * ``orbit-svg``  rotating-frame picture of a cataloged chord
-* ``oberth``     kinetic-energy gain of a burn at speed
 
 Exit codes: 0 success with findings, 2 usage/input error, 3 clean run
 with an empty result, 4 numerical failure.  Output files embed the run
@@ -38,7 +37,6 @@ from .dynamics import (
     hamiltonian,
     hill_component_interval,
     lagrange_points,
-    oberth_energy_gain,
 )
 from .errors import (
     CcorbError,
@@ -103,12 +101,16 @@ def _resolve_jacobi(spec: str, params: SystemParams) -> float:
             offset = float(text[5:])
         except ValueError as exc:
             raise UsageError(f"bad --jacobi offset in {spec!r}") from exc
-        return first_critical_value(params) - offset
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise UsageError(
-            f"--jacobi must be a number or auto-X, got {spec!r}") from exc
+        value = first_critical_value(params) - offset
+    else:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise UsageError(
+                f"--jacobi must be a number or auto-X, got {spec!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"--jacobi must be finite, got {spec!r}")
+    return value
 
 
 def _parse_srange(text: str) -> tuple[float, float]:
@@ -223,8 +225,7 @@ def cmd_scan(run: RunConfig, force: bool = False) -> int:
                         f"{branch.value}); not refinable by bisection")
                     continue
                 try:
-                    chord = refine_chord(bracket, branch, params, level,
-                                         settings)
+                    chord = refine_chord(bracket, level, settings)
                 except (TangentialRootError, NumericalError) as exc:
                     warnings.append(
                         f"refinement failed on [{_fmt(bracket.s_lo)}, "
@@ -465,20 +466,6 @@ def cmd_orbit_svg(catalog_path: str, index: int, out: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oberth
-
-
-def cmd_oberth(speed: float, dv: float, json_out: bool = False) -> int:
-    gain = oberth_energy_gain(speed, dv)
-    if json_out:
-        print(_dumps({"speed": speed, "dv": dv, "energy_gain": gain,
-                      "artifact_version": __version__}))
-    else:
-        print(f"energy gain: {_fmt(gain)}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 
 
@@ -536,19 +523,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--out", required=True)
-
-    p = sub.add_parser("oberth", help="energy gain of a burn at speed")
-    p.add_argument("--speed", type=float, required=True)
-    p.add_argument("--dv", type=float, required=True)
-    p.add_argument("--json", action="store_true")
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lagrange":
         return cmd_lagrange(args.mu, json_out=args.json, out=args.out)
-    if args.command == "oberth":
-        return cmd_oberth(args.speed, args.dv, json_out=args.json)
     if args.command == "orbit-svg":
         return cmd_orbit_svg(args.catalog, args.index, args.out)
 

@@ -42,13 +42,15 @@ from .regularization import (
     RegularizedLevel,
     fiber_image,
 )
-from .shooting import PERIODIC_CANDIDATE_TOL, Chord
+from .shooting import Chord
 
 #: chords closer than this in both Reeb time and endpoint are duplicates
 DEDUPE_TAU_TOL = 1e-6
 DEDUPE_ENDPOINT_TOL = 1e-6
 #: quadrature action must match the integrated Reeb clock this closely
 ACTION_AGREEMENT_TOL = 1e-6
+#: endpoint closure threshold for the periodic-orbit heuristic
+PERIODIC_CANDIDATE_TOL = 1e-8
 #: interior times at which ``symmetry_defect`` compares the mirror halves
 SYMMETRY_SAMPLES = 100
 #: star-shape scan: base-disk radius in either chart, grid points per
@@ -62,12 +64,11 @@ ZVC_SAMPLES = 1024
 # action quadrature
 
 
-def chord_action(chord: Chord, refinement: int = 2,
-                 half: bool = False) -> float:
+def chord_action(chord: Chord, refinement: int = 2) -> float:
     """Reeb action of a chord by Simpson quadrature on the dense output.
 
     Integrates -b . da/ds over the forward half and doubles (the mirror
-    half contributes equally); ``half`` skips the doubling.  The
+    half contributes equally).  The
     quadrature runs at two resolutions with one Richardson sweep; it
     shares only the accepted steps (dense polynomials, and the first
     stage as the rate at each step start) with the integrator, not its
@@ -97,9 +98,7 @@ def chord_action(chord: Chord, refinement: int = 2,
     nseg = 2 * 2 ** refinement
     coarse = quad(nseg)
     fine = quad(2 * nseg)
-    value = fine + (fine - coarse) / 15.0
-    if not half:
-        value *= 2.0
+    value = 2.0 * (fine + (fine - coarse) / 15.0)
     if value <= 0.0:
         raise IntegrityError(
             f"non-positive action {value!r}: wrong branch or orientation")
@@ -408,7 +407,11 @@ def _dumps(obj) -> str:
 
 
 def entry_from_chord(chord: Chord, settings: IntegrationSettings) -> dict:
-    """Catalog row for a refined chord (field order is the file order)."""
+    """Catalog row for a refined chord (field order is the file order).
+
+    ``periodic_candidate`` starts False; :func:`_mark_chains` sets it once
+    the row is in a catalog.
+    """
     spec = chord.spec
     return {
         "mu": spec.params.mu,
@@ -423,8 +426,7 @@ def entry_from_chord(chord: Chord, settings: IntegrationSettings) -> dict:
         "r_peri": chord.r_peri,
         "endpoint_start_b": list(chord.endpoint_start_b),
         "endpoint_end_b": list(chord.endpoint_end_b),
-        "symmetric": chord.symmetric,
-        "periodic_candidate": chord.periodic_candidate,
+        "periodic_candidate": False,
         "integrator_tolerances": {
             "rel_tol": settings.rel_tol,
             "abs_tol": settings.abs_tol,
@@ -473,8 +475,8 @@ def catalog_insert(catalog: ChordCatalog, chord: Chord,
     """Verify a chord's invariants and insert it unless it is a duplicate.
 
     Checks: positive Reeb time, collision-grade pericenter distance,
-    symmetry, mirror-consistent endpoints on the collision fiber radius
-    2(1 - mu), and agreement of the quadrature action with the Reeb clock.
+    mirror-consistent endpoints on the collision fiber radius 2(1 - mu),
+    and agreement of the quadrature action with the Reeb clock.
     Near-duplicates (both Reeb time and collision endpoint within 1e-6)
     are skipped; returns True iff the chord was added.  Entries stay
     sorted by Reeb time.
@@ -483,8 +485,6 @@ def catalog_insert(catalog: ChordCatalog, chord: Chord,
         chord.action = chord_action(chord)
     if not chord.tau_reeb > 0.0:
         raise IntegrityError(f"non-positive Reeb time {chord.tau_reeb}")
-    if not chord.symmetric:
-        raise IntegrityError("catalog only holds symmetric chords")
     if not chord.r_peri < 1e-9:
         raise IntegrityError(
             f"pericenter distance {chord.r_peri:.3e} is not collision-grade")

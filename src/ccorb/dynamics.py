@@ -6,9 +6,9 @@ the barycenter (mu, 0).  Everything here is expressed in nondimensional
 units: unit separation, unit angular velocity, total mass one.
 
 The module provides the Hamiltonian and its vector field, the effective
-potential with its critical (Lagrange) points, the admissible axis segment
-of the bounded Hill component around O, and the Oberth energy-gain utility.
-All functions are pure; there is no shared mutable state.
+potential with its critical (Lagrange) points, and the admissible axis segment
+of the bounded Hill component around O.  All functions are pure; there is
+no shared mutable state.
 """
 
 from __future__ import annotations
@@ -94,18 +94,13 @@ class LagrangeConfig:
 class HillInterval:
     """Axis segment of the Hill component around O at a fixed energy.
 
-    Iterating yields ``(s_min, s_max)`` so the object unpacks like the
-    plain pair; ``degenerate`` marks the unbounded mu = 0 case where the
-    whole axis is energetically admissible.
+    ``degenerate`` marks the unbounded mu = 0 case where the whole axis is
+    energetically admissible.
     """
 
     s_min: float
     s_max: float
     degenerate: bool = False
-
-    def __iter__(self):
-        yield self.s_min
-        yield self.s_max
 
     def contains(self, s: float) -> bool:
         return self.s_min < s < self.s_max and s != 0.0
@@ -401,12 +396,3 @@ def hill_component_interval(params: SystemParams, level: EnergyLevel
     neg = _bisect_with_secant(lambda s: _axis_potential(s, mu) - c,
                               s_l3, -1e-12)
     return HillInterval(neg, pos)
-
-
-def oberth_energy_gain(v: float, dv: float) -> float:
-    """Kinetic-energy gain of a burn dv applied at speed v.
-
-    (v + dv)^2/2 - v^2/2 = dv^2/2 + v dv, exactly; the gain grows linearly
-    with the speed at which the burn is spent.
-    """
-    return 0.5 * dv * dv + v * dv

@@ -111,12 +111,14 @@ class IntegrationSettings:
     fixed_step: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise UsageError("tolerances must be positive")
-        if self.t_max <= 0:
-            raise UsageError("t_max must be positive")
-        if self.event_tol <= 0:
-            raise UsageError("event_tol must be positive")
+        for name in ("rel_tol", "abs_tol", "t_max", "event_tol",
+                     "fixed_step"):
+            value = getattr(self, name)
+            if value is None and name == "fixed_step":
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise UsageError(
+                    f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,12 @@ def _rhs_physical(mu: float):
 
 
 def _rhs_regularized(mu: float, f: float):
+    """Vector field of KCheck = G^2/2 with both clocks appended.
+
+    With canonical pairs (a, -b), da/ds = -G dG/db and db/ds = G dG/da,
+    smooth across a = 0 in the South chart; then dt_phys/ds = G r and
+    dtau/ds = -b . da/ds.
+    """
     g_and_gradient = regularization.g_and_gradient
 
     def rhs(chart: Chart, y: tuple[float, ...]) -> tuple[float, ...]:

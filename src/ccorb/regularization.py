@@ -261,23 +261,6 @@ def chart_transition(pt: MoserChartPoint) -> MoserChartPoint:
                            b=fiber_image(a1, a2, *pt.b))
 
 
-def regularized_vector_field(pt: MoserChartPoint, level: RegularizedLevel
-                             ) -> tuple[float, float, float, float]:
-    """Hamiltonian vector field of KCheck in the current chart.
-
-    With canonical pairs (a, -b) the equations read
-
-        da/dt = -G dG/db,      db/dt = +G dG/da,
-
-    smooth across a = 0 in the South chart, where the field is finite and
-    nonzero: da/dt = -b/4 and db/dt = (0, mu |b|^2 / 2) on the level.
-    """
-    g, ga1, ga2, gb1, gb2 = g_and_gradient(
-        pt.chart, pt.a[0], pt.a[1], pt.b[0], pt.b[1],
-        level.params.mu, level.f)
-    return (-g * gb1, -g * gb2, g * ga1, g * ga2)
-
-
 def physical_state(pt: MoserChartPoint) -> PhaseState:
     """Invert the regularization embedding back to a physical (q, p) state.
 

@@ -55,8 +55,6 @@ S_INTERVAL_TOL = 1e-13
 GRAZING_TOL = 1e-4
 #: refined shots must come at least this close to O to count as collisions
 R_PERI_COLLISION = 1e-9
-#: endpoint closure threshold for the periodic-orbit heuristic
-PERIODIC_CANDIDATE_TOL = 1e-8
 
 
 class Branch(Enum):
@@ -137,8 +135,6 @@ class Chord:
     r_peri: float
     samples: Trajectory
     t_reg_collision: float
-    symmetric: bool = True
-    periodic_candidate: bool = False
     action: float | None = None
     conditioning: float = math.nan
 
@@ -225,8 +221,10 @@ def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
     """Integrate a shot until its k-th near pass; returns (traj, hits).
 
     The passes are located step by step as the run goes, and the run
-    stops at the step that holds the k-th one.
+    stops at the step that holds the k-th one.  k counts from 1.
     """
+    if k < 1:
+        raise UsageError(f"pericenter index must be at least 1, got {k}")
     state = axis_initial_state(spec)
     hits = []
 
@@ -302,6 +300,8 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
     lo, hi = s_range
     if not (lo < hi) or n < 2:
         raise UsageError("need s_lo < s_hi and a grid of at least 2 points")
+    if k_max < 1:
+        raise UsageError(f"k_max must be at least 1, got {k_max}")
     if lo <= 0.0 <= hi:
         raise UsageError("s-range must not contain the primary at s = 0")
     specs = [ShotSpec(s=lo + (hi - lo) * i / (n - 1), branch=branch,
@@ -341,9 +341,8 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
     return brackets
 
 
-def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
-                 level: RegularizedLevel, settings: IntegrationSettings
-                 ) -> Chord:
+def refine_chord(bracket: Bracket, level: RegularizedLevel,
+                 settings: IntegrationSettings) -> Chord:
     """Bisect a miss bracket down to a certified collision chord.
 
     Bisection proceeds until the s-interval is below 1e-13 (the graded
@@ -355,13 +354,15 @@ def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
     its rho-mirror as the backward half: flight time and Reeb time are
     twice the forward clocks, and the start endpoint is the mirror of the
     collision fiber coordinate.  The reported |dm/ds| is the slope of the
-    miss across the final bracket.
+    miss across the final bracket.  The shots run on ``bracket.branch`` at
+    the mass ratio of ``level``.
     """
     if bracket.kind != "sign_change":
         raise TangentialRootError(
             f"bracket at s={bracket.s_lo} has no sign change; refine by "
             "minimization manually")
     k = bracket.pericenter_index
+    branch, params = bracket.branch, level.params
 
     def miss(s: float) -> float:
         sample = miss_function(ShotSpec(s=s, branch=branch, params=params,
@@ -393,20 +394,16 @@ def refine_chord(bracket: Bracket, branch: Branch, params: SystemParams,
             "collision passage not in the South chart; cannot read the "
             "Legendrian endpoint", interval=(s_lo, s_hi))
     b_end = sample.b_end
-    b_start = (b_end[0], -b_end[1])
-    closure = math.hypot(b_end[0] - b_start[0], b_end[1] - b_start[1])
     return Chord(
         spec=spec,
         pericenter_index=k,
         tau_reeb=2.0 * hit.y[5],
         flight_time=2.0 * sample.t_peri,
-        endpoint_start_b=b_start,
+        endpoint_start_b=(b_end[0], -b_end[1]),
         endpoint_end_b=b_end,
         r_peri=sample.r_peri,
         samples=traj,
         t_reg_collision=sample.t_reg,
-        symmetric=True,
-        periodic_candidate=closure < PERIODIC_CANDIDATE_TOL,
         conditioning=(abs(m_hi - m_lo) / (s_hi - s_lo) if s_hi > s_lo
                       else math.nan),
     )

@@ -45,7 +45,6 @@ def oracle_bracket(kepler_params, kepler_level, tight_settings):
 
 
 @pytest.fixture(scope="session")
-def oracle_chord(oracle_bracket, kepler_params, kepler_level, tight_settings):
+def oracle_chord(oracle_bracket, kepler_level, tight_settings):
     """The first consecutive-collision chord at mu = 0, c = -2."""
-    return refine_chord(oracle_bracket, Branch.MINUS, kepler_params,
-                        kepler_level, tight_settings)
+    return refine_chord(oracle_bracket, kepler_level, tight_settings)

@@ -63,8 +63,7 @@ def _find_chord(mu: float, c: float, s_range, n, branch,
                                 k_max=k_max)
     sign_changes = [b for b in brackets if b.kind == "sign_change"]
     assert sign_changes, f"no bracket in {s_range} at mu={mu}, c={c}"
-    return [refine_chord(b, branch, params, level, settings)
-            for b in sign_changes]
+    return [refine_chord(b, level, settings) for b in sign_changes]
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +104,7 @@ def multiplicity_catalog():
             for bracket in brackets:
                 if bracket.kind != "sign_change":
                     continue
-                chord = refine_chord(bracket, branch, params, level, settings)
+                chord = refine_chord(bracket, level, settings)
                 if catalog_insert(catalog, chord, settings):
                     chords.append(chord)
     return {"catalog": catalog, "chords": chords, "level": level,

@@ -122,6 +122,32 @@ def test_scan_rejects_malformed_range(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tmax", "nan"), ("--tmax", "inf"), ("--rel-tol", "nan"),
+    ("--kmax", "0"), ("--kmax", "-1"),
+])
+def test_scan_rejects_bad_settings_before_shooting(flag, value, tmp_path,
+                                                   capsys):
+    out = tmp_path / "x.jsonl"
+    argv = [a for a in ORACLE_SCAN if a not in ("--kmax", "1")]
+    rc = main(argv + [flag, value, "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "starshape"])
+@pytest.mark.parametrize("jacobi", ["nan", "inf", "auto-nan"])
+def test_non_finite_jacobi_is_a_usage_error(command, jacobi, tmp_path,
+                                            capsys):
+    out = tmp_path / "x.out"
+    rc = main([command, "--mu", "0.1", f"--jacobi={jacobi}",
+               "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- integrate
 
 
@@ -188,6 +214,14 @@ def test_integrate_rejects_malformed_state(tmp_path):
     assert rc == 2
 
 
+def test_integrate_rejects_a_nan_tolerance(tmp_path, capsys):
+    rc = main(["integrate", "--mu", "0.1", "--state", "0.3,0.15,0.2,0.4",
+               "--tmax", "1", "--rel-tol", "nan",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "rel_tol" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- starshape
 
 
@@ -241,6 +275,21 @@ def test_orbit_svg_index_out_of_range(oracle_catalog, tmp_path, capsys):
     assert rc == 2
 
 
+def test_orbit_svg_rejects_a_pass_index_below_one(oracle_catalog, tmp_path,
+                                                   capsys):
+    header, row, *rest = oracle_catalog.read_text().splitlines()
+    entry = json.loads(row)
+    entry["pericenter_index"] = 0
+    edited = tmp_path / "k0.jsonl"
+    edited.write_text("\n".join([header, json.dumps(entry)] + rest) + "\n")
+    out = tmp_path / "x.svg"
+    rc = main(["orbit-svg", "--catalog", str(edited), "--index", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "pericenter index" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_orbit_svg_missing_catalog(tmp_path):
     rc = main(["orbit-svg", "--catalog", str(tmp_path / "nope.jsonl"),
                "--index", "0", "--out", str(tmp_path / "x.svg")])
@@ -267,11 +316,3 @@ def test_orbit_svg_needs_t_max_in_the_header(oracle_catalog, tmp_path,
     assert rc == 2
     assert "t_max" in capsys.readouterr().err
     assert not out.exists()
-
-
-# -------------------------------------------------------------------- oberth
-
-
-def test_oberth_prints_the_energy_gain(capsys):
-    assert main(["oberth", "--speed", "3", "--dv", "0.1"]) == 0
-    assert "0.305" in capsys.readouterr().out

@@ -25,7 +25,7 @@ from ccorb.diagnostics import _dumps, _format_float
 ENTRY_FIELDS = [
     "mu", "jacobi", "branch", "side", "pericenter_index", "s0", "tau_reeb",
     "action", "flight_time", "r_peri", "endpoint_start_b", "endpoint_end_b",
-    "symmetric", "periodic_candidate", "integrator_tolerances",
+    "periodic_candidate", "integrator_tolerances",
     "artifact_version",
 ]
 
@@ -45,12 +45,6 @@ def test_action_is_stable_under_resampling(oracle_chord):
     coarse = chord_action(oracle_chord, refinement=2)
     fine = chord_action(oracle_chord, refinement=4)
     assert abs(coarse - fine) < 1e-8
-
-
-def test_half_chord_carries_half_the_action(oracle_chord):
-    full = chord_action(oracle_chord)
-    half = chord_action(oracle_chord, half=True)
-    assert half == pytest.approx(0.5 * full, abs=1e-8)
 
 
 def test_degenerate_chord_action_is_rejected(oracle_chord):
@@ -126,8 +120,7 @@ def test_entry_schema_and_field_order(oracle_chord, tight_settings):
     assert entry["branch"] == "minus"
     assert entry["side"] == "pos"
     assert entry["pericenter_index"] == 1
-    assert isinstance(entry["symmetric"], bool) and entry["symmetric"]
-    assert isinstance(entry["periodic_candidate"], bool)
+    assert entry["periodic_candidate"] is False
     assert entry["integrator_tolerances"] == {
         "rel_tol": tight_settings.rel_tol,
         "abs_tol": tight_settings.abs_tol,
@@ -158,7 +151,6 @@ def test_nearby_but_distinct_chords_both_survive(oracle_chord,
 
 
 @pytest.mark.parametrize("patch", [
-    {"symmetric": False},
     {"r_peri": 1e-6},
     {"tau_reeb": -1.0},
     {"endpoint_start_b": (1.0, 1.0)},
@@ -187,6 +179,16 @@ def test_solo_symmetric_chord_is_not_flagged_periodic(oracle_chord,
     catalog = _fresh_catalog()
     catalog_insert(catalog, oracle_chord, tight_settings)
     assert not catalog.entries[0]["periodic_candidate"]
+
+
+def test_chord_closing_on_itself_is_flagged_periodic(oracle_chord,
+                                                     tight_settings):
+    """A chord whose end fiber is its own start fiber closes up alone."""
+    closing = replace(oracle_chord, endpoint_start_b=(2.0, 0.0),
+                      endpoint_end_b=(2.0, 0.0))
+    catalog = _fresh_catalog()
+    assert catalog_insert(catalog, closing, tight_settings)
+    assert catalog.entries[0]["periodic_candidate"] is True
 
 
 def test_catalog_round_trip_is_lossless(tmp_path, oracle_chord,

@@ -20,7 +20,6 @@ from ccorb import (
     hamiltonian_vector_field,
     hill_component_interval,
     lagrange_points,
-    oberth_energy_gain,
     reflect,
 )
 from ccorb import dynamics
@@ -292,21 +291,3 @@ def test_hamiltonian_rejects_collision_input():
     with pytest.raises(Exception):
         hamiltonian(PhaseState(q=(0.0, 0.0), p=(0.0, 0.0)), params)
 
-
-# ------------------------------------------------------------------ misc
-
-
-def test_oberth_gain_value_and_identity():
-    assert oberth_energy_gain(3.0, 0.1) == pytest.approx(0.305, abs=1e-15)
-
-    @given(v=st.floats(min_value=0.0, max_value=10.0),
-           dv=st.floats(min_value=0.0, max_value=2.0))
-    @settings(max_examples=50, deadline=None)
-    def inner(v, dv):
-        gain = oberth_energy_gain(v, dv)
-        assert gain == pytest.approx(
-            0.5 * (v + dv) ** 2 - 0.5 * v ** 2, rel=1e-13, abs=1e-13)
-
-    inner()
-    # Same burn, faster flyby: strictly more energy.
-    assert oberth_energy_gain(3.0, 0.1) > oberth_energy_gain(1.0, 0.1)

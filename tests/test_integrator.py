@@ -307,11 +307,19 @@ def test_eval_outside_domain_is_an_error():
 
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": 0.0}, {"abs_tol": -1e-12}, {"t_max": 0.0}, {"event_tol": 0.0},
+    {"fixed_step": 0.0},
 ])
 def test_settings_validation(kwargs):
     with pytest.raises(UsageError):
         IntegrationSettings(**kwargs)
 
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "t_max", "event_tol",
+                                  "fixed_step"])
+def test_settings_must_be_finite(name, value):
+    with pytest.raises(UsageError, match=name):
+        IntegrationSettings(**{name: value})
 
 # -------------------------------------------------------------------- CSV
 

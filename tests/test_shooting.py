@@ -124,6 +124,17 @@ def test_shot_from_the_primary_is_rejected(kepler_params, kepler_level):
                                     params=kepler_params, level=kepler_level))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_pass_index_below_one_is_rejected(k, kepler_params, kepler_level,
+                                          tight_settings):
+    spec = ShotSpec(s=0.45, branch=Branch.MINUS, params=kepler_params,
+                    level=kepler_level)
+    with pytest.raises(UsageError):
+        _shoot(spec, tight_settings, k)
+    with pytest.raises(UsageError):
+        miss_function(spec, tight_settings, pericenter_index=k)
+
+
 # ----------------------------------------------------------- miss function
 
 
@@ -285,6 +296,14 @@ def test_invalid_scan_ranges_are_rejected(bad, kepler_params, kepler_level,
                          tight_settings)
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_scan_rejects_a_pass_count_below_one(k_max, kepler_params,
+                                             kepler_level, tight_settings):
+    with pytest.raises(UsageError):
+        scan_and_bracket((0.40, 0.53), 5, Branch.MINUS, kepler_params,
+                         kepler_level, tight_settings, k_max=k_max)
+
+
 def test_parallel_scan_matches_serial(kepler_params, kepler_level,
                                       tight_settings):
     serial = scan_and_bracket((0.40, 0.53), 9, Branch.MINUS, kepler_params,
@@ -303,8 +322,6 @@ def test_refined_chord_reproduces_the_radial_orbit(oracle_chord):
     assert oracle_chord.flight_time == pytest.approx(math.pi / 4.0, abs=1e-8)
     assert oracle_chord.tau_reeb == pytest.approx(math.pi, abs=1e-8)
     assert oracle_chord.r_peri < 1e-9
-    assert oracle_chord.symmetric
-    assert not oracle_chord.periodic_candidate
     b_end = oracle_chord.endpoint_end_b
     b_start = oracle_chord.endpoint_start_b
     assert math.hypot(*b_end) == pytest.approx(2.0, abs=1e-9)
@@ -334,16 +351,13 @@ def test_chord_endpoints_lie_on_the_legendrian(oracle_chord, kepler_level):
         assert legendrian_membership(pt, kepler_level, tol=1e-8)
 
 
-def test_root_is_stable_under_tighter_tolerances(oracle_bracket,
-                                                 kepler_params, kepler_level,
+def test_root_is_stable_under_tighter_tolerances(oracle_bracket, kepler_level,
                                                  tight_settings):
     tighter = IntegrationSettings(rel_tol=tight_settings.rel_tol / 10.0,
                                   abs_tol=tight_settings.abs_tol / 10.0,
                                   t_max=tight_settings.t_max)
-    a = refine_chord(oracle_bracket, Branch.MINUS, kepler_params,
-                     kepler_level, tight_settings)
-    b = refine_chord(oracle_bracket, Branch.MINUS, kepler_params,
-                     kepler_level, tighter)
+    a = refine_chord(oracle_bracket, kepler_level, tight_settings)
+    b = refine_chord(oracle_bracket, kepler_level, tighter)
     assert abs(a.spec.s - b.spec.s) < 1e-8
 
 
@@ -355,8 +369,7 @@ def test_second_passage_chord_spans_three_half_periods(kepler_params,
                                 kepler_level, tight_settings, k_max=2)
     second = [b for b in brackets if b.pericenter_index == 2]
     assert second
-    chord = refine_chord(second[0], Branch.MINUS, kepler_params, kepler_level,
-                         tight_settings)
+    chord = refine_chord(second[0], kepler_level, tight_settings)
     assert chord.spec.s == pytest.approx(0.5, abs=1e-9)
     assert chord.tau_reeb == pytest.approx(3.0 * math.pi, abs=1e-8)
     assert chord.flight_time == pytest.approx(0.75 * math.pi, abs=1e-8)
@@ -368,19 +381,18 @@ def test_negative_side_family_mirrors_the_positive_one(kepler_params,
     brackets = scan_and_bracket((-0.53, -0.40), 8, Branch.PLUS, kepler_params,
                                 kepler_level, tight_settings, k_max=1)
     assert len(brackets) == 1
-    chord = refine_chord(brackets[0], Branch.PLUS, kepler_params,
-                         kepler_level, tight_settings)
+    chord = refine_chord(brackets[0], kepler_level, tight_settings)
+    assert chord.spec.branch is Branch.PLUS
     assert chord.spec.s == pytest.approx(-0.5, abs=1e-9)
     assert chord.spec.side == "neg"
     assert chord.tau_reeb == pytest.approx(math.pi, abs=1e-8)
 
 
-def test_tangential_brackets_refuse_bisection(oracle_bracket, kepler_params,
-                                              kepler_level, tight_settings):
+def test_tangential_brackets_refuse_bisection(oracle_bracket, kepler_level,
+                                              tight_settings):
     grazing = replace(oracle_bracket, kind="tangential")
     with pytest.raises(TangentialRootError):
-        refine_chord(grazing, Branch.MINUS, kepler_params, kepler_level,
-                     tight_settings)
+        refine_chord(grazing, kepler_level, tight_settings)
 
 
 # ----------------------------------------------------------------- oracle
