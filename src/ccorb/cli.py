@@ -120,6 +120,8 @@ def _parse_srange(text: str) -> tuple[float, float]:
     except ValueError as exc:
         raise UsageError(
             f"--s-range must look like lo:hi, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--s-range ends must be finite, got {text!r}")
     if not lo < hi:
         raise UsageError(f"--s-range needs lo < hi, got {text!r}")
     return lo, hi
@@ -222,7 +224,7 @@ def cmd_scan(run: RunConfig, force: bool = False) -> int:
                     warnings.append(
                         f"tangential candidate at s = {_fmt(bracket.s_lo)} "
                         f"(k={bracket.pericenter_index}, {side}/"
-                        f"{branch.value}); not refinable by bisection")
+                        f"{branch.value}); no sign change to refine")
                     continue
                 try:
                     chord = refine_chord(bracket, level, settings)
@@ -544,6 +546,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                        if args.s_range else None)
         run.grid = args.grid
         run.k_max = args.kmax
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         run.jobs = args.jobs
         return cmd_scan(run, force=args.force)
     if args.command == "integrate":

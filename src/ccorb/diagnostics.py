@@ -25,9 +25,9 @@ import numpy as np
 from ._version import __version__
 from .dynamics import (
     SystemParams,
-    _bisect_with_secant,
-    bisect_bracket,
+    _root_in,
     first_critical_value,
+    solve_bracket,
 )
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
 from .integrator import (
@@ -109,7 +109,7 @@ def _sigma_at_phys(traj, t_phys: float) -> float:
     """Flow parameter at which the carried physical clock reads t_phys.
 
     The clock component y[4] is nondecreasing along the regularized flow,
-    so a bisection over the dense output suffices.
+    so a bracket solve over the dense output suffices.
     """
     if t_phys <= 0.0:
         return 0.0
@@ -119,9 +119,9 @@ def _sigma_at_phys(traj, t_phys: float) -> float:
         raise UsageError(
             f"physical time {t_phys} beyond the trajectory clock "
             f"{end_clock}")
-    lo, _, hi, _ = bisect_bracket(lambda s: traj.eval(s)[1][4] - t_phys,
-                                  0.0, -t_phys, t_end, end_clock - t_phys,
-                                  1e-13 * max(1.0, t_end))
+    lo, _, hi, _ = solve_bracket(lambda s: traj.eval(s)[1][4] - t_phys,
+                                 0.0, -t_phys, t_end, end_clock - t_phys,
+                                 1e-13 * max(1.0, t_end))
     return 0.5 * (lo + hi)
 
 
@@ -237,8 +237,7 @@ def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float) -> float:
                 - (1.0 - mu) / r - mu / de + f)
 
     i = int(idx[0])
-    return _bisect_with_secant(u_scalar, float(rd[i]), float(rd[i + 1]),
-                               width=1e-12)
+    return _root_in(u_scalar, float(rd[i]), float(rd[i + 1]), width=1e-12)
 
 
 def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
@@ -311,9 +310,9 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
     margin = math.inf
     if crossings >= 1:
         i = int(change[0])
-        t_star = _bisect_with_secant(lambda t: g(t) - target,
-                                     float(t_grid[i]), float(t_grid[i + 1]),
-                                     width=1e-12 * max(1.0, t_cap))
+        t_star = _root_in(lambda t: g(t) - target,
+                          float(t_grid[i]), float(t_grid[i + 1]),
+                          width=1e-12 * max(1.0, t_cap))
         margin = t_star * target * gp(t_star)
 
     if crossings == 1 and mu > 0.0 and rho >= 1e-9:
@@ -326,9 +325,8 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
         sign_p = gp_arr > 0.0
         flips = np.flatnonzero(sign_p[1:] != sign_p[:-1])
         for j in map(int, flips):
-            t_c = _bisect_with_secant(gp, float(t_grid[j]),
-                                      float(t_grid[j + 1]),
-                                      width=1e-10 * max(1.0, t_cap))
+            t_c = _root_in(gp, float(t_grid[j]), float(t_grid[j + 1]),
+                           width=1e-10 * max(1.0, t_cap))
             if t_c > t_star and g(t_c) < target:
                 crossings = 3  # at least; the dip re-enters the level
                 break

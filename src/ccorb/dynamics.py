@@ -233,37 +233,76 @@ def _axis_gradient(s: float, mu: float) -> float:
     return -(s - mu) + (1.0 - mu) * s / abs(s) ** 3 + e_term
 
 
-def bisect_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
-                   width: float) -> tuple[float, float, float, float]:
-    """Halve a sign-change bracket whose end values are already known.
+#: ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021): a probe
+#: is pushed from the regula falsi point towards the midpoint by
+#: ITP_KAPPA1 * w**ITP_KAPPA2 / w0 for a bracket of width w out of a start
+#: width w0, and may take ITP_N0 calls more than plain bisection would
+ITP_KAPPA1 = 0.2
+ITP_KAPPA2 = 2.0
+ITP_N0 = 1
+
+
+def solve_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
+                  width: float) -> tuple[float, float, float, float]:
+    """Shrink a sign-change bracket whose end values are already known.
 
     ``flo`` = fn(lo) and ``fhi`` = fn(hi) lie on opposite sides of zero
-    (zero counts as positive).  Halving stops once hi - lo <= ``width``,
-    once lo and hi are adjacent floats, or at a midpoint where fn is
-    exactly 0, which comes back as lo = hi.  Returns (lo, flo, hi, fhi)
-    of the final bracket; fn is never called at its ends.
+    (zero counts as positive).  Each probe is an ITP point: the regula
+    falsi point, truncated towards the midpoint (by at least two ulps)
+    and projected into the window around the midpoint that still ends
+    within ceil(log2(w0 / width)) + :data:`ITP_N0` calls, w0 = hi - lo,
+    for any ``width`` of at least four ulps of the ends.  On a smooth
+    simple root the bracket shrinks superlinearly; on any sign change it
+    keeps that bound.  Stops once hi - lo <= ``width``, once lo and hi are
+    adjacent floats, or at a probe where fn is exactly 0, which comes back
+    as lo = hi.  Returns (lo, flo, hi, fhi) of the final bracket; fn is
+    never called at its ends.
     """
+    w0 = hi - lo
+    if not w0 > max(width, 0.0):
+        return lo, flo, hi, fhi
+    # A rounded midpoint adds up to an ulp to the halved width, so the
+    # budget keeps two ulps aside at every level: a bracket within it stays
+    # within it under plain halving, down to `unit` after n_max calls.
+    tiny = math.ulp(max(abs(lo), abs(hi)))
+    unit = max(width, 4.0 * tiny)
+    n_max = max(0, math.ceil(math.log2(w0 / unit))) + ITP_N0
+    kappa1 = ITP_KAPPA1 / w0
+    j = 0
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # adjacent floats: the bracket cannot shrink
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, fm, mid, fm
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        # widest bracket this call may leave and still keep the budget
+        bound = math.ldexp(unit - 2.0 * tiny, n_max - j - 1) + 2.0 * tiny
+        x = mid
+        xf = (fhi * lo - flo * hi) / (fhi - flo)
+        if lo <= xf <= hi:
+            sigma = 1.0 if mid >= xf else -1.0
+            # at least two ulps: a truncation that rounds away would leave
+            # regula falsi creeping along one end of a noisy function
+            delta = max(kappa1 * (hi - lo) ** ITP_KAPPA2, 2.0 * tiny)
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            r = max(0.0, bound - 0.5 * (hi - lo))
+            x = xt if abs(xt - mid) <= r else mid - sigma * r
+            if not (lo < x < hi and x - lo <= bound and hi - x <= bound):
+                x = mid
+        j += 1
+        fx = fn(x)
+        if fx == 0.0:
+            return x, fx, x, fx
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
         else:
-            hi, fhi = mid, fm
+            hi, fhi = x, fx
     return lo, flo, hi, fhi
 
 
-def _bisect_with_secant(fn, lo: float, hi: float, width: float = 1e-13
-                        ) -> float:
-    """Bracketed bisection refined by one final secant step.
+def _root_in(fn, lo: float, hi: float, width: float = 1e-13) -> float:
+    """A root of ``fn`` on [lo, hi], which must hold a sign change.
 
-    Derivative-free and robust next to the axis singularities; the secant
-    polish recovers the last digits that plain bisection leaves on the
-    table.  ``fn`` must change sign on [lo, hi].
+    The midpoint of the :func:`solve_bracket` bracket, or an end where
+    ``fn`` is exactly 0.
     """
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
@@ -273,11 +312,7 @@ def _bisect_with_secant(fn, lo: float, hi: float, width: float = 1e-13
     if (flo > 0.0) == (fhi > 0.0):
         raise RootFindingError(
             f"no sign change on bracket [{lo}, {hi}]", interval=(lo, hi))
-    lo, flo, hi, fhi = bisect_bracket(fn, lo, flo, hi, fhi, width)
-    if fhi != flo:
-        secant = lo - flo * (hi - lo) / (fhi - flo)
-        if lo <= secant <= hi:
-            return secant
+    lo, _, hi, _ = solve_bracket(fn, lo, flo, hi, fhi, width)
     return 0.5 * (lo + hi)
 
 
@@ -294,11 +329,10 @@ def lagrange_points(params: SystemParams) -> LagrangeConfig:
     """Locate the five Lagrange points and the first critical value.
 
     The three collinear points are roots of dU/ds on the axis, one in each
-    interval cut out by the primaries, found by bracketed bisection with a
-    secant polish.  The two equilateral points sit at the equal-distance
-    configuration (1/2, +-sqrt(3)/2).  The first critical value is the
-    minimum of the three collinear energies (attained at L1, between the
-    primaries).
+    interval cut out by the primaries, found by :func:`solve_bracket`.  The
+    two equilateral points sit at the equal-distance configuration
+    (1/2, +-sqrt(3)/2).  The first critical value is the minimum of the
+    three collinear energies (attained at L1, between the primaries).
 
     For small mu the L1 energy follows the Hill-limit law (Szebehely,
     *Theory of Orbits*, 1967, sec. 4.5, with U = -Omega):
@@ -323,7 +357,7 @@ def lagrange_points(params: SystemParams) -> LagrangeConfig:
     values: dict[str, float] = {}
     for label, (lo, hi) in _COLLINEAR_BRACKETS.items():
         try:
-            s = _bisect_with_secant(lambda x: _axis_gradient(x, mu), lo, hi)
+            s = _root_in(lambda x: _axis_gradient(x, mu), lo, hi)
         except RootFindingError as exc:
             raise RootFindingError(
                 f"collinear point {label} not bracketed in [{lo}, {hi}] "
@@ -380,7 +414,7 @@ def hill_component_interval(params: SystemParams, level: EnergyLevel
     if mu == 0.0:
         if c >= -1.5:
             return HillInterval(-math.inf, math.inf, degenerate=True)
-        pos = _bisect_with_secant(lambda s: _axis_potential(s, 0.0) - c,
+        pos = _root_in(lambda s: _axis_potential(s, 0.0) - c,
                                   1e-12, 1.0)
         return HillInterval(-pos, pos)
     cfg = lagrange_points(params)
@@ -391,8 +425,8 @@ def hill_component_interval(params: SystemParams, level: EnergyLevel
             "component around O is not bounded there")
     s_l1 = cfg.points["L1"][0]
     s_l3 = cfg.points["L3"][0]
-    pos = _bisect_with_secant(lambda s: _axis_potential(s, mu) - c,
+    pos = _root_in(lambda s: _axis_potential(s, mu) - c,
                               1e-12, s_l1)
-    neg = _bisect_with_secant(lambda s: _axis_potential(s, mu) - c,
+    neg = _root_in(lambda s: _axis_potential(s, mu) - c,
                               s_l3, -1e-12)
     return HillInterval(neg, pos)

@@ -58,7 +58,7 @@ class SingularityApproachError(NumericalError):
 
 
 class BisectionStagnationError(NumericalError):
-    """Miss-function bisection converged in s without producing a collision."""
+    """The miss bracket converged in s without producing a collision."""
 
     def __init__(self, message, interval=None):
         super().__init__(message)
@@ -66,7 +66,7 @@ class BisectionStagnationError(NumericalError):
 
 
 class TangentialRootError(NumericalError):
-    """A grazing (no-sign-change) root cannot be refined by bisection."""
+    """A grazing (no-sign-change) root has no bracket to refine."""
 
 
 class IntegrityError(NumericalError):

@@ -5,8 +5,9 @@ Characteristics
 * Dormand-Prince embedded pair of orders 5(4), FSAL
 * proportional step control with safety factor and growth clamps
 * quartic dense-output interpolant on every accepted step
-* event location step by step, by bisection on the interpolant and never
-  by step clipping, so the step sequence is independent of event queries
+* event location step by step, by a bracket solve on the interpolant and
+  never by step clipping, so the step sequence is independent of event
+  queries
 * automatic stereographic chart switching for the regularized flow with a
   hysteresis band (switch out at |a| > 1.25, re-entry happens below 0.8)
 * bitwise-deterministic: no randomness, no wall-clock dependence
@@ -101,7 +102,7 @@ class IntegrationSettings:
 
     ``fixed_step`` disables the adaptive controller and forces a constant
     step (used by the convergence-order study); ``event_tol`` is the time
-    resolution of event bisection in :func:`step_roots`.
+    resolution of event location in :func:`step_roots`.
     """
 
     rel_tol: float = 1e-10
@@ -467,10 +468,11 @@ def step_roots(st: Step, rhs, event, direction: int, tol: float
 
     Brackets are the step's start, midpoint and end (roots less than h/2
     apart may merge); each that crosses zero as ``direction`` asks is
-    halved on the dense output by :func:`~ccorb.dynamics.bisect_bracket`
-    to ``tol`` or to adjacent floats.  The vector field at the step's ends
-    is its own first and last stage, ``st.k[0]`` and ``st.k[6]``;
-    ``rhs`` is called only at the midpoint and at bisection points.
+    shrunk on the dense output by :func:`~ccorb.dynamics.solve_bracket`
+    to ``tol`` or to adjacent floats, and the hit is its midpoint.  The
+    vector field at the step's ends is its own first and last stage,
+    ``st.k[0]`` and ``st.k[6]``; ``rhs`` is called only at the midpoint
+    and at the solver's probes.
     """
     chart = st.chart
 
@@ -486,7 +488,7 @@ def step_roots(st: Step, rhs, event, direction: int, tol: float
     for j in range(2):
         if not _crosses(direction, vs[j], vs[j + 1]):
             continue
-        lo, _, hi, _ = dynamics.bisect_bracket(
+        lo, _, hi, _ = dynamics.solve_bracket(
             value, ts[j], vs[j], ts[j + 1], vs[j + 1], tol)
         t_star = 0.5 * (lo + hi)
         hits.append(EventHit(t=t_star, chart=chart, y=st.eval(t_star)))

@@ -11,7 +11,8 @@ The signed miss of a shot is the chart-invariant cross product
 a1 b2 - a2 b1 (the physical p1 q2 - p2 q1) evaluated at the k-th pericenter
 passage with respect to O.  It vanishes exactly on collision orbits, is
 smooth through collision in the South chart, and changes sign across a
-collision root, so plain bisection in s refines brackets found by a grid
+collision root, so a safeguarded superlinear bracket solver in s
+(:func:`~ccorb.dynamics.solve_bracket`) refines brackets found by a grid
 scan.
 """
 
@@ -26,9 +27,9 @@ from functools import lru_cache, partial
 from .dynamics import (
     PhaseState,
     SystemParams,
-    bisect_bracket,
     hamiltonian_values,
     hill_component_interval,
+    solve_bracket,
 )
 from .errors import (
     BisectionStagnationError,
@@ -49,8 +50,10 @@ from .regularization import Chart, RegularizedLevel, phase_to_chart
 #: pericenter minima with |q| above this radius are not near passes (D12)
 R_NEAR = 0.2
 _R_NEAR_SQ = R_NEAR * R_NEAR
-#: bisection stops when the s-interval is below this width
+#: refinement stops when the s-interval is below this width
 S_INTERVAL_TOL = 1e-13
+#: probes closer than this give no slope, only roundoff, in |dm/ds|
+SLOPE_MIN_SEPARATION = 1e-9
 #: grid points with |m| below this but no sign change flag tangential roots
 GRAZING_TOL = 1e-4
 #: refined shots must come at least this close to O to count as collisions
@@ -341,20 +344,41 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
     return brackets
 
 
+def _slope_across(probes, negative_lo: bool) -> float:
+    """|dm/ds| from the narrowest pair of probes that straddle the root.
+
+    ``probes`` are (s, m) pairs; a pair counts when its two misses lie on
+    opposite sides of zero (zero counts as positive) and its ends are at
+    least :data:`SLOPE_MIN_SEPARATION` apart, so that the quotient is a
+    slope and not roundoff.  NaN when no pair qualifies.
+    """
+    lows = [p for p in probes if (p[1] < 0.0) == negative_lo]
+    highs = [p for p in probes if (p[1] < 0.0) != negative_lo]
+    pairs = [(abs(sb - sa), abs(mb - ma)) for sa, ma in lows
+             for sb, mb in highs if abs(sb - sa) >= SLOPE_MIN_SEPARATION]
+    if not pairs:
+        return math.nan
+    ds, dm = min(pairs)
+    return dm / ds
+
+
 def refine_chord(bracket: Bracket, level: RegularizedLevel,
                  settings: IntegrationSettings) -> Chord:
-    """Bisect a miss bracket down to a certified collision chord.
+    """Solve a miss bracket down to a certified collision chord.
 
-    Bisection proceeds until the s-interval is below 1e-13 (the graded
-    miss moves roughly linearly in s, so this also drives the pericenter
-    distance far below the 1e-9 collision threshold; that threshold is
-    verified on the final shot rather than used as a stop rule, which
-    would leave s* orders of magnitude short of its certified accuracy).
-    The full chord is the forward trajectory to the collision passage plus
-    its rho-mirror as the backward half: flight time and Reeb time are
-    twice the forward clocks, and the start endpoint is the mirror of the
-    collision fiber coordinate.  The reported |dm/ds| is the slope of the
-    miss across the final bracket.  The shots run on ``bracket.branch`` at
+    :func:`~ccorb.dynamics.solve_bracket` shrinks the s-interval below
+    :data:`S_INTERVAL_TOL` (the graded miss moves roughly linearly in s,
+    so this also drives the pericenter distance far below the 1e-9
+    collision threshold; that threshold is verified on the chosen shot
+    rather than used as a stop rule, which would leave s* orders of
+    magnitude short of its certified accuracy).  The chord is the final
+    bracket end with the smaller |m|; its probe shot is reused, and only a
+    grid end is shot again.  The full chord is the forward trajectory to
+    the collision passage plus its rho-mirror as the backward half:
+    flight time and Reeb time are twice the forward clocks, and the start
+    endpoint is the mirror of the collision fiber coordinate.  The
+    reported |dm/ds| comes from :func:`_slope_across` over every evaluated
+    miss, the grid ends included.  The shots run on ``bracket.branch`` at
     the mass ratio of ``level``.
     """
     if bracket.kind != "sign_change":
@@ -363,29 +387,39 @@ def refine_chord(bracket: Bracket, level: RegularizedLevel,
             "minimization manually")
     k = bracket.pericenter_index
     branch, params = bracket.branch, level.params
+    negative_lo = bracket.m_lo < 0.0
+    probes = [(bracket.s_lo, bracket.m_lo), (bracket.s_hi, bracket.m_hi)]
+    last = {}  # the last probe shot on each side: True for the lo side
 
-    def miss(s: float) -> float:
-        sample = miss_function(ShotSpec(s=s, branch=branch, params=params,
-                                        level=level), settings, k)
+    def shoot(s: float):
+        spec = ShotSpec(s=s, branch=branch, params=params, level=level)
+        traj, hits = _shoot(spec, settings, k)
+        sample = _miss_sample(spec, k, hits)
         if not sample.valid:
             raise BisectionStagnationError(
-                f"pericenter {k} lost during bisection at s={s}",
+                f"pericenter {k} lost during refinement at s={s}",
                 interval=(bracket.s_lo, bracket.s_hi))
-        return sample.m
+        return spec, traj, hits, sample
 
-    s_lo, m_lo, s_hi, m_hi = bisect_bracket(
+    def miss(s: float) -> float:
+        shot = shoot(s)
+        m = shot[3].m
+        probes.append((s, m))
+        last[(m < 0.0) == negative_lo] = shot
+        return m
+
+    s_lo, m_lo, s_hi, m_hi = solve_bracket(
         miss, bracket.s_lo, bracket.m_lo, bracket.s_hi, bracket.m_hi,
         S_INTERVAL_TOL)
-    s_star = 0.5 * (s_lo + s_hi)
-    spec = ShotSpec(s=s_star, branch=branch, params=params, level=level)
-    traj, hits = _shoot(spec, settings, k)
-    sample = _miss_sample(spec, k, hits)
-    if not sample.valid:
-        raise BisectionStagnationError(
-            f"refined shot lost its pericenter {k}", interval=(s_lo, s_hi))
+    on_lo = abs(m_lo) <= abs(m_hi)
+    s_star = s_lo if on_lo else s_hi
+    shot = last.get(on_lo)
+    if shot is None or shot[0].s != s_star:
+        shot = shoot(s_star)
+    spec, traj, hits, sample = shot
     if sample.r_peri >= R_PERI_COLLISION:
         raise BisectionStagnationError(
-            f"bisection converged in s but the pericenter distance "
+            f"refinement converged in s but the pericenter distance "
             f"{sample.r_peri:.3e} is not a collision (tangential root?)",
             interval=(s_lo, s_hi))
     hit = hits[k - 1]
@@ -404,8 +438,7 @@ def refine_chord(bracket: Bracket, level: RegularizedLevel,
         r_peri=sample.r_peri,
         samples=traj,
         t_reg_collision=sample.t_reg,
-        conditioning=(abs(m_hi - m_lo) / (s_hi - s_lo) if s_hi > s_lo
-                      else math.nan),
+        conditioning=_slope_across(probes, negative_lo),
     )
 
 

@@ -136,6 +136,27 @@ def test_scan_rejects_bad_settings_before_shooting(flag, value, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("s_range", ["0.1:inf", "-inf:-0.1", "nan:0.5"])
+def test_scan_rejects_a_non_finite_range_before_shooting(s_range, tmp_path,
+                                                        capsys):
+    out = tmp_path / "x.jsonl"
+    rc = main(["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
+               "minus", "--kmax", "1", "--grid", "4",
+               f"--s-range={s_range}", "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_scan_rejects_a_job_count_below_one(jobs, tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    rc = main(ORACLE_SCAN + ["--jobs", jobs, "--out", str(out)])
+    assert rc == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["scan", "starshape"])
 @pytest.mark.parametrize("jacobi", ["nan", "inf", "auto-nan"])
 def test_non_finite_jacobi_is_a_usage_error(command, jacobi, tmp_path,

@@ -187,14 +187,24 @@ def test_small_mass_critical_value_scaling():
     assert abs(value - asymptotic) < 5e-6
 
 
-# -------------------------------------------------------------- bisection
+# ------------------------------------------------------- bracket solver
+
+
+def _counted(fn):
+    """``fn`` with a list of the points it was called at."""
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return fn(x)
+    return wrapped, seen
 
 
 def test_bisect_bracket_width_zero_ends_on_adjacent_floats():
     def fn(x):
         return x * x - 2.0
-    lo, flo, hi, fhi = dynamics.bisect_bracket(fn, 1.0, fn(1.0), 2.0,
-                                               fn(2.0), 0.0)
+    lo, flo, hi, fhi = dynamics.solve_bracket(fn, 1.0, fn(1.0), 2.0,
+                                              fn(2.0), 0.0)
     assert lo < hi and math.nextafter(lo, math.inf) == hi
     assert lo <= math.sqrt(2.0) <= hi
     assert flo == fn(lo) < 0.0 < fhi == fn(hi)
@@ -202,26 +212,67 @@ def test_bisect_bracket_width_zero_ends_on_adjacent_floats():
 
 def test_bisect_bracket_returns_an_exact_zero_as_a_point():
     def fn(x):
-        return x - 0.75  # zero at the second midpoint of [0, 1]
-    seen = []
-
-    def counted(x):
-        seen.append(x)
-        return fn(x)
-    lo, flo, hi, fhi = dynamics.bisect_bracket(counted, 0.0, fn(0.0), 1.0,
-                                               fn(1.0), 1e-12)
+        return float((x > 0.75) - (x < 0.75))  # zero at the second probe
+    counted, seen = _counted(fn)
+    lo, flo, hi, fhi = dynamics.solve_bracket(counted, 0.0, fn(0.0), 1.0,
+                                              fn(1.0), 1e-12)
     assert lo == hi == 0.75 and flo == fhi == 0.0
-    assert seen == [0.5, 0.75]
+    assert len(seen) <= 2
 
 
 def test_bisect_bracket_end_values_match_the_function():
     def fn(x):
         return math.cos(x) - x
-    lo, flo, hi, fhi = dynamics.bisect_bracket(fn, 0.0, fn(0.0), 1.0,
-                                               fn(1.0), 1e-9)
-    assert 0.0 < hi - lo <= 1e-9
+    lo, flo, hi, fhi = dynamics.solve_bracket(fn, 0.0, fn(0.0), 1.0,
+                                              fn(1.0), 1e-9)
     assert flo == fn(lo) and fhi == fn(hi)
-    assert (flo < 0.0) != (fhi < 0.0)
+    if lo == hi:  # landed on an exact zero
+        assert flo == fhi == 0.0
+    else:
+        assert 0.0 < hi - lo <= 1e-9
+        assert (flo < 0.0) != (fhi < 0.0)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: x ** 15 - 1e-3,  # flat, then steep: interpolation misleads
+    lambda x: -1.0 if x < 1.0 / 3.0 else 1.0,  # a step: nothing to interpolate
+    lambda x: -1.0 if x < 0.9 else 1e6,  # a lopsided step: regula falsi creeps
+], ids=["x15", "step", "jump"])
+def test_solve_bracket_keeps_the_worst_case_bound(fn):
+    """Never more than n0 calls beyond bisection's ceil(log2(w0/width))."""
+    budget = math.ceil(math.log2(1.0 / 1e-13)) + dynamics.ITP_N0
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        assert len(seen) <= budget, "more calls than the ITP bound"
+        return fn(x)
+    lo, _, hi, _ = dynamics.solve_bracket(counted, 0.0, fn(0.0), 1.0,
+                                          fn(1.0), 1e-13)
+    assert hi - lo <= 1e-13
+
+
+def test_solve_bracket_converges_superlinearly_on_a_smooth_root():
+    def fn(x):
+        return math.cos(x) - x
+    counted, seen = _counted(fn)
+    lo, _, hi, _ = dynamics.solve_bracket(counted, 0.0, fn(0.0), 1.0,
+                                          fn(1.0), 1e-13)
+    assert hi - lo <= 1e-13 and lo <= 0.7390851332151607 <= hi
+    assert len(seen) <= 10  # bisection takes 44
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: math.cos(x) - x,
+    lambda x: x ** 15 - 1e-3,
+    lambda x: x * x - 2.0,
+], ids=["cos", "x15", "sq"])
+def test_solve_bracket_never_calls_fn_at_the_bracket_ends(fn):
+    a, b = (1.0, 2.0) if fn(1.0) < 0.0 < fn(2.0) else (0.0, 1.0)
+    counted, seen = _counted(fn)
+    dynamics.solve_bracket(counted, a, fn(a), b, fn(b), 0.0)
+    assert seen and all(a < x < b for x in seen)
+    assert len(set(seen)) == len(seen)
 
 
 # ----------------------------------------------------------- Hill regions

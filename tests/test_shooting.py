@@ -31,6 +31,7 @@ from ccorb import (
     refine_chord,
     scan_and_bracket,
 )
+from ccorb import shooting
 from ccorb.dynamics import EnergyLevel
 from ccorb.shooting import _shoot, axis_discriminant, pericenter_hits
 
@@ -343,6 +344,43 @@ def test_conditioning_is_the_slope_of_the_miss(oracle_chord, kepler_params,
     slope = abs(m_plus - m_minus) / (2.0 * h)
     assert slope == pytest.approx(4.0, rel=1e-6)
     assert oracle_chord.conditioning == pytest.approx(slope, rel=0.01)
+
+
+def test_conditioning_is_a_slope_on_the_reference_level():
+    """On a mu = 0.1 chord refined from a grid-8 bracket, |dm/ds| agrees
+    with a central difference of the miss at s* +- 1e-6, although the
+    final bracket is only a few ulps wide."""
+    params, level = _reference_level()
+    settings = IntegrationSettings()
+    hill = hill_component_interval(params, level)
+    s_range = (0.02 * hill.s_max, hill.s_max - 0.02 * hill.s_max)
+    bracket = next(b for b in scan_and_bracket(s_range, 8, Branch.MINUS,
+                                               params, level, settings,
+                                               k_max=3)
+                   if b.pericenter_index == 3 and b.kind == "sign_change")
+    chord = refine_chord(bracket, level, settings)
+    s, h = chord.spec.s, 1e-6
+    m_plus, m_minus = (
+        miss_function(ShotSpec(s=x, branch=Branch.MINUS, params=params,
+                               level=level), settings, 3).m
+        for x in (s + h, s - h))
+    slope = abs(m_plus - m_minus) / (2.0 * h)
+    assert chord.conditioning == pytest.approx(slope, rel=0.01)
+
+
+def test_refinement_reuses_its_best_probe(oracle_bracket, kepler_level,
+                                          tight_settings, monkeypatch):
+    """The certified shot is a probe of the solver, not a re-shot of s*,
+    and a grid-8 bracket takes a handful of probes, not bisection's 40."""
+    starts = []
+
+    def counted(spec, settings, k):
+        starts.append(spec.s)
+        return _shoot(spec, settings, k)
+    monkeypatch.setattr(shooting, "_shoot", counted)
+    chord = refine_chord(oracle_bracket, kepler_level, tight_settings)
+    assert starts.count(chord.spec.s) == 1
+    assert len(starts) <= 12
 
 
 def test_chord_endpoints_lie_on_the_legendrian(oracle_chord, kepler_level):
