@@ -8,10 +8,12 @@ Subcommands:
 * ``starshape``  fiberwise star-shapedness certificate
 * ``orbit-svg``  rotating-frame picture of a cataloged chord
 
-Exit codes: 0 success with findings, 2 usage/input error, 3 clean run
-with an empty result, 4 numerical failure.  Output files embed the run
-configuration and the artifact version; floats are printed with 17
-significant digits so files round-trip losslessly.
+Exit codes: 0 success with findings, 2 usage/input error (a malformed
+catalog included), 3 clean run with an empty result, 4 numerical failure.
+Each command builds its own settings and embeds in its output only the
+fields that change the result, plus the artifact version; so tolerances
+appear only for ``scan``, ``integrate`` and ``orbit-svg``.  Floats are
+printed with 17 significant digits so files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 from ._version import __version__
 from .diagnostics import (
@@ -41,60 +42,48 @@ from .dynamics import (
 from .errors import (
     CcorbError,
     EnergyAboveCriticalError,
+    IntegrityError,
     NumericalError,
-    TangentialRootError,
     UsageError,
 )
 from .integrator import Flow, IntegrationSettings, _fmt, export_csv, integrate
 from .regularization import (
-    Chart,
     MoserChartPoint,
     RegularizedLevel,
+    chart_position,
     collision_point,
-    fiber_image,
     phase_to_chart,
 )
 from .shooting import Branch, ShotSpec, _shoot, refine_chord, scan_and_bracket
 
 
-@dataclass
-class RunConfig:
-    """Everything needed to reproduce a run.
+def _config(command: str, settings: IntegrationSettings | None = None,
+            **fields) -> dict:
+    """The run configuration an output embeds.
 
-    Outputs embed :meth:`to_dict`: only the fields that change the result,
-    so neither ``jobs`` nor ``out`` (same bytes on any machine and path).
+    The fields given, in order and without those that are None, then the
+    tolerances and horizon of ``settings``, then the artifact version.
+    Neither ``--jobs`` nor ``--out`` changes a result, so neither is
+    recorded: the same run gives the same bytes anywhere.
     """
-
-    command: str
-    mu: float
-    jacobi: float | None = None
-    jacobi_spec: str | None = None
-    branch: str | None = None
-    s_range: tuple[float, float] | None = None
-    grid: int | None = None
-    k_max: int | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    t_max: float = 50.0
-    jobs: int = 1
-    out: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items()
-             if v is not None and k not in ("jobs", "out")}
-        extra = d.pop("extra", {})
-        d.update(extra)
-        d["artifact_version"] = __version__
-        return d
-
-    def settings(self) -> IntegrationSettings:
-        return IntegrationSettings(rel_tol=self.rel_tol,
-                                   abs_tol=self.abs_tol, t_max=self.t_max)
+    cfg = {"command": command}
+    cfg.update((k, v) for k, v in fields.items() if v is not None)
+    if settings is not None:
+        cfg.update(rel_tol=settings.rel_tol, abs_tol=settings.abs_tol,
+                   t_max=settings.t_max)
+    cfg["artifact_version"] = __version__
+    return cfg
 
 
-def _resolve_jacobi(spec: str, params: SystemParams) -> float:
+def _settings(args: argparse.Namespace) -> IntegrationSettings:
+    return IntegrationSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
+                               t_max=args.tmax)
+
+
+def _resolve_jacobi(spec: str | None, params: SystemParams) -> float | None:
     """Parse --jacobi: a float, or auto-X meaning first critical - X."""
+    if spec is None:
+        return None
     text = spec.strip()
     if text.startswith("auto-"):
         try:
@@ -141,18 +130,17 @@ def _parse_state(text: str) -> PhaseState:
 # lagrange
 
 
-def cmd_lagrange(mu: float, json_out: bool = False,
-                 out: str | None = None) -> int:
-    params = SystemParams(mu)
+def cmd_lagrange(args: argparse.Namespace) -> int:
+    params = SystemParams(args.mu)
     cfg = lagrange_points(params)
-    run = RunConfig(command="lagrange", mu=mu, out=out)
+    json_out, out = args.json, args.out
     if json_out or out:
         payload = {
             "points": {k: list(v) for k, v in cfg.points.items()},
             "values": dict(cfg.values),
             "first_critical_value": cfg.first_critical_value,
             "degenerate": cfg.degenerate,
-            "run_config": run.to_dict(),
+            "run_config": _config("lagrange", mu=args.mu),
         }
         text = _dumps(payload)
         if out:
@@ -193,32 +181,44 @@ def _scan_ranges(args_range, params: SystemParams, level: RegularizedLevel
     return out
 
 
-def cmd_scan(run: RunConfig, force: bool = False) -> int:
-    params = SystemParams(run.mu)
-    c = run.jacobi
+def cmd_scan(args: argparse.Namespace) -> int:
+    params = SystemParams(args.mu)
+    c = _resolve_jacobi(args.jacobi, params)
+    s_range = _parse_srange(args.s_range) if args.s_range else None
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    settings = _settings(args)
     level = RegularizedLevel(params, f=-c)
     crit = first_critical_value(params)
     if c >= crit:
-        if not force:
+        if params.mu != 0.0:
+            # hill_component_interval and every axis start refuse the level
+            raise EnergyAboveCriticalError(
+                f"jacobi {c} is not below the first critical value "
+                f"{crit:.12g}; the Hill component around O is not bounded "
+                "(--force applies only at mu = 0)")
+        if not args.force:
             raise EnergyAboveCriticalError(
                 f"jacobi {c} is not below the first critical value "
                 f"{crit:.12g}; pass --force to scan anyway")
         print(f"warning: jacobi {c} at or above the first critical value "
               f"{crit:.12g}; star-shape guarantees do not apply",
               file=sys.stderr)
-    settings = run.settings()
-    branches = ([Branch.PLUS, Branch.MINUS] if run.branch == "both"
-                else [Branch(run.branch)])
-    ranges = _scan_ranges(run.s_range, params, level)
+    branches = ([Branch.PLUS, Branch.MINUS] if args.branch == "both"
+                else [Branch(args.branch)])
+    ranges = _scan_ranges(s_range, params, level)
 
-    catalog = ChordCatalog(run_config=run.to_dict())
+    catalog = ChordCatalog(run_config=_config(
+        "scan", settings, mu=args.mu, jacobi=c, jacobi_spec=args.jacobi,
+        branch=args.branch, s_range=s_range, grid=args.grid,
+        k_max=args.kmax))
     rows = []
     warnings = []
     for lo, hi, side in ranges:
         for branch in branches:
-            brackets = scan_and_bracket((lo, hi), run.grid, branch, params,
-                                        level, settings, k_max=run.k_max,
-                                        jobs=run.jobs)
+            brackets = scan_and_bracket((lo, hi), args.grid, branch, params,
+                                        level, settings, k_max=args.kmax,
+                                        jobs=args.jobs)
             for bracket in brackets:
                 if bracket.kind != "sign_change":
                     warnings.append(
@@ -228,7 +228,7 @@ def cmd_scan(run: RunConfig, force: bool = False) -> int:
                     continue
                 try:
                     chord = refine_chord(bracket, level, settings)
-                except (TangentialRootError, NumericalError) as exc:
+                except NumericalError as exc:
                     warnings.append(
                         f"refinement failed on [{_fmt(bracket.s_lo)}, "
                         f"{_fmt(bracket.s_hi)}] (k="
@@ -241,7 +241,7 @@ def cmd_scan(run: RunConfig, force: bool = False) -> int:
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out = run.out or "catalog.jsonl"
+    out = args.out or "catalog.jsonl"
     catalog.save(out)
     if not rows:
         print("no chords found")
@@ -260,24 +260,26 @@ def cmd_scan(run: RunConfig, force: bool = False) -> int:
 # integrate
 
 
-def cmd_integrate(run: RunConfig, state: PhaseState | None,
-                  eject: float | None, regularized: bool) -> int:
-    params = SystemParams(run.mu)
+def cmd_integrate(args: argparse.Namespace) -> int:
+    params = SystemParams(args.mu)
+    jacobi = _resolve_jacobi(args.jacobi, params)
+    state = _parse_state(args.state) if args.state else None
+    eject, regularized = args.eject, args.regularized
     if eject is not None:
         if not regularized:
             raise UsageError("--eject starts at collision: needs "
                              "--regularized")
-        if run.jacobi is None:
+        if jacobi is None:
             raise UsageError("--eject needs --jacobi")
-        level = RegularizedLevel(params, f=-run.jacobi)
+        level = RegularizedLevel(params, f=-jacobi)
         initial: PhaseState | MoserChartPoint = collision_point(
             (math.cos(eject), math.sin(eject)), level)
     elif state is not None:
         h = hamiltonian(state, params)
-        if run.jacobi is not None and abs(run.jacobi - h) > 1e-9:
+        if jacobi is not None and abs(jacobi - h) > 1e-9:
             raise UsageError(
-                f"--jacobi {run.jacobi} conflicts with H(state) = {h!r}")
-        run.jacobi = h
+                f"--jacobi {jacobi} conflicts with H(state) = {h!r}")
+        jacobi = h
         level = RegularizedLevel(params, f=-h)
         r = math.hypot(state.q[0], state.q[1])
         if not regularized and r < 1e-2:
@@ -288,15 +290,16 @@ def cmd_integrate(run: RunConfig, state: PhaseState | None,
     else:
         raise UsageError("give --state q1,q2,p1,p2 or --eject ANGLE")
 
-    settings = run.settings()
+    settings = _settings(args)
     flow = Flow.REGULARIZED if regularized else Flow.PHYSICAL
     traj = integrate(flow, initial, level, settings)
-    comments = run.to_dict()
+    comments = _config("integrate", settings, mu=args.mu, jacobi=jacobi,
+                       jacobi_spec=args.jacobi)
     comments["flow"] = flow.value
-    if run.out:
-        with open(run.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             export_csv(traj, fh, header_comments=comments)
-        print(f"{len(traj)} steps -> {run.out}")
+        print(f"{len(traj)} steps -> {args.out}")
     else:
         export_csv(traj, sys.stdout, header_comments=comments)
     return 0
@@ -306,11 +309,11 @@ def cmd_integrate(run: RunConfig, state: PhaseState | None,
 # starshape
 
 
-def cmd_starshape(run: RunConfig, base_grid: int, ray_grid: int,
-                  json_out: bool = False) -> int:
-    params = SystemParams(run.mu)
-    level = RegularizedLevel(params, f=-run.jacobi)
-    report = starshape_scan(params, level, base_grid, ray_grid)
+def cmd_starshape(args: argparse.Namespace) -> int:
+    params = SystemParams(args.mu)
+    c = _resolve_jacobi(args.jacobi, params)
+    level = RegularizedLevel(params, f=-c)
+    report = starshape_scan(params, level, args.base_grid, args.ray_grid)
     payload = {
         "ok": report.ok,
         "mu": report.mu,
@@ -324,12 +327,15 @@ def cmd_starshape(run: RunConfig, base_grid: int, ray_grid: int,
         "worst_angle": report.worst_angle,
         "violations": report.violations,
         "notes": report.notes,
-        "run_config": run.to_dict(),
+        "run_config": _config("starshape", mu=args.mu, jacobi=c,
+                              jacobi_spec=args.jacobi,
+                              base_grid=args.base_grid,
+                              ray_grid=args.ray_grid),
     }
-    if run.out:
-        with open(run.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dumps(payload) + "\n")
-    if json_out:
+    if args.json:
         print(_dumps(payload))
     else:
         verdict = "PASS" if report.ok else "FAIL"
@@ -368,10 +374,7 @@ def _chord_path_points(entry: dict, settings: IntegrationSettings,
     for j in range(n_samples + 1):
         sigma = sigma_end * j / n_samples
         chart, y = traj.eval(sigma)
-        if chart is Chart.NORTH:
-            fwd.append((y[2], y[3]))
-        else:
-            fwd.append(fiber_image(y[0], y[1], y[2], y[3]))
+        fwd.append(chart_position(chart, y[0], y[1], y[2], y[3]))
     back = [(q1, -q2) for q1, q2 in reversed(fwd)]
     return back + fwd
 
@@ -393,10 +396,14 @@ def _zvc_polyline(mu: float, f: float, n_angles: int = 720
     return pts
 
 
-def cmd_orbit_svg(catalog_path: str, index: int, out: str) -> int:
+def cmd_orbit_svg(args: argparse.Namespace) -> int:
+    catalog_path, index, out = args.catalog, args.index, args.out
     if not os.path.exists(catalog_path):
         raise UsageError(f"catalog {catalog_path!r} does not exist")
-    catalog = ChordCatalog.load(catalog_path)
+    try:
+        catalog = ChordCatalog.load(catalog_path)
+    except IntegrityError as exc:
+        raise UsageError(str(exc)) from exc
     if not 0 <= index < len(catalog.entries):
         raise UsageError(
             f"catalog index {index} out of range 0..{len(catalog.entries)-1}")
@@ -405,13 +412,17 @@ def cmd_orbit_svg(catalog_path: str, index: int, out: str) -> int:
             f"catalog {catalog_path!r} header has no t_max; cannot re-shoot "
             "the chord")
     entry = catalog.entries[index]
+    missing = [k for k in ("mu", "jacobi", "branch", "s0",
+                           "pericenter_index", "tau_reeb") if k not in entry]
+    if missing:
+        raise UsageError(f"catalog {catalog_path!r} entry {index} lacks "
+                         f"{', '.join(missing)}")
     tols = entry.get("integrator_tolerances", {})
-    run = RunConfig(command="orbit-svg", mu=entry["mu"],
-                    jacobi=entry["jacobi"],
-                    rel_tol=tols.get("rel_tol", 1e-10),
-                    abs_tol=tols.get("abs_tol", 1e-12),
-                    t_max=catalog.run_config["t_max"])
-    orbit = _chord_path_points(entry, run.settings())
+    settings = IntegrationSettings(
+        rel_tol=tols.get("rel_tol", IntegrationSettings.rel_tol),
+        abs_tol=tols.get("abs_tol", IntegrationSettings.abs_tol),
+        t_max=catalog.run_config["t_max"])
+    orbit = _chord_path_points(entry, settings)
     zvc = _zvc_polyline(entry["mu"], -entry["jacobi"])
 
     xs = [p[0] for p in orbit + zvc] + [0.0, 1.0]
@@ -427,7 +438,8 @@ def cmd_orbit_svg(catalog_path: str, index: int, out: str) -> int:
     def pix(p: tuple[float, float]) -> str:
         return f"{(p[0]-x0)*scale:.2f},{(y1-p[1])*scale:.2f}"
 
-    cfg = run.to_dict()
+    cfg = _config("orbit-svg", settings, mu=entry["mu"],
+                  jacobi=entry["jacobi"])
     cfg["catalog"] = catalog_path
     cfg["index"] = index
     cfg["entry_s0"] = entry["s0"]
@@ -485,18 +497,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jacobi", required=jacobi_required,
                        help="Jacobi energy, a number or auto-X "
                             "(first critical value minus X)")
-        p.add_argument("--rel-tol", type=float, default=1e-10)
-        p.add_argument("--abs-tol", type=float, default=1e-12)
-        p.add_argument("--tmax", type=float, default=50.0)
         p.add_argument("--out", default=None)
 
+    def add_settings(p):
+        p.add_argument("--rel-tol", type=float,
+                       default=IntegrationSettings.rel_tol)
+        p.add_argument("--abs-tol", type=float,
+                       default=IntegrationSettings.abs_tol)
+        p.add_argument("--tmax", type=float,
+                       default=IntegrationSettings.t_max)
+
     p = sub.add_parser("lagrange", help="Lagrange points and critical value")
+    p.set_defaults(run=cmd_lagrange)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scan", help="shooting sweep producing a catalog")
+    p.set_defaults(run=cmd_scan)
     add_common(p)
+    add_settings(p)
     p.add_argument("--branch", choices=["plus", "minus", "both"],
                    default="both")
     p.add_argument("--s-range", default=None,
@@ -505,10 +525,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--force", action="store_true",
-                   help="scan even at/above the first critical value")
+                   help="at mu = 0, scan even at/above the first critical "
+                        "value")
 
     p = sub.add_parser("integrate", help="one trajectory as CSV")
+    p.set_defaults(run=cmd_integrate)
     add_common(p, jacobi_required=False)
+    add_settings(p)
     p.add_argument("--state", default=None, help="q1,q2,p1,p2")
     p.add_argument("--eject", type=float, default=None,
                    help="start at collision, ejecting at this angle "
@@ -516,55 +539,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regularized", action="store_true")
 
     p = sub.add_parser("starshape", help="fiberwise star-shape certificate")
+    p.set_defaults(run=cmd_starshape)
     add_common(p)
     p.add_argument("--base-grid", type=int, default=60)
     p.add_argument("--ray-grid", type=int, default=60)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("orbit-svg", help="draw a cataloged chord")
+    p.set_defaults(run=cmd_orbit_svg)
     p.add_argument("--catalog", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--out", required=True)
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "lagrange":
-        return cmd_lagrange(args.mu, json_out=args.json, out=args.out)
-    if args.command == "orbit-svg":
-        return cmd_orbit_svg(args.catalog, args.index, args.out)
-
-    params = SystemParams(args.mu)
-    jacobi = (_resolve_jacobi(args.jacobi, params)
-              if args.jacobi is not None else None)
-    run = RunConfig(command=args.command, mu=args.mu, jacobi=jacobi,
-                    jacobi_spec=args.jacobi, rel_tol=args.rel_tol,
-                    abs_tol=args.abs_tol, t_max=args.tmax, out=args.out)
-    if args.command == "scan":
-        run.branch = args.branch
-        run.s_range = (_parse_srange(args.s_range)
-                       if args.s_range else None)
-        run.grid = args.grid
-        run.k_max = args.kmax
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-        run.jobs = args.jobs
-        return cmd_scan(run, force=args.force)
-    if args.command == "integrate":
-        state = _parse_state(args.state) if args.state else None
-        return cmd_integrate(run, state, args.eject, args.regularized)
-    if args.command == "starshape":
-        run.extra = {"base_grid": args.base_grid, "ray_grid": args.ray_grid}
-        return cmd_starshape(run, args.base_grid, args.ray_grid,
-                             json_out=args.json)
-    raise UsageError(f"unknown command {args.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -42,7 +42,7 @@ from .regularization import (
     RegularizedLevel,
     fiber_image,
 )
-from .shooting import Chord
+from .shooting import R_PERI_COLLISION, Chord
 
 #: chords closer than this in both Reeb time and endpoint are duplicates
 DEDUPE_TAU_TOL = 1e-6
@@ -220,24 +220,24 @@ def _base_disk(n: int, radius: float) -> list[tuple[float, float]]:
 
 
 def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float) -> float:
-    """First zero-velocity radius along the unit position direction."""
-    rd = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist_e = np.sqrt(rd * rd - 2.0 * rd * wh1 + 1.0)
-        u = (-0.5 * (rd * rd - 2.0 * rd * mu * wh1 + mu * mu)
-             - (1.0 - mu) / rd - mu / dist_e + f)
-    sign = u > 0.0
-    idx = np.flatnonzero(sign[1:] != sign[:-1])
-    if idx.size == 0:
-        return math.nan
+    """First zero-velocity radius along the unit position direction.
 
-    def u_scalar(r: float) -> float:
-        de = math.sqrt(r * r - 2.0 * r * wh1 + 1.0)
+    One u(r) = U(r w) + f serves the numpy grid that finds the first sign
+    change (``sqrt`` = ``np.sqrt``) and the float solve that refines it.
+    """
+    def u(r, sqrt=math.sqrt):
+        de = sqrt(r * r - 2.0 * r * wh1 + 1.0)
         return (-0.5 * (r * r - 2.0 * r * mu * wh1 + mu * mu)
                 - (1.0 - mu) / r - mu / de + f)
 
+    rd = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sign = u(rd, np.sqrt) > 0.0
+    idx = np.flatnonzero(sign[1:] != sign[:-1])
+    if idx.size == 0:
+        return math.nan
     i = int(idx[0])
-    return _root_in(u_scalar, float(rd[i]), float(rd[i + 1]), width=1e-12)
+    return _root_in(u, float(rd[i]), float(rd[i + 1]), width=1e-12)
 
 
 def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
@@ -248,7 +248,8 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
     distance of the pulled-back position t w to the primary E.  The ray is
     capped where the position meets the zero-velocity curve; there G >=
     target, so an even crossing count on (0, cap] is impossible and a
-    miscount would be detected.
+    miscount would be detected.  G and G' are written once each, for the
+    numpy grid (``sqrt`` = ``np.sqrt``) and for the float root solves.
     """
     a1, a2 = a0
     v1, v2 = v
@@ -275,33 +276,28 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
             rd = 2.0
         t_cap = (rd / rho) * (1.0 + 1e-6)
 
-    def g(t: float) -> float:
+    def g(t, sqrt=math.sqrt):
         if mu == 0.0:
             return c1 * t + c2 * t * t
-        d = math.sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
+        d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
         return c1 * t + c2 * t * t - mu * rho * t / d
 
-    def gp(t: float) -> float:
+    def gp(t, sqrt=math.sqrt):
         if mu == 0.0:
             return c1 + 2.0 * c2 * t
-        d = math.sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
+        d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
         return c1 + 2.0 * c2 * t - mu * rho * (1.0 - t * w1) / d ** 3
 
     t_grid = np.linspace(0.0, t_cap, RAY_SAMPLES + 1)
-    if mu == 0.0:
-        g_arr = c1 * t_grid + c2 * t_grid * t_grid
-    else:
-        d_arr = np.sqrt(rho * rho * t_grid * t_grid - 2.0 * t_grid * w1 + 1.0)
-        g_arr = (c1 * t_grid + c2 * t_grid * t_grid
-                 - mu * rho * t_grid / d_arr)
-    below = g_arr < target
+    g_grid = g(t_grid, np.sqrt)
+    below = g_grid < target
     if not below[0]:
         raise IntegrityError("ray starts on or above the level at t = 0")
     change = np.flatnonzero(below[1:] != below[:-1])
     crossings = int(change.size)
     angle = math.atan2(v2, v1)
 
-    if g_arr[-1] < target:
+    if g_grid[-1] < target:
         # cap value below the level contradicts the zero-velocity bound;
         # report as a violation rather than trusting the parity argument.
         report.record(chart, a0, angle, -math.inf, crossings)
@@ -318,11 +314,7 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
     if crossings == 1 and mu > 0.0 and rho >= 1e-9:
         # sub-grid dip guard: locate critical points of G and make sure no
         # local extremum beyond the crossing sits below the level.
-        gp_arr = (c1 + 2.0 * c2 * t_grid
-                  - mu * rho * (1.0 - t_grid * w1)
-                  / np.sqrt(rho * rho * t_grid * t_grid
-                            - 2.0 * t_grid * w1 + 1.0) ** 3)
-        sign_p = gp_arr > 0.0
+        sign_p = gp(t_grid, np.sqrt) > 0.0
         flips = np.flatnonzero(sign_p[1:] != sign_p[:-1])
         for j in map(int, flips):
             t_c = _root_in(gp, float(t_grid[j]), float(t_grid[j + 1]),
@@ -457,15 +449,26 @@ class ChordCatalog:
 
     @classmethod
     def load(cls, path) -> "ChordCatalog":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        if not lines:
+        """Read a saved catalog, which may come from anywhere.
+
+        Raises :class:`IntegrityError` for any line that is not a JSON
+        object (or not UTF-8), and for a first line without a
+        ``run_config`` object.
+        """
+        try:  # ValueError: text that is not UTF-8, or a line not JSON
+            with open(path, "r", encoding="utf-8") as fh:
+                rows = [json.loads(ln) for ln in fh.read().splitlines()
+                        if ln.strip()]
+        except ValueError as exc:
+            raise IntegrityError(f"catalog file {path}: {exc}") from exc
+        if not rows:
             raise IntegrityError(f"catalog file {path} is empty")
-        header = json.loads(lines[0])
-        if "run_config" not in header:
+        if not all(isinstance(row, dict) for row in rows):
+            raise IntegrityError(
+                f"catalog file {path} holds a line that is not an object")
+        if not isinstance(rows[0].get("run_config"), dict):
             raise IntegrityError(f"catalog file {path} lacks a header line")
-        return cls(run_config=header["run_config"],
-                   entries=[json.loads(ln) for ln in lines[1:]])
+        return cls(run_config=rows[0]["run_config"], entries=rows[1:])
 
 
 def catalog_insert(catalog: ChordCatalog, chord: Chord,
@@ -483,7 +486,7 @@ def catalog_insert(catalog: ChordCatalog, chord: Chord,
         chord.action = chord_action(chord)
     if not chord.tau_reeb > 0.0:
         raise IntegrityError(f"non-positive Reeb time {chord.tau_reeb}")
-    if not chord.r_peri < 1e-9:
+    if not chord.r_peri < R_PERI_COLLISION:
         raise IntegrityError(
             f"pericenter distance {chord.r_peri:.3e} is not collision-grade")
     if abs(chord.action - chord.tau_reeb) >= ACTION_AGREEMENT_TOL:

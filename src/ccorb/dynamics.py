@@ -221,14 +221,12 @@ def effective_potential_gradient(q: tuple[float, float], params: SystemParams
     )
 
 
-def _axis_potential(s: float, mu: float) -> float:
-    """U on the axis q2 = 0 (s may be negative; s = 0, 1 are singular)."""
-    e_term = mu / abs(s - 1.0) if mu != 0.0 else 0.0
-    return -0.5 * (s - mu) ** 2 - (1.0 - mu) / abs(s) - e_term
-
-
 def _axis_gradient(s: float, mu: float) -> float:
-    """dU/ds on the axis; vanishes exactly at the collinear points."""
+    """dU/ds on the axis; vanishes exactly at the collinear points.
+
+    Kept beside :func:`effective_potential_gradient`, whose form rounds
+    differently on the axis, so the collinear roots stay where they are.
+    """
     e_term = mu * (s - 1.0) / abs(s - 1.0) ** 3 if mu != 0.0 else 0.0
     return -(s - mu) + (1.0 - mu) * s / abs(s) ** 3 + e_term
 
@@ -363,7 +361,7 @@ def lagrange_points(params: SystemParams) -> LagrangeConfig:
                 f"collinear point {label} not bracketed in [{lo}, {hi}] "
                 f"for mu={mu}", interval=(lo, hi)) from exc
         points[label] = (s, 0.0)
-        values[label] = _axis_potential(s, mu)
+        values[label] = effective_potential((s, 0.0), params)
     h = math.sqrt(3.0) / 2.0
     for label, sign in (("L4", 1.0), ("L5", -1.0)):
         pt = (0.5, sign * h)
@@ -414,8 +412,8 @@ def hill_component_interval(params: SystemParams, level: EnergyLevel
     if mu == 0.0:
         if c >= -1.5:
             return HillInterval(-math.inf, math.inf, degenerate=True)
-        pos = _root_in(lambda s: _axis_potential(s, 0.0) - c,
-                                  1e-12, 1.0)
+        pos = _root_in(lambda s: effective_potential((s, 0.0), params) - c,
+                       1e-12, 1.0)
         return HillInterval(-pos, pos)
     cfg = lagrange_points(params)
     if c >= cfg.first_critical_value:
@@ -425,8 +423,8 @@ def hill_component_interval(params: SystemParams, level: EnergyLevel
             "component around O is not bounded there")
     s_l1 = cfg.points["L1"][0]
     s_l3 = cfg.points["L3"][0]
-    pos = _root_in(lambda s: _axis_potential(s, mu) - c,
-                              1e-12, s_l1)
-    neg = _root_in(lambda s: _axis_potential(s, mu) - c,
-                              s_l3, -1e-12)
+    pos = _root_in(lambda s: effective_potential((s, 0.0), params) - c,
+                   1e-12, s_l1)
+    neg = _root_in(lambda s: effective_potential((s, 0.0), params) - c,
+                   s_l3, -1e-12)
     return HillInterval(neg, pos)

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import PhaseState, SystemParams
+from .dynamics import SINGULAR_DISTANCE, PhaseState, SystemParams
 from .errors import AtCollisionError, SingularInputError, UsageError
 
 
@@ -99,7 +99,7 @@ def k_value(state: PhaseState, level: RegularizedLevel) -> float:
     r = math.hypot(q1, q2)
     if mu != 0.0:
         d = math.hypot(q1 - 1.0, q2)
-        if d < 1e-14:
+        if d < SINGULAR_DISTANCE:
             raise SingularInputError("K is singular at the primary E")
         e_term = mu * r / d
     else:
@@ -121,13 +121,16 @@ def fiber_image(a1: float, a2: float, b1: float, b2: float
     return alpha * b1 - 2.0 * w * a1, alpha * b2 - 2.0 * w * a2
 
 
-def _pullback_position(chart: Chart, a1: float, a2: float,
-                       b1: float, b2: float) -> tuple[float, float, float]:
-    """Physical position (q1, q2) and radius r represented by chart data."""
+def chart_position(chart: Chart, a1: float, a2: float, b1: float,
+                   b2: float) -> tuple[float, float]:
+    """Physical position q represented by chart data.
+
+    b in the North chart, :func:`fiber_image` in the South chart, which
+    maps the collision fiber a = 0 to O; :func:`g_and_gradient` inlines it.
+    """
     if chart is Chart.NORTH:
-        return b1, b2, math.hypot(b1, b2)
-    q1, q2 = fiber_image(a1, a2, b1, b2)
-    return q1, q2, (a1 * a1 + a2 * a2) * math.hypot(b1, b2)
+        return b1, b2
+    return fiber_image(a1, a2, b1, b2)
 
 
 def g_value(chart: Chart, a1: float, a2: float, b1: float, b2: float,
@@ -141,10 +144,11 @@ def g_value(chart: Chart, a1: float, a2: float, b1: float, b2: float,
     beta = math.hypot(b1, b2)
     alpha = a1 * a1 + a2 * a2
     cross = a1 * b2 - a2 * b1
-    q1, q2, r = _pullback_position(chart, a1, a2, b1, b2)
+    q1, q2 = chart_position(chart, a1, a2, b1, b2)
+    r = beta if chart is Chart.NORTH else alpha * beta
     if mu != 0.0:
         d = math.hypot(q1 - 1.0, q2)
-        if d < 1e-14:
+        if d < SINGULAR_DISTANCE:
             raise SingularInputError(
                 "chart point pulls back to the primary E (singular)")
         e_term = mu * r / d
@@ -174,7 +178,7 @@ def g_and_gradient(chart: Chart, a1: float, a2: float, b1: float, b2: float,
         q1, q2, r = b1, b2, beta
         if mu != 0.0:
             d = math.hypot(q1 - 1.0, q2)
-            if d < 1e-14:
+            if d < SINGULAR_DISTANCE:
                 raise SingularInputError(
                     "chart point pulls back to the primary E (singular)")
             inv_d = 1.0 / d
@@ -198,7 +202,7 @@ def g_and_gradient(chart: Chart, a1: float, a2: float, b1: float, b2: float,
     q2 = alpha * b2 - 2.0 * w * a2
     if mu != 0.0:
         d = math.hypot(q1 - 1.0, q2)
-        if d < 1e-14:
+        if d < SINGULAR_DISTANCE:
             raise SingularInputError(
                 "chart point pulls back to the primary E (singular)")
         inv_d = 1.0 / d

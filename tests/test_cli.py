@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from ccorb import first_critical_value, SystemParams
+from ccorb import IntegrationSettings, first_critical_value, SystemParams
 from ccorb.cli import main
 
 ORACLE_SCAN = ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
@@ -44,6 +44,18 @@ def test_lagrange_json_payload(capsys):
         first_critical_value(SystemParams(mu=0.1)), abs=1e-14)
     assert payload["run_config"]["command"] == "lagrange"
     assert "artifact_version" in payload["run_config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lagrange", "--mu", "0.1", "--json"],
+    ["starshape", "--mu", "0.1", "--jacobi", "auto-0.1", "--base-grid", "4",
+     "--ray-grid", "4", "--json"],
+])
+def test_commands_that_integrate_nothing_record_no_tolerances(argv, capsys):
+    assert main(argv) == 0
+    run_config = json.loads(capsys.readouterr().out)["run_config"]
+    assert run_config["command"] == argv[0]
+    assert not {"rel_tol", "abs_tol", "t_max"} & set(run_config)
 
 
 def test_lagrange_rejects_bad_mass(capsys):
@@ -157,6 +169,37 @@ def test_scan_rejects_a_job_count_below_one(jobs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_force_is_refused_above_critical_at_positive_mu(tmp_path,
+                                                            capsys):
+    """No axis start exists there, so no shot is taken and no file made."""
+    out = tmp_path / "x.jsonl"
+    rc = main(["scan", "--mu", "0.1", "--jacobi", "auto--0.05", "--force",
+               "--s-range", "0.1:0.5", "--grid", "6", "--kmax", "1",
+               "--branch", "minus", "--jobs", "1", "--out", str(out)])
+    assert rc == 2
+    assert "--force applies only at mu = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integrating_commands_record_the_default_settings(tmp_path):
+    want = {"rel_tol": IntegrationSettings.rel_tol,
+            "abs_tol": IntegrationSettings.abs_tol,
+            "t_max": IntegrationSettings.t_max}
+    catalog = tmp_path / "none.jsonl"
+    assert main(["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
+                 "--s-range", "0.15:0.3", "--grid", "4", "--kmax", "1",
+                 "--out", str(catalog)]) == 3
+    header = json.loads(catalog.read_text().splitlines()[0])["run_config"]
+    assert {k: header[k] for k in want} == want
+
+    trajectory = tmp_path / "eq.csv"
+    assert main(["integrate", "--mu", "0", "--state", "1,0,0,1",
+                 "--out", str(trajectory)]) == 0
+    comments = dict(ln[2:].split(": ", 1) for ln in
+                    trajectory.read_text().splitlines() if ln.startswith("# "))
+    assert {k: float(comments[k]) for k in want} == want
+
+
 @pytest.mark.parametrize("command", ["scan", "starshape"])
 @pytest.mark.parametrize("jacobi", ["nan", "inf", "auto-nan"])
 def test_non_finite_jacobi_is_a_usage_error(command, jacobi, tmp_path,
@@ -265,6 +308,17 @@ def test_starshape_resolves_auto_energy(capsys):
     assert payload["run_config"]["jacobi"] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rel-tol", "1e-8"), ("--abs-tol", "1e-13"), ("--tmax", "5"),
+])
+def test_starshape_takes_no_integration_flags(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["starshape", "--mu", "0.1", "--jacobi", "auto-0.1",
+              "--base-grid", "4", "--ray-grid", "4", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_starshape_above_critical_is_refused(capsys):
     rc = main(["starshape", "--mu", "0.1", "--jacobi", "-1.0",
                "--base-grid", "4", "--ray-grid", "4"])
@@ -336,4 +390,29 @@ def test_orbit_svg_needs_t_max_in_the_header(oracle_catalog, tmp_path,
                "--out", str(out)])
     assert rc == 2
     assert "t_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_mu(header, row):
+    entry = json.loads(row)
+    del entry["mu"]
+    return [header, json.dumps(entry)]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header, row: [header, row[:-1]],
+    lambda header, row: ["[1, 2]", row],
+    _no_mu,
+], ids=["row-not-json", "header-a-list", "row-without-mu"])
+def test_orbit_svg_rejects_a_malformed_catalog(edit, oracle_catalog,
+                                               tmp_path, capsys):
+    header, row = oracle_catalog.read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(edit(header, row)) + "\n")
+    out = tmp_path / "x.svg"
+    rc = main(["orbit-svg", "--catalog", str(bad), "--index", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()

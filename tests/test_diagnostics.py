@@ -221,6 +221,22 @@ def test_catalog_load_requires_a_header(tmp_path):
         ChordCatalog.load(empty)
 
 
+@pytest.mark.parametrize("data", [
+    b'{"run_config": {}}\n{"tau_reeb": 3.0\n',
+    b'[{"run_config": {}}]\n',
+    b'{"run_config": {}}\n[1, 2]\n',
+    b'{"run_config": []}\n',
+    b'{"run_config": {}}\n\xff\xfe\n',
+], ids=["row-not-json", "header-a-list", "row-a-list", "config-a-list",
+        "row-not-utf8"])
+def test_catalog_load_refuses_lines_that_are_not_json_objects(data,
+                                                               tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(data)
+    with pytest.raises(IntegrityError):
+        ChordCatalog.load(bad)
+
+
 # ------------------------------------------------------------ serialization
 
 
