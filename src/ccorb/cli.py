@@ -396,6 +396,23 @@ def _zvc_polyline(mu: float, f: float, n_angles: int = 720
     return pts
 
 
+def _is_finite_number(value) -> bool:
+    """A finite JSON number; JSON true and false do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+#: each row field orbit-svg reads, and the test its JSON value must pass
+_ROW_FIELDS = {
+    "mu": _is_finite_number,
+    "jacobi": _is_finite_number,
+    "branch": lambda v: v in [b.value for b in Branch],
+    "s0": _is_finite_number,
+    "pericenter_index": lambda v: type(v) is int,
+    "tau_reeb": _is_finite_number,
+}
+
+
 def cmd_orbit_svg(args: argparse.Namespace) -> int:
     catalog_path, index, out = args.catalog, args.index, args.out
     if not os.path.exists(catalog_path):
@@ -412,12 +429,18 @@ def cmd_orbit_svg(args: argparse.Namespace) -> int:
             f"catalog {catalog_path!r} header has no t_max; cannot re-shoot "
             "the chord")
     entry = catalog.entries[index]
-    missing = [k for k in ("mu", "jacobi", "branch", "s0",
-                           "pericenter_index", "tau_reeb") if k not in entry]
+    missing = [k for k in _ROW_FIELDS if k not in entry]
     if missing:
         raise UsageError(f"catalog {catalog_path!r} entry {index} lacks "
                          f"{', '.join(missing)}")
     tols = entry.get("integrator_tolerances", {})
+    bad = [f"{k} {entry[k]!r}" for k, ok in _ROW_FIELDS.items()
+           if not ok(entry[k])]
+    if not isinstance(tols, dict):
+        bad.append(f"integrator_tolerances {tols!r}")
+    if bad:
+        raise UsageError(f"catalog {catalog_path!r} entry {index} has a "
+                         f"malformed {', '.join(bad)}")
     settings = IntegrationSettings(
         rel_tol=tols.get("rel_tol", IntegrationSettings.rel_tol),
         abs_tol=tols.get("abs_tol", IntegrationSettings.abs_tol),

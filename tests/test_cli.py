@@ -416,3 +416,32 @@ def test_orbit_svg_rejects_a_malformed_catalog(edit, oracle_catalog,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("part, key, value", [
+    ("row", "branch", "sideways"),
+    ("header", "t_max", "ten"),
+    ("row", "pericenter_index", 1.5),
+    ("row", "pericenter_index", True),
+    ("row", "mu", "0.1"),
+    ("row", "jacobi", None),
+    ("row", "s0", [0.5]),
+    ("row", "tau_reeb", "long"),
+    ("tolerances", "rel_tol", "tight"),
+])
+def test_orbit_svg_rejects_a_wrong_typed_field(part, key, value,
+                                               oracle_catalog, tmp_path,
+                                               capsys):
+    header, row = map(json.loads, oracle_catalog.read_text().splitlines())
+    owner = {"header": header["run_config"], "row": row,
+             "tolerances": row["integrator_tolerances"]}[part]
+    owner[key] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    out = tmp_path / "x.svg"
+    rc = main(["orbit-svg", "--catalog", str(bad), "--index", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
