@@ -12,8 +12,9 @@ Exit codes: 0 success with findings, 2 usage/input error (a malformed
 catalog included), 3 clean run with an empty result, 4 numerical failure.
 Each command builds its own settings and embeds in its output only the
 fields that change the result, plus the artifact version; so tolerances
-appear only for ``scan``, ``integrate`` and ``orbit-svg``.  Floats are
-printed with 17 significant digits so files round-trip losslessly.
+appear only for ``scan``, ``integrate`` and ``orbit-svg``.  Every float
+is written as its ``repr``, the shortest text that reads back as the same
+double, so files round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from ._version import __version__
 from .diagnostics import (
@@ -46,7 +48,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .integrator import Flow, IntegrationSettings, _fmt, export_csv, integrate
+from .integrator import Flow, IntegrationSettings, export_csv, integrate
 from .regularization import (
     MoserChartPoint,
     RegularizedLevel,
@@ -135,14 +137,8 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
     cfg = lagrange_points(params)
     json_out, out = args.json, args.out
     if json_out or out:
-        payload = {
-            "points": {k: list(v) for k, v in cfg.points.items()},
-            "values": dict(cfg.values),
-            "first_critical_value": cfg.first_critical_value,
-            "degenerate": cfg.degenerate,
-            "run_config": _config("lagrange", mu=args.mu),
-        }
-        text = _dumps(payload)
+        text = _dumps({**asdict(cfg),
+                       "run_config": _config("lagrange", mu=args.mu)})
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -151,8 +147,8 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
         return 0
     for label in ("L1", "L2", "L3", "L4", "L5"):
         x, y = cfg.points[label]
-        print(f"{label}: ({_fmt(x)}, {_fmt(y)})  U = {_fmt(cfg.values[label])}")
-    print(f"first critical value: {_fmt(cfg.first_critical_value)}")
+        print(f"{label}: ({x!r}, {y!r})  U = {cfg.values[label]!r}")
+    print(f"first critical value: {cfg.first_critical_value!r}")
     if cfg.degenerate:
         print("note: mu = 0 is degenerate (critical set is the unit circle)")
     return 0
@@ -222,7 +218,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             for bracket in brackets:
                 if bracket.kind != "sign_change":
                     warnings.append(
-                        f"tangential candidate at s = {_fmt(bracket.s_lo)} "
+                        f"tangential candidate at s = {bracket.s_lo!r} "
                         f"(k={bracket.pericenter_index}, {side}/"
                         f"{branch.value}); no sign change to refine")
                     continue
@@ -230,8 +226,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     chord = refine_chord(bracket, level, settings)
                 except NumericalError as exc:
                     warnings.append(
-                        f"refinement failed on [{_fmt(bracket.s_lo)}, "
-                        f"{_fmt(bracket.s_hi)}] (k="
+                        f"refinement failed on [{bracket.s_lo!r}, "
+                        f"{bracket.s_hi!r}] (k="
                         f"{bracket.pericenter_index}): {exc}")
                     continue
                 if catalog_insert(catalog, chord, settings):
@@ -251,8 +247,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     print("side branch k  s*                       tau_reeb"
           "                 flight_time              |dm/ds|")
     for side, branch, k, s, tau, flight, cond in rows:
-        print(f"{side:4s} {branch:6s} {k:d}  {_fmt(s):24s} {_fmt(tau):24s} "
-              f"{_fmt(flight):24s} {cond:.3g}")
+        print(f"{side:4s} {branch:6s} {k:d}  {s!r:24s} {tau!r:24s} "
+              f"{flight!r:24s} {cond:.3g}")
     return 0
 
 
@@ -314,24 +310,11 @@ def cmd_starshape(args: argparse.Namespace) -> int:
     c = _resolve_jacobi(args.jacobi, params)
     level = RegularizedLevel(params, f=-c)
     report = starshape_scan(params, level, args.base_grid, args.ray_grid)
-    payload = {
-        "ok": report.ok,
-        "mu": report.mu,
-        "jacobi": report.jacobi,
-        "base_grid": report.base_count,
-        "ray_grid": report.ray_count,
-        "rays_checked": report.rays_checked,
-        "min_margin": report.min_margin,
-        "worst_chart": report.worst_chart,
-        "worst_base": list(report.worst_base),
-        "worst_angle": report.worst_angle,
-        "violations": report.violations,
-        "notes": report.notes,
-        "run_config": _config("starshape", mu=args.mu, jacobi=c,
-                              jacobi_spec=args.jacobi,
-                              base_grid=args.base_grid,
-                              ray_grid=args.ray_grid),
-    }
+    payload = {"ok": report.ok, **asdict(report),
+               "run_config": _config("starshape", mu=args.mu, jacobi=c,
+                                     jacobi_spec=args.jacobi,
+                                     base_grid=args.base_grid,
+                                     ray_grid=args.ray_grid)}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dumps(payload) + "\n")
@@ -339,15 +322,14 @@ def cmd_starshape(args: argparse.Namespace) -> int:
         print(_dumps(payload))
     else:
         verdict = "PASS" if report.ok else "FAIL"
-        print(f"star-shapedness {verdict}: mu={_fmt(report.mu)} "
-              f"jacobi={_fmt(report.jacobi)}")
+        print(f"star-shapedness {verdict}: mu={report.mu!r} "
+              f"jacobi={report.jacobi!r}")
         print(f"  rays checked: {report.rays_checked} "
-              f"({report.base_count} bases x {report.ray_count} rays x "
+              f"({report.base_grid} bases x {report.ray_grid} rays x "
               f"2 charts)")
-        print(f"  min margin: {_fmt(report.min_margin)} on chart "
-              f"{report.worst_chart} base ({_fmt(report.worst_base[0])}, "
-              f"{_fmt(report.worst_base[1])}) angle "
-              f"{_fmt(report.worst_angle)}")
+        print(f"  min margin: {report.min_margin!r} on chart "
+              f"{report.worst_chart} base ({report.worst_base[0]!r}, "
+              f"{report.worst_base[1]!r}) angle {report.worst_angle!r}")
         for v in report.violations[:10]:
             print(f"  violation: {v}")
         for n in report.notes[:10]:
@@ -498,7 +480,7 @@ def cmd_orbit_svg(args: argparse.Namespace) -> int:
     data = "\n".join(lines) + "\n"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)
-    print(f"chord {index} (tau={_fmt(entry['tau_reeb'])}) -> {out}")
+    print(f"chord {index} (tau={entry['tau_reeb']!r}) -> {out}")
     return 0
 
 

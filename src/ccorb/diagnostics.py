@@ -58,6 +58,7 @@ SYMMETRY_SAMPLES = 100
 STAR_CHART_RADIUS = 1.25
 RAY_SAMPLES = 256
 ZVC_SAMPLES = 1024
+_ZVC_GRID = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -68,36 +69,39 @@ def chord_action(chord: Chord, refinement: int = 2) -> float:
     """Reeb action of a chord by Simpson quadrature on the dense output.
 
     Integrates -b . da/ds over the forward half and doubles (the mirror
-    half contributes equally).  The
-    quadrature runs at two resolutions with one Richardson sweep; it
-    shares only the accepted steps (dense polynomials, and the first
-    stage as the rate at each step start) with the integrator, not its
-    clock accumulation, so agreement with ``tau_reeb`` is a real
-    cross-check of the action = Reeb period identity.
+    half contributes equally).  The quadrature runs at two resolutions
+    with one Richardson sweep; each node is evaluated once, and the coarse
+    nodes are every other fine node (``nseg`` is a power of two, so they
+    agree bit for bit).  It shares only the accepted steps (dense
+    polynomials, and the first stage as the rate at each step start) with
+    the integrator, not its clock accumulation, so agreement with
+    ``tau_reeb`` is a real cross-check of the action = Reeb period
+    identity.
     """
     if refinement < 0:
         raise UsageError("refinement must be >= 0")
     rhs = chord.samples.rhs
     sigma = chord.t_reg_collision
 
-    def quad(nseg: int) -> float:
-        total = 0.0
-        for st in chord.samples.steps:
-            t0 = st.t0
-            if t0 >= sigma:
-                break
-            t1 = min(st.t0 + st.h, sigma)
-            h = (t1 - t0) / nseg
-            acc = st.k[0][5]
-            for j in range(1, nseg + 1):
-                w = 1.0 if j == nseg else (4.0 if j % 2 else 2.0)
-                acc += w * rhs(st.chart, st.eval(t0 + j * h))[5]
-            total += acc * h / 3.0
-        return total
+    def simpson(values: list[float], h: float) -> float:
+        n = len(values) - 1
+        acc = values[0]
+        for j in range(1, n + 1):
+            acc += (1.0 if j == n else (4.0 if j % 2 else 2.0)) * values[j]
+        return acc * h / 3.0
 
     nseg = 2 * 2 ** refinement
-    coarse = quad(nseg)
-    fine = quad(2 * nseg)
+    coarse = fine = 0.0
+    for st in chord.samples.steps:
+        t0 = st.t0
+        if t0 >= sigma:
+            break
+        t1 = min(st.t0 + st.h, sigma)
+        h = (t1 - t0) / (2 * nseg)
+        values = [st.k[0][5]] + [rhs(st.chart, st.eval(t0 + j * h))[5]
+                                 for j in range(1, 2 * nseg + 1)]
+        coarse += simpson(values[::2], (t1 - t0) / nseg)
+        fine += simpson(values, h)
     value = 2.0 * (fine + (fine - coarse) / 15.0)
     if value <= 0.0:
         raise IntegrityError(
@@ -177,15 +181,14 @@ class StarshapeReport:
     level function along the fiber-scaling field b d/db at the crossing,
     i.e. t* G(t*) G'(t*): positive iff the ray exits the level outward.
     ``ok`` requires every sampled ray to cross exactly once with positive
-    margin.
+    margin, i.e. no violation.
     """
 
     mu: float
     jacobi: float
-    base_count: int
-    ray_count: int
+    base_grid: int
+    ray_grid: int
     rays_checked: int = 0
-    ok: bool = True
     min_margin: float = math.inf
     worst_chart: str = ""
     worst_base: tuple[float, float] = (0.0, 0.0)
@@ -193,11 +196,14 @@ class StarshapeReport:
     violations: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
     def record(self, chart: Chart, base, angle: float, margin: float,
                crossings: int) -> None:
         self.rays_checked += 1
         if crossings != 1 or margin <= 0.0:
-            self.ok = False
             self.violations.append({
                 "chart": chart.value, "base": (base[0], base[1]),
                 "angle": angle, "crossings": crossings, "margin": margin,
@@ -230,7 +236,7 @@ def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float) -> float:
         return (-0.5 * (r * r - 2.0 * r * mu * wh1 + mu * mu)
                 - (1.0 - mu) / r - mu / de + f)
 
-    rd = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
+    rd = _ZVC_GRID
     with np.errstate(divide="ignore", invalid="ignore"):
         sign = u(rd, np.sqrt) > 0.0
     idx = np.flatnonzero(sign[1:] != sign[:-1])
@@ -241,15 +247,16 @@ def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float) -> float:
 
 
 def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
-               mu: float, f: float, target: float) -> None:
+               mu: float, f: float, target: float, north_cap: float) -> None:
     """Certify one fiber ray b = t v, t > 0.
 
     Along the ray G(t) = c1 t + c2 t^2 - mu rho t / d(t) with d the
     distance of the pulled-back position t w to the primary E.  The ray is
-    capped where the position meets the zero-velocity curve; there G >=
-    target, so an even crossing count on (0, cap] is impossible and a
-    miscount would be detected.  G and G' are written once each, for the
-    numpy grid (``sqrt`` = ``np.sqrt``) and for the float root solves.
+    capped where the position meets the zero-velocity curve (in the North
+    chart at ``north_cap``, the radius along v); there G >= target, so an
+    even crossing count on (0, cap] is impossible and a miscount would be
+    detected.  G and G' are written once each, for the numpy grid
+    (``sqrt`` = ``np.sqrt``) and for the float root solves.
     """
     a1, a2 = a0
     v1, v2 = v
@@ -268,7 +275,8 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
         # crossing near t = 2 target with room to spare.
         t_cap = 6.0
     else:
-        rd = _zvc_radius_along(w1 / rho, w2 / rho, mu, f)
+        rd = (north_cap if chart is Chart.NORTH
+              else _zvc_radius_along(w1 / rho, w2 / rho, mu, f))
         if math.isnan(rd):
             report.notes.append(
                 f"no zero-velocity cap on chart {chart.value} ray; "
@@ -347,18 +355,19 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
             f"star-shapedness scan needs c below the first critical value; "
             f"got c = {c}")
     target = 1.0 - mu
-    report = StarshapeReport(mu=mu, jacobi=c, base_count=base_grid,
-                             ray_count=ray_grid)
+    report = StarshapeReport(mu=mu, jacobi=c, base_grid=base_grid,
+                             ray_grid=ray_grid)
     bases = _base_disk(base_grid, STAR_CHART_RADIUS)
     angles = [2.0 * math.pi * i / ray_grid for i in range(ray_grid)]
     rays = [(math.cos(t), math.sin(t)) for t in angles]
+    north_caps = [_zvc_radius_along(v1, v2, mu, f) for v1, v2 in rays]
     for chart in (Chart.NORTH, Chart.SOUTH):
         for a0 in bases:
             alpha = a0[0] * a0[0] + a0[1] * a0[1]
             rho = 1.0 if chart is Chart.NORTH else alpha
             c1 = 0.5 * (1.0 + alpha) + mu * a0[1] + (f - 0.5) * rho
-            for v in rays:
-                _check_ray(report, chart, a0, v, c1, mu, f, target)
+            for v, cap in zip(rays, north_caps):
+                _check_ray(report, chart, a0, v, c1, mu, f, target, cap)
     return report
 
 
@@ -366,34 +375,12 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
 # catalog
 
 
-def _format_float(x: float) -> str:
-    out = format(x, ".17g")
-    if not any(ch in out for ch in ".eE") and out.strip("-").isdigit():
-        out += ".0"
-    return out
-
-
 def _dumps(obj) -> str:
-    """JSON text with floats rendered as %.17g (bit-exact round trips)."""
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_dumps(v)}"
-                          for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dumps(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise IntegrityError("non-finite float in catalog output")
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """JSON text whose floats are their shortest round-trip ``repr``."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity
+        raise IntegrityError(f"non-finite float in output: {exc}") from exc
 
 
 def entry_from_chord(chord: Chord, settings: IntegrationSettings) -> dict:

@@ -293,15 +293,20 @@ def _initial_step(rhs, chart, y0, f0, atol, rtol) -> float:
     """Deterministic starting-step heuristic (scaled Euler probe)."""
     n = len(y0)
     sc = [atol + rtol * abs(y0[i]) for i in range(n)]
-    d0 = math.sqrt(sum((y0[i] / sc[i]) ** 2 for i in range(n)) / n)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(n)) / n)
+    d0 = d1 = d2 = 0  # plain loops: sum() is compensated from Python 3.12
+    for i in range(n):
+        d0 += (y0[i] / sc[i]) ** 2
+        d1 += (f0[i] / sc[i]) ** 2
+    d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = tuple(y0[i] + h0 * f0[i] for i in range(n))
     try:
         f1 = rhs(chart, y1)
     except SingularInputError:
         return min(h0, MAX_STEP)
-    d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(n)) / n) / h0
+    for i in range(n):
+        d2 += ((f1[i] - f0[i]) / sc[i]) ** 2
+    d2 = math.sqrt(d2 / n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -553,10 +558,6 @@ COLLISION_RADIUS = 1e-9
 CSV_HEADER = "t,chart,q1,q2,p1,p2,H,Kcheck,a1,a2,b1,b2"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _csv_row(traj: Trajectory, t: float, chart: Chart | None,
              y: tuple[float, ...]) -> str:
     mu = traj.level.params.mu
@@ -565,24 +566,18 @@ def _csv_row(traj: Trajectory, t: float, chart: Chart | None,
         k = regularization.k_value(
             PhaseState(q=(y[0], y[1]), p=(y[2], y[3])), traj.level)
         kcheck = 0.5 * (k + (1.0 - mu)) ** 2
-        return ",".join([_fmt(t), "phys", _fmt(y[0]), _fmt(y[1]),
-                         _fmt(y[2]), _fmt(y[3]), _fmt(h_val), _fmt(kcheck),
-                         "", "", "", ""])
+        nums = ",".join(map(repr, (*y, h_val, kcheck)))
+        return f"{t!r},phys,{nums},,,,"
     kcheck = traj.conserved_value(chart, y)
-    tag = chart.value
-    at_collision = (chart is Chart.SOUTH
-                    and math.hypot(y[0], y[1]) < COLLISION_RADIUS)
-    if at_collision:
-        q1s = q2s = p1s = p2s = hs = ""
+    if chart is Chart.SOUTH and math.hypot(y[0], y[1]) < COLLISION_RADIUS:
+        phys = ",,,,"  # at collision: q, p and H are empty
     else:
         state = regularization.physical_state(
             MoserChartPoint(chart=chart, a=(y[0], y[1]), b=(y[2], y[3])))
-        q1s, q2s = _fmt(state.q[0]), _fmt(state.q[1])
-        p1s, p2s = _fmt(state.p[0]), _fmt(state.p[1])
-        hs = _fmt(dynamics.hamiltonian_values(
-            state.q[0], state.q[1], state.p[0], state.p[1], mu))
-    return ",".join([_fmt(t), tag, q1s, q2s, p1s, p2s, hs, _fmt(kcheck),
-                     _fmt(y[0]), _fmt(y[1]), _fmt(y[2]), _fmt(y[3])])
+        h_val = dynamics.hamiltonian_values(*state.q, *state.p, mu)
+        phys = ",".join(map(repr, (*state.q, *state.p, h_val)))
+    return (f"{t!r},{chart.value},{phys},"
+            + ",".join(map(repr, (kcheck, *y[:4]))))
 
 
 def export_csv(traj: Trajectory, stream, header_comments: dict | None = None

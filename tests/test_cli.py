@@ -8,7 +8,18 @@ import math
 
 import pytest
 
-from ccorb import IntegrationSettings, first_critical_value, SystemParams
+from ccorb import (
+    Flow,
+    IntegrationSettings,
+    MoserChartPoint,
+    RegularizedLevel,
+    SystemParams,
+    collision_point,
+    first_critical_value,
+    hamiltonian,
+    integrate,
+    physical_state,
+)
 from ccorb.cli import main
 
 ORACLE_SCAN = ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
@@ -44,6 +55,21 @@ def test_lagrange_json_payload(capsys):
         first_critical_value(SystemParams(mu=0.1)), abs=1e-14)
     assert payload["run_config"]["command"] == "lagrange"
     assert "artifact_version" in payload["run_config"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["lagrange", "--mu", "0.1", "--json"],
+     ["points", "values", "first_critical_value", "degenerate",
+      "run_config"]),
+    (["starshape", "--mu", "0.1", "--jacobi", "auto-0.1", "--base-grid", "4",
+      "--ray-grid", "4", "--json"],
+     ["ok", "mu", "jacobi", "base_grid", "ray_grid", "rays_checked",
+      "min_margin", "worst_chart", "worst_base", "worst_angle", "violations",
+      "notes", "run_config"]),
+])
+def test_report_keys_keep_their_order(argv, keys, capsys):
+    assert main(argv) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,6 +288,33 @@ def test_integrate_ejection_through_the_collision(tmp_path):
     # Away from the fiber the physical columns fill in, on the level.
     assert rows[-1][2] != ""
     assert float(rows[-1][6]) == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_integrate_csv_holds_the_trajectory_values_exactly(tmp_path):
+    """Every float of a regularized CSV parses back, with ==, to the value
+    the trajectory itself holds or derives at that sample."""
+    out = tmp_path / "eject.csv"
+    assert main(["integrate", "--mu", "0.1", "--jacobi", "auto-0.1",
+                 "--regularized", "--eject", "0.39", "--tmax", "5",
+                 "--out", str(out)]) == 0
+    params = SystemParams(mu=0.1)
+    level = RegularizedLevel(params, f=-(first_critical_value(params) - 0.1))
+    traj = integrate(Flow.REGULARIZED,
+                     collision_point((math.cos(0.39), math.sin(0.39)), level),
+                     level, IntegrationSettings(t_max=5.0))
+    _, rows = _read_csv(out)
+    samples = list(traj.samples())
+    assert len(rows) == len(samples)  # no collision passage after launch
+    assert rows[0][2:7] == [""] * 5  # the launch row is at the collision
+    for i, (row, (t, chart, y)) in enumerate(zip(rows, samples)):
+        assert row[1] == chart.value
+        want = [t]
+        if i > 0:
+            state = physical_state(MoserChartPoint(chart=chart, a=y[:2],
+                                                   b=y[2:4]))
+            want += [*state.q, *state.p, hamiltonian(state, params)]
+        want += [traj.conserved_value(chart, y), *y[:4]]
+        assert [float(v) for v in [row[0], *row[2:]] if v] == want
 
 
 def test_integrate_checks_energy_consistency(tmp_path, capsys):

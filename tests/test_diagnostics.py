@@ -20,7 +20,8 @@ from ccorb import (
     starshape_scan,
     symmetry_defect,
 )
-from ccorb.diagnostics import _dumps, _format_float
+from ccorb.diagnostics import StarshapeReport, _dumps
+from ccorb.regularization import Chart
 
 ENTRY_FIELDS = [
     "mu", "jacobi", "branch", "side", "pericenter_index", "s0", "tau_reeb",
@@ -45,6 +46,41 @@ def test_action_is_stable_under_resampling(oracle_chord):
     coarse = chord_action(oracle_chord, refinement=2)
     fine = chord_action(oracle_chord, refinement=4)
     assert abs(coarse - fine) < 1e-8
+
+
+def _two_pass_action(chord, refinement):
+    """The action by two independent Simpson passes, at nseg and 2 nseg
+    panels per step, each evaluating all of its own nodes."""
+    rhs = chord.samples.rhs
+    sigma = chord.t_reg_collision
+
+    def quad(nseg):
+        total = 0.0
+        for st in chord.samples.steps:
+            t0 = st.t0
+            if t0 >= sigma:
+                break
+            t1 = min(st.t0 + st.h, sigma)
+            h = (t1 - t0) / nseg
+            acc = st.k[0][5]
+            for j in range(1, nseg + 1):
+                w = 1.0 if j == nseg else (4.0 if j % 2 else 2.0)
+                acc += w * rhs(st.chart, st.eval(t0 + j * h))[5]
+            total += acc * h / 3.0
+        return total
+
+    nseg = 2 * 2 ** refinement
+    coarse = quad(nseg)
+    fine = quad(2 * nseg)
+    return 2.0 * (fine + (fine - coarse) / 15.0)
+
+
+@pytest.mark.parametrize("refinement", [0, 2, 4])
+def test_action_shares_nodes_bit_for_bit(oracle_chord, refinement):
+    """The coarse pass reuses every other fine node, and still gives the
+    two-pass value bit for bit."""
+    assert (chord_action(oracle_chord, refinement).hex()
+            == _two_pass_action(oracle_chord, refinement).hex())
 
 
 def test_degenerate_chord_action_is_rejected(oracle_chord):
@@ -243,10 +279,11 @@ def test_catalog_load_refuses_lines_that_are_not_json_objects(data,
 def test_float_formatting_round_trips():
     values = [math.pi, -2.0, 0.1, 1e-17, 123456789.123456789, -0.0]
     for v in values:
-        assert float(_format_float(v)) == v
+        assert float(_dumps(v)) == v
+        assert math.copysign(1.0, float(_dumps(v))) == math.copysign(1.0, v)
     # Integral floats keep a decimal point so JSON types stay stable.
-    assert _format_float(-2.0) == "-2.0"
-    assert _format_float(1.0) == "1.0"
+    assert _dumps(-2.0) == "-2.0"
+    assert _dumps(1.0) == "1.0"
 
 
 def test_json_writer_types_and_rejections():
@@ -261,3 +298,13 @@ def test_json_writer_types_and_rejections():
         _dumps({"bad": math.nan})
     with pytest.raises(IntegrityError):
         _dumps({"bad": math.inf})
+    with pytest.raises(IntegrityError):
+        _dumps({"bad": [-math.inf]})
+
+
+def test_starshape_report_is_ok_until_a_violation():
+    report = StarshapeReport(mu=0.1, jacobi=-1.9, base_grid=1, ray_grid=3)
+    report.record(Chart.NORTH, (0.0, 0.0), 0.0, 0.5, 1)
+    assert report.ok and report.violations == []
+    report.record(Chart.SOUTH, (0.0, 0.0), 1.0, 0.5, 3)
+    assert not report.ok and len(report.violations) == 1

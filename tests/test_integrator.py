@@ -146,6 +146,51 @@ def test_unrolled_step_is_bit_identical_to_the_tableau_loops(flow,
             assert _bits(_tableau_eval(st, t)) == _bits(st.eval(t))
 
 
+def _initial_step_by_loops(rhs, chart, y0, f0, atol, rtol):
+    """The starting-step heuristic with each scaled norm summed by a
+    plain left-to-right loop from the int 0."""
+    n = len(y0)
+    sc = [atol + rtol * abs(v) for v in y0]
+
+    def rms(xs):
+        acc = 0
+        for x, s in zip(xs, sc):
+            acc += (x / s) ** 2
+        return math.sqrt(acc / n)
+
+    d0, d1 = rms(y0), rms(f0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = rhs(chart, tuple(y + h0 * f for y, f in zip(y0, f0)))
+    d2 = rms([b - a for a, b in zip(f0, f1)]) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, integrator.MAX_STEP)
+
+
+@pytest.mark.parametrize("flow, q, p", [
+    (Flow.PHYSICAL, (0.3, -0.15), (0.1, 0.9)),
+    (Flow.REGULARIZED, (0.05, 0.1), (0.0, -0.9)),
+])
+def test_first_step_does_not_depend_on_how_python_sums(flow, q, p):
+    """``sum()`` of floats is compensated from Python 3.12 on; the first
+    step adds its norms by plain loops, so it is the same on every
+    version: bit for bit the test-local loops, and the integrator's own
+    first step.  On both states a compensated sum gives another step."""
+    state = PhaseState(q=q, p=p)
+    params = SystemParams(mu=0.1)
+    level = RegularizedLevel(params, f=-hamiltonian(state, params))
+    settings = IntegrationSettings()
+    traj = integrate(flow, state, level, settings, until=lambda tr: True)
+    chart, y0 = integrator.prepare_initial(flow, state, level)
+    f0 = traj.rhs(chart, y0)
+    args = (traj.rhs, chart, y0, f0, settings.abs_tol, settings.rel_tol)
+    h = integrator._initial_step(*args)
+    assert h.hex() == _initial_step_by_loops(*args).hex()
+    assert traj.steps[0].h == h
+
+
 # ----------------------------------------------------------- conservation
 
 
