@@ -63,7 +63,6 @@ from .shooting import (
     Bracket,
     Branch,
     Chord,
-    MissSample,
     ShotSpec,
     axis_initial_state,
     kepler_oracle_return_time,
@@ -103,7 +102,7 @@ __all__ = [
     "Flow", "IntegrationSettings", "Trajectory", "integrate",
     "locate_event", "export_csv",
     # shooting
-    "Branch", "ShotSpec", "MissSample", "Bracket", "Chord",
+    "Branch", "ShotSpec", "Bracket", "Chord",
     "axis_initial_state", "miss_function", "scan_and_bracket",
     "refine_chord", "pericenter_hits", "kepler_oracle_return_time",
     # diagnostics

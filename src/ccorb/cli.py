@@ -262,6 +262,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     state = _parse_state(args.state) if args.state else None
     eject, regularized = args.eject, args.regularized
     if eject is not None:
+        if not math.isfinite(eject):
+            raise UsageError(f"--eject must be finite, got {eject!r}")
         if not regularized:
             raise UsageError("--eject starts at collision: needs "
                              "--regularized")
@@ -537,10 +539,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_integrate)
     add_common(p, jacobi_required=False)
     add_settings(p)
-    p.add_argument("--state", default=None, help="q1,q2,p1,p2")
-    p.add_argument("--eject", type=float, default=None,
-                   help="start at collision, ejecting at this angle "
-                        "(radians; needs --regularized)")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--state", default=None, help="q1,q2,p1,p2")
+    start.add_argument("--eject", type=float, default=None,
+                       help="start at collision, ejecting at this angle "
+                            "(radians; needs --regularized)")
     p.add_argument("--regularized", action="store_true")
 
     p = sub.add_parser("starshape", help="fiberwise star-shape certificate")

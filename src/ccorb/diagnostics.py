@@ -65,6 +65,15 @@ _ZVC_GRID = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
 # action quadrature
 
 
+def _simpson(values: list[float], h: float) -> float:
+    """Composite Simpson sum of equally spaced ``values``, added in order."""
+    n = len(values) - 1
+    acc = values[0]
+    for j in range(1, n + 1):
+        acc += (1.0 if j == n else (4.0 if j % 2 else 2.0)) * values[j]
+    return acc * h / 3.0
+
+
 def chord_action(chord: Chord, refinement: int = 2) -> float:
     """Reeb action of a chord by Simpson quadrature on the dense output.
 
@@ -82,14 +91,6 @@ def chord_action(chord: Chord, refinement: int = 2) -> float:
         raise UsageError("refinement must be >= 0")
     rhs = chord.samples.rhs
     sigma = chord.t_reg_collision
-
-    def simpson(values: list[float], h: float) -> float:
-        n = len(values) - 1
-        acc = values[0]
-        for j in range(1, n + 1):
-            acc += (1.0 if j == n else (4.0 if j % 2 else 2.0)) * values[j]
-        return acc * h / 3.0
-
     nseg = 2 * 2 ** refinement
     coarse = fine = 0.0
     for st in chord.samples.steps:
@@ -100,8 +101,8 @@ def chord_action(chord: Chord, refinement: int = 2) -> float:
         h = (t1 - t0) / (2 * nseg)
         values = [st.k[0][5]] + [rhs(st.chart, st.eval(t0 + j * h))[5]
                                  for j in range(1, 2 * nseg + 1)]
-        coarse += simpson(values[::2], (t1 - t0) / nseg)
-        fine += simpson(values, h)
+        coarse += _simpson(values[::2], (t1 - t0) / nseg)
+        fine += _simpson(values, h)
     value = 2.0 * (fine + (fine - coarse) / 15.0)
     if value <= 0.0:
         raise IntegrityError(

@@ -329,11 +329,14 @@ def prepare_initial(flow: Flow, initial, level: RegularizedLevel
     The physical flow takes a :class:`PhaseState`.  The regularized flow
     takes either a :class:`MoserChartPoint` or a :class:`PhaseState`
     (embedded into the momentum-appropriate chart); the two clock
-    components start at zero.
+    components start at zero.  A non-finite component is a usage error,
+    and so is a regularized start off the energy level.
     """
     if flow is Flow.PHYSICAL:
         if not isinstance(initial, PhaseState):
             raise UsageError("physical flow requires a PhaseState initial")
+        if not all(math.isfinite(v) for v in initial.as_tuple()):
+            raise UsageError(f"initial state is not finite: {initial}")
         return None, initial.as_tuple()
     if isinstance(initial, PhaseState):
         initial = regularization.phase_to_chart(initial)
@@ -342,7 +345,7 @@ def prepare_initial(flow: Flow, initial, level: RegularizedLevel
             "regularized flow requires a MoserChartPoint or PhaseState")
     y0 = (initial.a[0], initial.a[1], initial.b[0], initial.b[1], 0.0, 0.0)
     kc = regularization.kcheck_value(initial, level)
-    if abs(kc - level.target) > 1e-10:
+    if not abs(kc - level.target) <= 1e-10:  # a non-finite start fails too
         raise UsageError(
             f"initial condition is off the energy level: |KCheck - target| "
             f"= {abs(kc - level.target):.3e} > 1e-10")

@@ -13,7 +13,9 @@ passage with respect to O.  It vanishes exactly on collision orbits, is
 smooth through collision in the South chart, and changes sign across a
 collision root, so a safeguarded superlinear bracket solver in s
 (:func:`~ccorb.dynamics.solve_bracket`) refines brackets found by a grid
-scan.
+scan.  A shot's outcome is its list of located passes
+(:class:`~ccorb.integrator.EventHit`); every miss, probe and chord reads
+its values straight off the k-th one.
 """
 
 from __future__ import annotations
@@ -79,29 +81,6 @@ class ShotSpec:
     @property
     def side(self) -> str:
         return "pos" if self.s > 0 else "neg"
-
-
-@dataclass(frozen=True)
-class MissSample:
-    """Graded outcome of one shot.
-
-    ``m`` is the signed miss at the k-th pericenter, ``r_peri`` the
-    pericenter distance to O, ``t_peri`` the physical flight time to it
-    and ``t_reg`` the regularized flow time (the integration variable).
-    ``b_end`` is the fiber coordinate there.  ``valid`` is False when
-    fewer than k near passes occur within t_max, or when the shot cannot
-    start; that is an answer, not an error.
-    """
-
-    s: float
-    branch: Branch
-    pericenter_index: int
-    m: float
-    r_peri: float
-    t_peri: float
-    t_reg: float
-    valid: bool
-    b_end: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -242,48 +221,39 @@ def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
     return traj, hits
 
 
-def _miss_sample(spec: ShotSpec, k: int, hits) -> MissSample:
-    """Grade a shot at its k-th near pass (invalid when it has none).
-
-    The miss is the cross product a1 b2 - a2 b1 at the pass, read with
-    the pericenter distance and both clocks from the located event.
-    """
-    if len(hits) < k:
-        return MissSample(s=spec.s, branch=spec.branch, pericenter_index=k,
-                          m=math.nan, r_peri=math.nan, t_peri=math.nan,
-                          t_reg=math.nan, valid=False)
-    hit = hits[k - 1]
+def _miss(hit) -> float:
+    """The signed miss a1 b2 - a2 b1 at a located pass."""
     y = hit.y
-    return MissSample(
-        s=spec.s, branch=spec.branch, pericenter_index=k,
-        m=y[0] * y[3] - y[1] * y[2],
-        r_peri=math.sqrt(_radius_sq(hit.chart, y)), t_peri=y[4],
-        t_reg=hit.t, valid=True, b_end=(y[2], y[3]))
+    return y[0] * y[3] - y[1] * y[2]
 
 
 def miss_function(spec: ShotSpec, settings: IntegrationSettings,
-                  pericenter_index: int = 1) -> MissSample:
+                  pericenter_index: int = 1) -> float:
     """Signed miss of one shot at its k-th pericenter.
 
     The miss is the conserved-through-collision cross product
     a1 b2 - a2 b1 at the pericenter event; it is continuous in s along a
-    branch and vanishes iff the shot collides at that passage.
+    branch and vanishes iff the shot collides at that passage.  NaN when
+    the shot makes fewer than k near passes within t_max.
     """
     _, hits = _shoot(spec, settings, pericenter_index)
-    return _miss_sample(spec, pericenter_index, hits)
+    if len(hits) < pericenter_index:
+        return math.nan
+    return _miss(hits[pericenter_index - 1])
 
 
 def _eval_shot_worker(spec: ShotSpec, settings: IntegrationSettings,
-                      k_max: int) -> list[MissSample]:
-    """Top-level grid worker (picklable): all k misses of one shot.
+                      k_max: int) -> list[float]:
+    """Top-level grid worker (picklable): the misses of passes 1..k_max.
 
-    A shot that cannot start yields k_max invalid samples.
+    The list is shorter when t_max comes first, and empty when the shot
+    cannot start.
     """
     try:
         _, hits = _shoot(spec, settings, k_max)
     except UsageError:
-        hits = []
-    return [_miss_sample(spec, k, hits) for k in range(1, k_max + 1)]
+        return []
+    return [_miss(hit) for hit in hits[:k_max]]
 
 
 def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
@@ -293,8 +263,9 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
     """Sweep a uniform s-grid and bracket miss-function sign changes.
 
     Each shot is integrated once; its pericenter passes 1..k_max define
-    the k-indexed miss families.  Adjacent valid samples with opposite
-    signs of m become refinable brackets; isolated grid points with
+    the k-indexed miss families.  Adjacent finite misses of opposite sign
+    become refinable brackets (a shot with fewer than k passes has no k-th
+    miss); isolated grid points with
     |m| < :data:`GRAZING_TOL` but no sign change are flagged as tangential
     candidates.  With ``jobs`` > 1 the grid fans out over a process pool;
     results are merged in grid order, so the output is identical to a
@@ -321,25 +292,23 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
 
     brackets: list[Bracket] = []
     for k in range(1, k_max + 1):
-        row = [shot[k - 1] for shot in results]
-        for a, b in zip(row, row[1:]):
-            if not (a.valid and b.valid):
-                continue
-            if (a.m < 0.0) != (b.m < 0.0):
-                brackets.append(Bracket(s_lo=a.s, s_hi=b.s, m_lo=a.m,
-                                        m_hi=b.m, pericenter_index=k,
-                                        branch=branch))
-        for sample in row:
-            if not sample.valid or abs(sample.m) >= GRAZING_TOL:
+        row = [(spec.s, misses[k - 1] if k <= len(misses) else math.nan)
+               for spec, misses in zip(specs, results)]
+        for (sa, ma), (sb, mb) in zip(row, row[1:]):
+            if (math.isfinite(ma) and math.isfinite(mb)
+                    and (ma < 0.0) != (mb < 0.0)):
+                brackets.append(Bracket(s_lo=sa, s_hi=sb, m_lo=ma, m_hi=mb,
+                                        pericenter_index=k, branch=branch))
+        for s, m in row:
+            if not abs(m) < GRAZING_TOL:  # NaN, no k-th pass, fails too
                 continue
             near_change = any(
-                b.pericenter_index == k and b.s_lo <= sample.s <= b.s_hi
+                b.pericenter_index == k and b.s_lo <= s <= b.s_hi
                 for b in brackets)
             if not near_change:
                 brackets.append(Bracket(
-                    s_lo=sample.s, s_hi=sample.s, m_lo=sample.m,
-                    m_hi=sample.m, pericenter_index=k, branch=branch,
-                    kind="tangential"))
+                    s_lo=s, s_hi=s, m_lo=m, m_hi=m, pericenter_index=k,
+                    branch=branch, kind="tangential"))
     brackets.sort(key=lambda b: (b.pericenter_index, b.s_lo))
     return brackets
 
@@ -394,16 +363,15 @@ def refine_chord(bracket: Bracket, level: RegularizedLevel,
     def shoot(s: float):
         spec = ShotSpec(s=s, branch=branch, params=params, level=level)
         traj, hits = _shoot(spec, settings, k)
-        sample = _miss_sample(spec, k, hits)
-        if not sample.valid:
+        if len(hits) < k:
             raise BisectionStagnationError(
                 f"pericenter {k} lost during refinement at s={s}",
                 interval=(bracket.s_lo, bracket.s_hi))
-        return spec, traj, hits, sample
+        return spec, traj, hits[k - 1]
 
     def miss(s: float) -> float:
         shot = shoot(s)
-        m = shot[3].m
+        m = _miss(shot[2])
         probes.append((s, m))
         last[(m < 0.0) == negative_lo] = shot
         return m
@@ -416,28 +384,28 @@ def refine_chord(bracket: Bracket, level: RegularizedLevel,
     shot = last.get(on_lo)
     if shot is None or shot[0].s != s_star:
         shot = shoot(s_star)
-    spec, traj, hits, sample = shot
-    if sample.r_peri >= R_PERI_COLLISION:
+    spec, traj, hit = shot
+    r_peri = math.sqrt(_radius_sq(hit.chart, hit.y))
+    if r_peri >= R_PERI_COLLISION:
         raise BisectionStagnationError(
             f"refinement converged in s but the pericenter distance "
-            f"{sample.r_peri:.3e} is not a collision (tangential root?)",
+            f"{r_peri:.3e} is not a collision (tangential root?)",
             interval=(s_lo, s_hi))
-    hit = hits[k - 1]
     if hit.chart is not Chart.SOUTH:
         raise BisectionStagnationError(
             "collision passage not in the South chart; cannot read the "
             "Legendrian endpoint", interval=(s_lo, s_hi))
-    b_end = sample.b_end
+    y = hit.y
     return Chord(
         spec=spec,
         pericenter_index=k,
-        tau_reeb=2.0 * hit.y[5],
-        flight_time=2.0 * sample.t_peri,
-        endpoint_start_b=(b_end[0], -b_end[1]),
-        endpoint_end_b=b_end,
-        r_peri=sample.r_peri,
+        tau_reeb=2.0 * y[5],
+        flight_time=2.0 * y[4],
+        endpoint_start_b=(y[2], -y[3]),
+        endpoint_end_b=(y[2], y[3]),
+        r_peri=r_peri,
         samples=traj,
-        t_reg_collision=sample.t_reg,
+        t_reg_collision=hit.t,
         conditioning=_slope_across(probes, negative_lo),
     )
 

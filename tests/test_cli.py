@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +333,41 @@ def test_integrate_rejects_malformed_state(tmp_path):
     rc = main(["integrate", "--mu", "0", "--state", "1,0,0",
                "--tmax", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("start", [
+    ["--state", "nan,0.1,0.2,0.3"],
+    ["--state", "nan,0.1,0.2,0.3", "--regularized"],
+    ["--regularized", "--eject", "nan"],
+    ["--regularized", "--eject", "inf"],
+])
+def test_integrate_rejects_a_non_finite_start(start, tmp_path):
+    """Exit 2 at once.  A NaN start used to hang the step loop and an
+    infinite angle to end in a traceback, so each run is a subprocess with
+    a timeout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccorb.cli", "integrate", "--mu", "0.1",
+         "--jacobi", "auto-0.1", *start, "--tmax", "5",
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_integrate_takes_state_or_eject_not_both(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--mu", "0.1", "--jacobi", "auto-0.1",
+              "--regularized", "--eject", "0.39",
+              "--state", "0.3,0.15,0.2,0.4", "--tmax", "5",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--state" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integrate_rejects_a_nan_tolerance(tmp_path, capsys):

@@ -20,6 +20,7 @@ from ccorb import (
     starshape_scan,
     symmetry_defect,
 )
+from ccorb import diagnostics
 from ccorb.diagnostics import StarshapeReport, _dumps
 from ccorb.regularization import Chart
 
@@ -48,14 +49,14 @@ def test_action_is_stable_under_resampling(oracle_chord):
     assert abs(coarse - fine) < 1e-8
 
 
-def _two_pass_action(chord, refinement):
-    """The action by two independent Simpson passes, at nseg and 2 nseg
-    panels per step, each evaluating all of its own nodes."""
+def _two_pass_sums(chord, refinement):
+    """Each step's Simpson sums by two independent passes, at nseg and
+    2 nseg panels per step, each evaluating all of its own nodes."""
     rhs = chord.samples.rhs
     sigma = chord.t_reg_collision
 
     def quad(nseg):
-        total = 0.0
+        sums = []
         for st in chord.samples.steps:
             t0 = st.t0
             if t0 >= sigma:
@@ -66,21 +67,41 @@ def _two_pass_action(chord, refinement):
             for j in range(1, nseg + 1):
                 w = 1.0 if j == nseg else (4.0 if j % 2 else 2.0)
                 acc += w * rhs(st.chart, st.eval(t0 + j * h))[5]
-            total += acc * h / 3.0
-        return total
+            sums.append(acc * h / 3.0)
+        return sums
 
     nseg = 2 * 2 ** refinement
-    coarse = quad(nseg)
-    fine = quad(2 * nseg)
+    return quad(nseg), quad(2 * nseg)
+
+
+def _two_pass_action(chord, refinement):
+    """The action from the two passes' step sums, added in step order."""
+    coarse = fine = 0.0
+    for c, f in zip(*_two_pass_sums(chord, refinement)):
+        coarse += c
+        fine += f
     return 2.0 * (fine + (fine - coarse) / 15.0)
 
 
 @pytest.mark.parametrize("refinement", [0, 2, 4])
-def test_action_shares_nodes_bit_for_bit(oracle_chord, refinement):
+def test_action_shares_nodes_bit_for_bit(oracle_chord, refinement,
+                                         monkeypatch):
     """The coarse pass reuses every other fine node, and still gives the
-    two-pass value bit for bit."""
-    assert (chord_action(oracle_chord, refinement).hex()
-            == _two_pass_action(oracle_chord, refinement).hex())
+    two-pass value bit for bit: each step's coarse and fine Simpson sums,
+    which the action alone cannot show (the coarse sum enters it only
+    through (fine - coarse) / 15), and the action itself."""
+    simpson, sums = diagnostics._simpson, []
+
+    def recorded(values, h):
+        sums.append(simpson(values, h))
+        return sums[-1]
+    monkeypatch.setattr(diagnostics, "_simpson", recorded)
+    action = chord_action(oracle_chord, refinement)
+    coarse, fine = _two_pass_sums(oracle_chord, refinement)
+    assert len(sums) == 2 * len(coarse)
+    assert [x.hex() for x in sums[0::2]] == [x.hex() for x in coarse]
+    assert [x.hex() for x in sums[1::2]] == [x.hex() for x in fine]
+    assert action.hex() == _two_pass_action(oracle_chord, refinement).hex()
 
 
 def test_degenerate_chord_action_is_rejected(oracle_chord):

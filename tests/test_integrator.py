@@ -416,6 +416,18 @@ def test_off_level_regularized_start_is_rejected():
         integrate(Flow.REGULARIZED, bad, KEPLER, IntegrationSettings())
 
 
+@pytest.mark.parametrize("flow, initial", [
+    (Flow.PHYSICAL, PhaseState(q=(math.nan, 0.1), p=(0.2, 0.3))),
+    (Flow.REGULARIZED, PhaseState(q=(math.nan, 0.1), p=(0.2, 0.3))),
+    (Flow.REGULARIZED, collision_point((math.nan, math.nan), KEPLER)),
+])
+def test_non_finite_start_is_rejected(flow, initial):
+    """A NaN start used to give a NaN first step, which no rejection ever
+    advanced past, so the step loop never ended."""
+    with pytest.raises(UsageError):
+        integrate(flow, initial, KEPLER, IntegrationSettings(t_max=5.0))
+
+
 def test_eval_outside_domain_is_an_error():
     traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
                      IntegrationSettings(t_max=1.0))

@@ -145,9 +145,9 @@ def test_miss_matches_the_kepler_closed_form(s, kepler_params, kepler_level,
     """At mu = 0 angular momentum is conserved, so m = -s p2(s) exactly."""
     spec = ShotSpec(s=s, branch=Branch.MINUS, params=kepler_params,
                     level=kepler_level)
-    sample = miss_function(spec, tight_settings)
-    assert sample.valid
-    assert sample.m == pytest.approx(-s * _closed_form_p2(s, -2.0), abs=1e-9)
+    m = miss_function(spec, tight_settings)
+    assert math.isfinite(m)
+    assert m == pytest.approx(-s * _closed_form_p2(s, -2.0), abs=1e-9)
 
 
 def test_event_tol_sets_the_pericenter_time_resolution(kepler_params,
@@ -163,7 +163,8 @@ def test_event_tol_sets_the_pericenter_time_resolution(kepler_params,
 
     def t_reg(event_tol: float) -> float:
         run = replace(tight_settings, event_tol=event_tol)
-        return miss_function(spec, run).t_reg
+        _, hits = _shoot(spec, run, 1)
+        return hits[0].t
 
     reference = t_reg(1e-14)
     coarse, fine = t_reg(1e-3), t_reg(1e-12)
@@ -196,7 +197,7 @@ def test_miss_changes_sign_across_the_root(kepler_params, kepler_level,
     hi = miss_function(ShotSpec(s=0.52, branch=Branch.MINUS,
                                 params=kepler_params, level=kepler_level),
                        tight_settings)
-    assert lo.m > 0.0 > hi.m
+    assert lo > 0.0 > hi
 
 
 def test_reflection_pairs_the_pericenter_passages(kepler_params, kepler_level,
@@ -212,13 +213,13 @@ def test_reflection_pairs_the_pericenter_passages(kepler_params, kepler_level,
     """
     spec = ShotSpec(s=0.45, branch=Branch.MINUS, params=kepler_params,
                     level=kepler_level)
-    sample = miss_function(spec, tight_settings)
-    assert sample.valid
+    _, hits = _shoot(spec, tight_settings, 1)
+    assert len(hits) >= 1
     state = axis_initial_state(spec)
     # The generating state is mirror-fixed ...
     assert state.q[1] == 0.0 and state.p[0] == 0.0
     # ... and the mirrored passage carries the identical cross product.
-    b1, b2 = sample.b_end
+    b1, b2 = hits[0].y[2:4]
     a1, a2 = 0.0, 0.0  # on the collision fiber at the exact root
     cross = a1 * b2 - a2 * b1
     mirrored_cross = (-a1) * (-b2) - a2 * b1
@@ -239,6 +240,28 @@ def test_oracle_scan_brackets_the_known_root(oracle_bracket):
     assert oracle_bracket.kind == "sign_change"
     assert oracle_bracket.m_lo > 0.0 > oracle_bracket.m_hi
     assert oracle_bracket.pericenter_index == 1
+
+
+def test_bracket_misses_are_the_miss_function(oracle_bracket, kepler_params,
+                                              kepler_level, tight_settings):
+    """A bracket's end misses are miss_function at its ends, bit for bit,
+    on the oracle grid and on a mu = 0.1 grid-8 scan at k = 1..3."""
+    params, level = _reference_level()
+    hill = hill_component_interval(params, level)
+    s_range = (0.02 * hill.s_max, hill.s_max - 0.02 * hill.s_max)
+    scans = [
+        ([oracle_bracket], kepler_params, kepler_level, tight_settings),
+        (scan_and_bracket(s_range, 8, Branch.MINUS, params, level,
+                          IntegrationSettings(), k_max=3),
+         params, level, IntegrationSettings()),
+    ]
+    for brackets, p, lvl, run in scans:
+        assert brackets
+        for b in brackets:
+            for s, m in ((b.s_lo, b.m_lo), (b.s_hi, b.m_hi)):
+                spec = ShotSpec(s=s, branch=b.branch, params=p, level=lvl)
+                assert (miss_function(spec, run, b.pericenter_index).hex()
+                        == m.hex())
 
 
 def test_same_sign_window_produces_no_brackets(kepler_params, kepler_level,
@@ -339,7 +362,7 @@ def test_conditioning_is_the_slope_of_the_miss(oracle_chord, kepler_params,
     s, h = oracle_chord.spec.s, 1e-6
     m_plus, m_minus = (
         miss_function(ShotSpec(s=x, branch=Branch.MINUS, params=kepler_params,
-                               level=kepler_level), tight_settings, 1).m
+                               level=kepler_level), tight_settings, 1)
         for x in (s + h, s - h))
     slope = abs(m_plus - m_minus) / (2.0 * h)
     assert slope == pytest.approx(4.0, rel=1e-6)
@@ -362,7 +385,7 @@ def test_conditioning_is_a_slope_on_the_reference_level():
     s, h = chord.spec.s, 1e-6
     m_plus, m_minus = (
         miss_function(ShotSpec(s=x, branch=Branch.MINUS, params=params,
-                               level=level), settings, 3).m
+                               level=level), settings, 3)
         for x in (s + h, s - h))
     slope = abs(m_plus - m_minus) / (2.0 * h)
     assert chord.conditioning == pytest.approx(slope, rel=0.01)
