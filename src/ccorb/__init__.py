@@ -18,7 +18,6 @@ from .dynamics import (
     effective_potential,
     first_critical_value,
     hamiltonian,
-    hamiltonian_vector_field,
     hill_component_interval,
     lagrange_points,
     reflect,
@@ -85,7 +84,7 @@ __all__ = [
     "__version__",
     # dynamics
     "SystemParams", "PhaseState", "EnergyLevel", "LagrangeConfig",
-    "HillInterval", "hamiltonian", "hamiltonian_vector_field", "reflect",
+    "HillInterval", "hamiltonian", "reflect",
     "effective_potential", "lagrange_points", "first_critical_value",
     "hill_component_interval",
     # errors

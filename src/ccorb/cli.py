@@ -9,7 +9,8 @@ Subcommands:
 * ``orbit-svg``  rotating-frame picture of a cataloged chord
 
 Exit codes: 0 success with findings, 2 usage/input error (a malformed
-catalog included), 3 clean run with an empty result, 4 numerical failure.
+catalog and a file that cannot be read or written included), 3 clean run
+with an empty result, 4 numerical failure.
 Each command builds its own settings and embeds in its output only the
 fields that change the result, plus the artifact version; so tolerances
 appear only for ``scan``, ``integrate`` and ``orbit-svg``.  Every float
@@ -160,12 +161,20 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
 
 def _scan_ranges(args_range, params: SystemParams, level: RegularizedLevel
                  ) -> list[tuple[float, float, str]]:
-    """Explicit --s-range, or both Hill axis segments with 2% margins."""
+    """Explicit --s-range, or both Hill axis segments with 2% margins.
+
+    An explicit range must have both ends inside the Hill axis interval,
+    where every start exists.
+    """
+    hill = hill_component_interval(params, level)
     if args_range is not None:
         lo, hi = args_range
+        if not (hill.contains(lo) and hill.contains(hi)):
+            raise UsageError(
+                f"--s-range {lo!r}:{hi!r} is not inside the Hill axis "
+                f"interval ({hill.s_min!r}, {hill.s_max!r})")
         side = "pos" if lo > 0 else "neg"
         return [(lo, hi, side)]
-    hill = hill_component_interval(params, level)
     if math.isinf(hill.s_min) or math.isinf(hill.s_max):
         raise UsageError(
             "unbounded Hill interval: give an explicit --s-range")
@@ -183,6 +192,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     s_range = _parse_srange(args.s_range) if args.s_range else None
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    out = args.out or "catalog.jsonl"
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"directory of --out {out!r} does not exist")
     settings = _settings(args)
     level = RegularizedLevel(params, f=-c)
     crit = first_critical_value(params)
@@ -237,7 +249,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out = args.out or "catalog.jsonl"
     catalog.save(out)
     if not rows:
         print("no chords found")
@@ -343,8 +354,14 @@ def cmd_starshape(args: argparse.Namespace) -> int:
 # orbit SVG
 
 
-def _chord_path_points(entry: dict, settings: IntegrationSettings,
-                       n_samples: int = 400) -> list[tuple[float, float]]:
+#: flow-time samples of a chord's forward half, and angles of the
+#: zero-velocity curve, in an orbit SVG
+SVG_CHORD_SAMPLES = 400
+SVG_ZVC_ANGLES = 720
+
+
+def _chord_path_points(entry: dict, settings: IntegrationSettings
+                       ) -> list[tuple[float, float]]:
     """Rotating-frame positions of a cataloged chord, mirror-completed."""
     params = SystemParams(entry["mu"])
     level = RegularizedLevel(params, f=-entry["jacobi"])
@@ -355,16 +372,15 @@ def _chord_path_points(entry: dict, settings: IntegrationSettings,
         raise NumericalError("cataloged chord did not reproduce")
     sigma_end = hits[entry["pericenter_index"] - 1].t
     fwd = []
-    for j in range(n_samples + 1):
-        sigma = sigma_end * j / n_samples
+    for j in range(SVG_CHORD_SAMPLES + 1):
+        sigma = sigma_end * j / SVG_CHORD_SAMPLES
         chart, y = traj.eval(sigma)
         fwd.append(chart_position(chart, y[0], y[1], y[2], y[3]))
     back = [(q1, -q2) for q1, q2 in reversed(fwd)]
     return back + fwd
 
 
-def _zvc_polyline(mu: float, f: float, n_angles: int = 720
-                  ) -> list[tuple[float, float]]:
+def _zvc_polyline(mu: float, f: float) -> list[tuple[float, float]]:
     pts = []
     params = SystemParams(mu)
     try:
@@ -372,8 +388,8 @@ def _zvc_polyline(mu: float, f: float, n_angles: int = 720
             return []
     except CcorbError:
         return []
-    for i in range(n_angles + 1):
-        th = 2.0 * math.pi * i / n_angles
+    for i in range(SVG_ZVC_ANGLES + 1):
+        th = 2.0 * math.pi * i / SVG_ZVC_ANGLES
         r = _zvc_radius_along(math.cos(th), math.sin(th), mu, f)
         if not math.isnan(r):
             pts.append((r * math.cos(th), r * math.sin(th)))
@@ -399,8 +415,6 @@ _ROW_FIELDS = {
 
 def cmd_orbit_svg(args: argparse.Namespace) -> int:
     catalog_path, index, out = args.catalog, args.index, args.out
-    if not os.path.exists(catalog_path):
-        raise UsageError(f"catalog {catalog_path!r} does not exist")
     try:
         catalog = ChordCatalog.load(catalog_path)
     except IntegrityError as exc:
@@ -447,7 +461,6 @@ def cmd_orbit_svg(args: argparse.Namespace) -> int:
 
     cfg = _config("orbit-svg", settings, mu=entry["mu"],
                   jacobi=entry["jacobi"])
-    cfg["catalog"] = catalog_path
     cfg["index"] = index
     cfg["entry_s0"] = entry["s0"]
     lines = [
@@ -455,7 +468,6 @@ def cmd_orbit_svg(args: argparse.Namespace) -> int:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
         f"<!-- run_config: {_dumps(cfg)} -->",
-        f"<!-- artifact_version: {__version__} -->",
         f'<rect width="{width:.2f}" height="{height:.2f}" fill="white"/>',
     ]
     if zvc:
@@ -569,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except CcorbError as exc:
+    except (CcorbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

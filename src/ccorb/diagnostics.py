@@ -23,12 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import (
-    SystemParams,
-    _root_in,
-    first_critical_value,
-    solve_bracket,
-)
+from .dynamics import SystemParams, _root_in, first_critical_value
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
 from .integrator import (
     Flow,
@@ -110,56 +105,28 @@ def chord_action(chord: Chord, refinement: int = 2) -> float:
     return value
 
 
-def _sigma_at_phys(traj, t_phys: float) -> float:
-    """Flow parameter at which the carried physical clock reads t_phys.
-
-    The clock component y[4] is nondecreasing along the regularized flow,
-    so a bracket solve over the dense output suffices.
-    """
-    if t_phys <= 0.0:
-        return 0.0
-    t_end = traj.t_end
-    end_clock = traj.eval(t_end)[1][4]
-    if t_phys >= end_clock:
-        raise UsageError(
-            f"physical time {t_phys} beyond the trajectory clock "
-            f"{end_clock}")
-    lo, _, hi, _ = solve_bracket(lambda s: traj.eval(s)[1][4] - t_phys,
-                                 0.0, -t_phys, t_end, end_clock - t_phys,
-                                 1e-13 * max(1.0, t_end))
-    return 0.5 * (lo + hi)
-
-
 def symmetry_defect(chord: Chord, settings: IntegrationSettings) -> float:
     """Largest mirror-symmetry violation of a chord, by re-integration.
 
+    The reflection (a1, a2, b1, b2) -> (-a1, a2, b1, -b2) conjugates the
+    regularized flow to its time reversal, so a chord of flow length
+    S = 2 ``t_reg_collision`` has mirror states at flow times s and S - s.
     Integrates the chord independently from its reconstructed start on the
-    collision fiber and compares states at physical times t and T - t
-    under the reflection (a1, a2, b1, b2) -> (-a1, a2, b1, -b2), aligning
-    charts where the two sides disagree.  Sampling runs over interior
-    times (5..95 percent of the flight) where neither endpoint fiber
-    blow-up nor the terminal event tolerance contributes.
+    collision fiber to S and compares those pairs, aligning charts where
+    the two sides disagree.  Sampling runs over interior times (5..95
+    percent of S) where neither endpoint fiber blow-up nor the terminal
+    event tolerance contributes.
     """
-    level = chord.spec.level
-    total = chord.flight_time
+    total = 2.0 * chord.t_reg_collision
     start = MoserChartPoint(chart=Chart.SOUTH, a=(0.0, 0.0),
                             b=chord.endpoint_start_b)
-
-    def past_flight(traj) -> bool:
-        return traj.steps[-1].y1[4] >= total
-
-    run = replace(settings, t_max=chord.samples.t_end * 2.5 + 1.0)
-    traj = integrate(Flow.REGULARIZED, start, level, run, until=past_flight)
-    if traj.eval(traj.t_end)[1][4] < total:
-        raise UsageError("re-integration fell short of the flight time")
-
+    traj = integrate(Flow.REGULARIZED, start, chord.spec.level,
+                     replace(settings, t_max=total))
     worst = 0.0
     for j in range(1, SYMMETRY_SAMPLES + 1):
-        t = total * (0.05 + 0.9 * j / (SYMMETRY_SAMPLES + 1))
-        sa = _sigma_at_phys(traj, t)
-        sb = _sigma_at_phys(traj, total - t)
-        chart_a, ya = traj.eval(sa)
-        chart_b, yb = traj.eval(sb)
+        s = total * (0.05 + 0.9 * j / (SYMMETRY_SAMPLES + 1))
+        chart_a, ya = traj.eval(s)
+        chart_b, yb = traj.eval(total - s)
         mb = (-yb[0], yb[1], yb[2], -yb[3])
         if chart_b is not chart_a:
             chart_b, mb = _transition_state(chart_b, mb)
@@ -420,12 +387,6 @@ class ChordCatalog:
 
     run_config: dict = field(default_factory=dict)
     entries: list[dict] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

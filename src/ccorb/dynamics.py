@@ -155,7 +155,10 @@ def hamiltonian(state: PhaseState, params: SystemParams) -> float:
 
 def vector_field_values(q1: float, q2: float, p1: float, p2: float,
                         mu: float) -> tuple[float, float, float, float]:
-    """Plain-float X_H evaluation (integration hot path)."""
+    """Hand-differentiated X_H = (dH/dp, -dH/dq) in plain floats.
+
+    Returns (dq1/dt, dq2/dt, dp1/dt, dp2/dt); the integration hot path.
+    """
     r1, r2 = _check_distances(q1, q2, mu)
     ir13 = 1.0 / (r1 * r1 * r1)
     mir23 = mu / (r2 * r2 * r2) if mu != 0.0 else 0.0
@@ -165,19 +168,6 @@ def vector_field_values(q1: float, q2: float, p1: float, p2: float,
         p2 - mir23 * (q1 - 1.0) - (1.0 - mu) * q1 * ir13,
         -p1 - mir23 * q2 - (1.0 - mu) * q2 * ir13,
     )
-
-
-def hamiltonian_vector_field(state: PhaseState, params: SystemParams
-                             ) -> tuple[float, float, float, float]:
-    """Hand-differentiated X_H = (dH/dp, -dH/dq).
-
-    Returns
-    -------
-    tuple of float
-        (dq1/dt, dq2/dt, dp1/dt, dp2/dt).
-    """
-    return vector_field_values(state.q[0], state.q[1], state.p[0], state.p[1],
-                               params.mu)
 
 
 def reflect(state: PhaseState) -> PhaseState:

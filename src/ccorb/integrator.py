@@ -172,10 +172,11 @@ class Trajectory:
 
     Samples are the accepted step endpoints; dense output is available on
     every step through :meth:`eval`.  The conserved quantity (H for the
-    physical flow, KCheck for the regularized flow) can be logged at all
-    samples for drift checks.  ``settings`` are the ones the run used, and
-    ``rhs(chart, y)`` is the vector field it integrated; a step's ``k[0]``
-    and ``k[6]`` are that field at its ``y0`` and ``y1``.
+    physical flow, KCheck for the regularized flow) is read at all samples
+    by :meth:`conserved_drift`, the energy certificate.  ``settings`` are
+    the ones the run used, and ``rhs(chart, y)`` is the vector field it
+    integrated; a step's ``k[0]`` and ``k[6]`` are that field at its
+    ``y0`` and ``y1``.
     """
 
     def __init__(self, flow: Flow, level: RegularizedLevel,
@@ -209,13 +210,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def step_index(self, t: float) -> int:
-        """Index of the step whose interval contains t (bisection)."""
-        if not self.steps:
-            raise UsageError("empty trajectory")
-        return min(bisect_left(self.steps, t, key=lambda st: st.t0 + st.h),
-                   len(self.steps) - 1)
-
     def eval(self, t: float) -> tuple[Chart | None, tuple[float, ...]]:
         """Dense-output state at any 0 <= t <= t_end.
 
@@ -226,7 +220,8 @@ class Trajectory:
             return self._chart0, self._y0
         if t > self.t_end:
             raise UsageError(f"time {t} beyond trajectory end {self.t_end}")
-        st = self.steps[self.step_index(t)]
+        i = bisect_left(self.steps, t, key=lambda st: st.t0 + st.h)
+        st = self.steps[min(i, len(self.steps) - 1)]
         return st.chart, st.eval(t)
 
     # -- conserved quantity --------------------------------------------
@@ -238,16 +233,11 @@ class Trajectory:
         return 0.5 * regularization.g_value(
             chart, y[0], y[1], y[2], y[3], mu, self.level.f) ** 2
 
-    def conserved_log(self) -> list[tuple[float, float]]:
-        """(t, conserved quantity) at every sample."""
-        return [(t, self.conserved_value(chart, y))
-                for t, chart, y in self.samples()]
-
     def conserved_drift(self) -> float:
         """Maximum deviation of the conserved quantity from its start."""
-        log = self.conserved_log()
-        ref = log[0][1]
-        return max(abs(v - ref) for _, v in log)
+        values = [self.conserved_value(chart, y)
+                  for _, chart, y in self.samples()]
+        return max(abs(v - values[0]) for v in values)
 
 
 def _rhs_physical(mu: float):
@@ -364,7 +354,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
         Starting state (see :func:`prepare_initial`).
     level : RegularizedLevel
         Mass ratio and energy offset; for the physical flow only the
-        parameters (and the conserved-H log) use it.
+        parameters (and the conserved-H drift) use it.
     settings : IntegrationSettings
     until : callable, optional
         Predicate on the partial trajectory, checked after every accepted

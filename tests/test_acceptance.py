@@ -23,6 +23,7 @@ from ccorb import (
     PhaseState,
     RegularizedLevel,
     SystemParams,
+    UsageError,
     catalog_insert,
     chart_transition,
     chord_action,
@@ -32,7 +33,6 @@ from ccorb import (
     export_csv,
     first_critical_value,
     hamiltonian,
-    hamiltonian_vector_field,
     hill_component_interval,
     integrate,
     kepler_oracle_return_time,
@@ -44,8 +44,12 @@ from ccorb import (
     starshape_scan,
     symmetry_defect,
 )
-from ccorb.dynamics import EnergyLevel, effective_potential_gradient
-from ccorb.diagnostics import _sigma_at_phys
+from ccorb.dynamics import (
+    EnergyLevel,
+    effective_potential_gradient,
+    solve_bracket,
+    vector_field_values,
+)
 from ccorb.regularization import g_and_gradient, g_value
 
 
@@ -53,6 +57,26 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def _sigma_at_phys(traj, t_phys: float) -> float:
+    """Flow parameter at which the carried physical clock reads t_phys.
+
+    The clock component y[4] is nondecreasing along the regularized flow,
+    so a bracket solve over the dense output suffices.
+    """
+    if t_phys <= 0.0:
+        return 0.0
+    t_end = traj.t_end
+    end_clock = traj.eval(t_end)[1][4]
+    if t_phys >= end_clock:
+        raise UsageError(
+            f"physical time {t_phys} beyond the trajectory clock "
+            f"{end_clock}")
+    lo, _, hi, _ = solve_bracket(lambda s: traj.eval(s)[1][4] - t_phys,
+                                 0.0, -t_phys, t_end, end_clock - t_phys,
+                                 1e-13 * max(1.0, t_end))
+    return 0.5 * (lo + hi)
 
 
 def _find_chord(mu: float, c: float, s_range, n, branch,
@@ -284,7 +308,7 @@ def test_criterion_5_regularization_correctness():
     # Physical side of the same check.
     params = SystemParams(mu=0.3)
     st0 = PhaseState(q=(0.45, -0.32), p=(0.6, 0.25))
-    field = hamiltonian_vector_field(st0, params)
+    field = vector_field_values(*st0.as_tuple(), params.mu)
     signs = (1.0, 1.0, -1.0, -1.0)  # dH/dp drives qdot, -dH/dq drives pdot
     for slot, (qdot, comp) in enumerate(
             ((field[0], 2), (field[1], 3), (field[2], 0), (field[3], 1))):

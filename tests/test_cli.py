@@ -24,6 +24,7 @@ from ccorb import (
     integrate,
     physical_state,
 )
+from ccorb import cli
 from ccorb.cli import main
 
 ORACLE_SCAN = ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
@@ -91,6 +92,14 @@ def test_commands_that_integrate_nothing_record_no_tolerances(argv, capsys):
 def test_lagrange_rejects_bad_mass(capsys):
     assert main(["lagrange", "--mu", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lagrange_to_a_missing_directory_exits_two(tmp_path, capsys):
+    rc = main(["lagrange", "--mu", "0.1",
+               "--out", str(tmp_path / "absent" / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unknown_subcommand_is_a_usage_error():
@@ -208,6 +217,34 @@ def test_scan_force_is_refused_above_critical_at_positive_mu(tmp_path,
                "--branch", "minus", "--jobs", "1", "--out", str(out)])
     assert rc == 2
     assert "--force applies only at mu = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_shots(*args, **kwargs):
+    raise AssertionError("the scan took a shot")
+
+
+def test_scan_to_a_missing_directory_exits_two_before_shooting(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scan_and_bracket", _no_shots)
+    rc = main(ORACLE_SCAN + ["--out", str(tmp_path / "absent" / "o.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("s_range, grid", [("0.8:0.9", "4"),
+                                           ("0.3:0.9", "8")])
+def test_scan_rejects_a_range_outside_the_hill_interval(
+        s_range, grid, tmp_path, capsys, monkeypatch):
+    """At mu = 0.1, auto-0.1 the axis interval is (-0.55585, 0.58408)."""
+    monkeypatch.setattr(cli, "scan_and_bracket", _no_shots)
+    out = tmp_path / "x.jsonl"
+    rc = main(["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
+               "minus", "--kmax", "1", "--grid", grid,
+               f"--s-range={s_range}", "--out", str(out)])
+    assert rc == 2
+    assert "Hill axis interval" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -436,6 +473,20 @@ def test_orbit_svg_renders_deterministically(oracle_catalog, tmp_path):
     assert "artifact_version" in text
 
 
+def test_orbit_svg_bytes_do_not_depend_on_the_catalog_path(
+        oracle_catalog, tmp_path, monkeypatch):
+    monkeypatch.chdir(oracle_catalog.parent)
+    images = []
+    for spelling in (oracle_catalog.name, f"./{oracle_catalog.name}",
+                     str(oracle_catalog)):
+        out = tmp_path / "chord.svg"
+        assert main(["orbit-svg", "--catalog", spelling, "--index", "0",
+                     "--out", str(out)]) == 0
+        images.append(out.read_bytes())
+    assert images[0] == images[1] == images[2]
+    assert images[0].decode().count("artifact_version") == 1
+
+
 def test_orbit_svg_index_out_of_range(oracle_catalog, tmp_path, capsys):
     rc = main(["orbit-svg", "--catalog", str(oracle_catalog),
                "--index", "5", "--out", str(tmp_path / "x.svg")])
@@ -461,6 +512,16 @@ def test_orbit_svg_missing_catalog(tmp_path):
     rc = main(["orbit-svg", "--catalog", str(tmp_path / "nope.jsonl"),
                "--index", "0", "--out", str(tmp_path / "x.svg")])
     assert rc == 2
+
+
+def test_orbit_svg_from_a_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    rc = main(["orbit-svg", "--catalog", str(tmp_path), "--index", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_orbit_svg_needs_t_max_in_the_header(oracle_catalog, tmp_path,
