@@ -83,6 +83,12 @@ def _settings(args: argparse.Namespace) -> IntegrationSettings:
                                t_max=args.tmax)
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an ``--out`` whose directory does not exist, before any work."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"directory of --out {out!r} does not exist")
+
+
 def _resolve_jacobi(spec: str | None, params: SystemParams) -> float | None:
     """Parse --jacobi: a float, or auto-X meaning first critical - X."""
     if spec is None:
@@ -134,6 +140,7 @@ def _parse_state(text: str) -> PhaseState:
 
 
 def cmd_lagrange(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     params = SystemParams(args.mu)
     cfg = lagrange_points(params)
     json_out, out = args.json, args.out
@@ -187,14 +194,13 @@ def _scan_ranges(args_range, params: SystemParams, level: RegularizedLevel
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    out = args.out or "catalog.jsonl"
+    _check_out_dir(out)
     params = SystemParams(args.mu)
     c = _resolve_jacobi(args.jacobi, params)
     s_range = _parse_srange(args.s_range) if args.s_range else None
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    out = args.out or "catalog.jsonl"
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise UsageError(f"directory of --out {out!r} does not exist")
     settings = _settings(args)
     level = RegularizedLevel(params, f=-c)
     crit = first_critical_value(params)
@@ -268,6 +274,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     params = SystemParams(args.mu)
     jacobi = _resolve_jacobi(args.jacobi, params)
     state = _parse_state(args.state) if args.state else None
@@ -319,6 +326,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_starshape(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     params = SystemParams(args.mu)
     c = _resolve_jacobi(args.jacobi, params)
     level = RegularizedLevel(params, f=-c)
@@ -415,6 +423,7 @@ _ROW_FIELDS = {
 
 def cmd_orbit_svg(args: argparse.Namespace) -> int:
     catalog_path, index, out = args.catalog, args.index, args.out
+    _check_out_dir(out)
     try:
         catalog = ChordCatalog.load(catalog_path)
     except IntegrityError as exc:

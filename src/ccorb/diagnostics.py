@@ -77,8 +77,8 @@ def chord_action(chord: Chord, refinement: int = 2) -> float:
     with one Richardson sweep; each node is evaluated once, and the coarse
     nodes are every other fine node (``nseg`` is a power of two, so they
     agree bit for bit).  It shares only the accepted steps (dense
-    polynomials, and the first stage as the rate at each step start) with
-    the integrator, not its clock accumulation, so agreement with
+    polynomials, and the rate ``f0`` at each step start) with the
+    integrator, not its clock accumulation, so agreement with
     ``tau_reeb`` is a real cross-check of the action = Reeb period
     identity.
     """
@@ -94,7 +94,7 @@ def chord_action(chord: Chord, refinement: int = 2) -> float:
             break
         t1 = min(st.t0 + st.h, sigma)
         h = (t1 - t0) / (2 * nseg)
-        values = [st.k[0][5]] + [rhs(st.chart, st.eval(t0 + j * h))[5]
+        values = [st.f0[5]] + [rhs(st.chart, st.eval(t0 + j * h))[5]
                                  for j in range(1, 2 * nseg + 1)]
         coarse += _simpson(values[::2], (t1 - t0) / nseg)
         fine += _simpson(values, h)

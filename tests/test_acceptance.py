@@ -110,7 +110,7 @@ def multiplicity_catalog():
     params = SystemParams(mu=mu)
     c = first_critical_value(params) - 0.1
     level = RegularizedLevel(params=params, f=-c)
-    settings = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-12, t_max=50.0)
+    settings = IntegrationSettings(t_max=50.0)
     hill = hill_component_interval(params, EnergyLevel(f=-c))
     pad_pos = 0.02 * hill.s_max
     pad_neg = 0.02 * abs(hill.s_min)
@@ -370,7 +370,7 @@ def test_criterion_7_integrator_quality():
                                         t_max=2.0))
     _, y_ref = ref.eval(2.0)
     errors = []
-    for h in (0.01, 0.005, 0.0025):
+    for h in (0.125, 0.0625, 0.03125):
         traj = integrate(Flow.PHYSICAL, state, level,
                          IntegrationSettings(t_max=2.0, fixed_step=h))
         _, y = traj.eval(2.0)

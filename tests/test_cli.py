@@ -220,17 +220,41 @@ def test_scan_force_is_refused_above_critical_at_positive_mu(tmp_path,
     assert not out.exists()
 
 
-def _no_shots(*args, **kwargs):
-    raise AssertionError("the scan took a shot")
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work")
 
 
 def test_scan_to_a_missing_directory_exits_two_before_shooting(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "scan_and_bracket", _no_shots)
+    monkeypatch.setattr(cli, "scan_and_bracket", _no_work)
     rc = main(ORACLE_SCAN + ["--out", str(tmp_path / "absent" / "o.jsonl")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("work, argv", [
+    ("integrate", ["integrate", "--mu", "0.0", "--jacobi", "-2.0",
+                   "--regularized", "--eject", "0.0"]),
+    ("starshape_scan", ["starshape", "--mu", "0.1", "--jacobi", "auto-0.1"]),
+])
+def test_command_to_a_missing_directory_exits_two_before_its_work(
+        work, argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, work, _no_work)
+    rc = main(argv + ["--out", str(tmp_path / "absent" / "x.out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not exist" in err
+
+
+def test_orbit_svg_to_a_missing_directory_exits_two_before_reshooting(
+        oracle_catalog, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_chord_path_points", _no_work)
+    rc = main(["orbit-svg", "--catalog", str(oracle_catalog), "--index", "0",
+               "--out", str(tmp_path / "absent" / "x.svg")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not exist" in err
 
 
 @pytest.mark.parametrize("s_range, grid", [("0.8:0.9", "4"),
@@ -238,7 +262,7 @@ def test_scan_to_a_missing_directory_exits_two_before_shooting(
 def test_scan_rejects_a_range_outside_the_hill_interval(
         s_range, grid, tmp_path, capsys, monkeypatch):
     """At mu = 0.1, auto-0.1 the axis interval is (-0.55585, 0.58408)."""
-    monkeypatch.setattr(cli, "scan_and_bracket", _no_shots)
+    monkeypatch.setattr(cli, "scan_and_bracket", _no_work)
     out = tmp_path / "x.jsonl"
     rc = main(["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
                "minus", "--kmax", "1", "--grid", grid,

@@ -63,7 +63,7 @@ def _two_pass_sums(chord, refinement):
                 break
             t1 = min(st.t0 + st.h, sigma)
             h = (t1 - t0) / nseg
-            acc = st.k[0][5]
+            acc = st.f0[5]
             for j in range(1, nseg + 1):
                 w = 1.0 if j == nseg else (4.0 if j % 2 else 2.0)
                 acc += w * rhs(st.chart, st.eval(t0 + j * h))[5]

@@ -25,7 +25,8 @@ from ccorb import (
     physical_state,
 )
 from ccorb import hamiltonian, integrator
-from ccorb.integrator import _A, _B4, _B5, _C, _E, _P, SWITCH_LOWER, SWITCH_UPPER
+from ccorb.integrator import (
+    _A, _BHH, _C, _D, _E5, SWITCH_LOWER, SWITCH_UPPER)
 
 KEPLER = RegularizedLevel(params=SystemParams(mu=0.0), f=2.0)
 
@@ -47,18 +48,35 @@ def _loop_state(c: float = -2.0) -> PhaseState:
 
 def test_tableau_consistency():
     """Order conditions that are pure arithmetic on the coefficients."""
-    assert sum(_B5) == pytest.approx(1.0, abs=1e-15)
-    assert sum(_B4) == pytest.approx(1.0, abs=1e-15)
+    assert len(_A) == len(_C) == 16
     for row, c in zip(_A, _C):
-        assert sum(row) == pytest.approx(c, abs=1e-15)
-    for e, b5, b4 in zip(_E, _B5, _B4):
-        assert e == b5 - b4
+        assert sum(row) == pytest.approx(c, abs=1e-14)
+    assert sum(_A[12]) == pytest.approx(1.0, abs=1e-15)
+    assert sum(_E5) == pytest.approx(0.0, abs=1e-15)
+    assert sum(_BHH) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_dense_output_weights_reduce_to_the_step_weights():
-    """At the right endpoint the interpolant must reproduce the step."""
-    for i, (p0, p1, p2, p3) in enumerate(_P):
-        assert p0 + p1 + p2 + p3 == pytest.approx(_B5[i], abs=1e-14)
+def test_tableau_matches_scipy_to_one_ulp():
+    """The transcribed DOP853 coefficients against SciPy's copy of
+    Hairer's tables, which the package itself never imports."""
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+
+    def close(got, want):
+        assert abs(got - want) <= math.ulp(want)
+    for i, (row, c) in enumerate(zip(_A, _C)):
+        close(c, dop853.C[i])
+        for j in range(16):
+            close(row[j] if j < i else 0.0, dop853.A[i, j])
+    for i, e in enumerate(_E5 + (0.0,)):
+        close(e, dop853.E5[i])
+    e3 = list(_A[12]) + [0.0]
+    for i, bhh in zip((0, 8, 11), _BHH):
+        e3[i] -= bhh
+    for got, want in zip(e3, dop853.E3):
+        close(got, want)
+    for row, want in zip(_D, dop853.D):
+        for got, w in zip(row, want):
+            close(got, w)
 
 
 def test_interpolant_endpoints_match_the_step_sequence():
@@ -73,39 +91,69 @@ def test_interpolant_endpoints_match_the_step_sequence():
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_interpolant_rate_matches_the_end_rates():
+    """The derivative of the dense output is the vector field at both ends
+    of every step, and close to it inside."""
+    traj = integrate(Flow.REGULARIZED, collision_point((1.0, 0.0), KEPLER),
+                     KEPLER, IntegrationSettings(t_max=3.0))
+    assert len({st.chart for st in traj.steps}) == 2
+    for st in traj.steps:
+        for t, want in ((st.t0, st.f0), (st.t0 + st.h, st.f1),
+                        (st.t0 + 0.5 * st.h,
+                         traj.rhs(st.chart, st.eval(st.t0 + 0.5 * st.h)))):
+            for got, w in zip(st.rate(t), want):
+                assert got == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+
+def _dot(weights, k, m):
+    """sum_i weights[i] k[i][m] by a plain loop from 0.0."""
+    acc = 0.0
+    for w, ki in zip(weights, k):
+        acc += w * ki[m]
+    return acc
+
+
 def _tableau_step(rhs, st):
-    """Stages, fifth-order solution and error vector of ``st`` by plain
-    loops over the tableau rows."""
+    """Stages, eighth-order solution, both error estimates and dense rows
+    of ``st`` by plain loops over the tableau rows."""
     y, h, n = st.y0, st.h, len(st.y0)
     k = [rhs(st.chart, y)]
-    for s in range(1, 7):
-        ys = []
-        for m in range(n):
-            acc = 0.0
-            for j in range(s):
-                acc += _A[s][j] * k[j][m]
-            ys.append(y[m] + h * acc)
-        k.append(rhs(st.chart, tuple(ys)))
-    err = []
-    for m in range(n):
-        acc = 0  # the start of sum(), which from Python 3.12 compensates
-        for i in range(7):
-            acc += _E[i] * k[i][m]
-        err.append(h * acc)
-    return k, ys, err
+    for s in range(1, 16):
+        ys = tuple(y[m] + h * _dot(_A[s], k, m) for m in range(n))
+        k.append(rhs(st.chart, ys))
+        if s == 12:
+            y1 = ys
+    err5 = [_dot(_E5, k, m) for m in range(n)]
+    err3 = [_dot(_A[12], k, m) - _BHH[0] * k[0][m] - _BHH[1] * k[8][m]
+            - _BHH[2] * k[11][m] for m in range(n)]
+    d0 = [b - a for a, b in zip(y, y1)]
+    d1 = [h * f - d for f, d in zip(k[0], d0)]
+    d2 = [d - h * f - e for d, f, e in zip(d0, k[12], d1)]
+    rows = [d0, d1, d2] + [[h * _dot(row, k, m) for m in range(n)]
+                           for row in _D]
+    return k, y1, err5, err3, rows
 
 
-def _tableau_eval(st, t):
-    """Dense output of ``st`` at t by plain loops over the rows of _P."""
-    theta = (t - st.t0) / st.h
-    w = [theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))
-         for p0, p1, p2, p3 in _P]
+def _error_norm_by_loop(e5, e3, y0, y1, h, atol, rtol):
+    n5 = n3 = 0.0
+    for m in range(len(e5)):
+        sk = atol + rtol * max(abs(y0[m]), abs(y1[m]))
+        r5, r3 = e5[m] / sk, e3[m] / sk
+        n5 += r5 * r5
+        n3 += r3 * r3
+    deno = n5 + 0.01 * n3
+    return 0.0 if deno <= 0.0 else h * n5 * math.sqrt(1.0 / (len(e5) * deno))
+
+
+def _nested_eval(st, t):
+    """Dense output of ``st`` at t, the nested form by a loop over rows."""
+    x = (t - st.t0) / st.h
     out = []
     for m in range(len(st.y0)):
-        acc = 0.0
-        for i in range(7):
-            acc += st.k[i][m] * w[i]
-        out.append(st.y0[m] + st.h * acc)
+        acc = st.rows[6][m]
+        for j in range(5, -1, -1):
+            acc = st.rows[j][m] + (x if j % 2 else 1.0 - x) * acc
+        out.append(st.y0[m] + x * acc)
     return out
 
 
@@ -116,43 +164,58 @@ def _bits(xs):
 @pytest.mark.parametrize("flow", [Flow.REGULARIZED, Flow.PHYSICAL])
 def test_unrolled_step_is_bit_identical_to_the_tableau_loops(flow,
                                                              monkeypatch):
-    """Stages, y1, error vector and dense output of every accepted step
-    equal the plain tableau loops bit for bit (signed zeros included), on
-    a mu = 0.1 regularized run through chart switches and a physical run."""
+    """Stages, y1, both error estimates, the error norm, the dense rows and
+    the dense output of every accepted step equal the plain tableau loops
+    bit for bit (signed zeros included), on a mu = 0.1 regularized run
+    through chart switches and a physical run."""
     level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
     if flow is Flow.REGULARIZED:
         start = collision_point((1.0, 0.0), level)
     else:
         start = PhaseState(q=(0.3, 0.2), p=(0.1, 0.9))
     errors = []
-    scaled_error = integrator._scaled_error
+    error_norm = integrator._error_norm
 
-    def recorded(e, y0, y1, atol, rtol):
-        errors.append((e, y1))  # keeps y1 alive, so its id stays unique
-        return scaled_error(e, y0, y1, atol, rtol)
-    monkeypatch.setattr(integrator, "_scaled_error", recorded)
-    traj = integrate(flow, start, level, IntegrationSettings(t_max=3.0))
-    error_of = {id(y1): e for e, y1 in errors}
+    def recorded(e5, e3, y0, y1, h, atol, rtol):
+        err = error_norm(e5, e3, y0, y1, h, atol, rtol)
+        # keeps y1 alive, so its id stays unique
+        errors.append((e5, e3, y1, err, (y0, y1, h, atol, rtol)))
+        return err
+    monkeypatch.setattr(integrator, "_error_norm", recorded)
+    # the regularized run needs a longer horizon for as many steps
+    t_max = 12.0 if flow is Flow.REGULARIZED else 3.0
+    traj = integrate(flow, start, level, IntegrationSettings(t_max=t_max))
+    error_of = {id(rec[2]): rec for rec in errors}
     if flow is Flow.REGULARIZED:
         assert len({st.chart for st in traj.steps}) == 2
     assert len(traj.steps) > 100
     for st in traj.steps:
-        k, y1, err = _tableau_step(traj.rhs, st)
-        assert [_bits(ki) for ki in k] == [_bits(ki) for ki in st.k]
+        k, y1, err5, err3, rows = _tableau_step(traj.rhs, st)
+        assert _bits(k[0]) == _bits(st.f0)
+        assert _bits(k[12]) == _bits(st.f1)
         assert _bits(y1) == _bits(st.y1)
-        assert _bits(err) == _bits(error_of[id(st.y1)])
+        e5, e3, _, err, args = error_of[id(st.y1)]
+        assert _bits(err5) == _bits(e5)
+        assert _bits(err3) == _bits(e3)
+        assert err.hex() == _error_norm_by_loop(e5, e3, *args).hex()
+        assert [_bits(r) for r in rows] == [_bits(r) for r in st.rows]
         for theta in (0.25, 0.5, 0.75):
             t = st.t0 + theta * st.h
-            assert _bits(_tableau_eval(st, t)) == _bits(st.eval(t))
+            assert _bits(_nested_eval(st, t)) == _bits(st.eval(t))
 
 
-def _initial_step_by_loops(rhs, chart, y0, f0, atol, rtol):
+def _initial_step_by_loops(rhs, chart, y0, f0, atol, rtol, compensated=False):
     """The starting-step heuristic with each scaled norm summed by a
-    plain left-to-right loop from the int 0."""
+    plain left-to-right loop from the int 0 (or, if ``compensated``, by
+    ``math.fsum``), and the step-size exponent 1/8 of an eighth-order
+    method."""
     n = len(y0)
     sc = [atol + rtol * abs(v) for v in y0]
 
     def rms(xs):
+        if compensated:
+            return math.sqrt(math.fsum((x / s) ** 2 for x, s in zip(xs, sc))
+                             / n)
         acc = 0
         for x, s in zip(xs, sc):
             acc += (x / s) ** 2
@@ -165,13 +228,13 @@ def _initial_step_by_loops(rhs, chart, y0, f0, atol, rtol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, integrator.MAX_STEP)
 
 
 @pytest.mark.parametrize("flow, q, p", [
-    (Flow.PHYSICAL, (0.3, -0.15), (0.1, 0.9)),
-    (Flow.REGULARIZED, (0.05, 0.1), (0.0, -0.9)),
+    (Flow.PHYSICAL, (0.3, -0.15), (0.9, -0.5)),
+    (Flow.REGULARIZED, (0.05, 0.1), (0.0, 0.1)),
 ])
 def test_first_step_does_not_depend_on_how_python_sums(flow, q, p):
     """``sum()`` of floats is compensated from Python 3.12 on; the first
@@ -188,6 +251,7 @@ def test_first_step_does_not_depend_on_how_python_sums(flow, q, p):
     args = (traj.rhs, chart, y0, f0, settings.abs_tol, settings.rel_tol)
     h = integrator._initial_step(*args)
     assert h.hex() == _initial_step_by_loops(*args).hex()
+    assert h != _initial_step_by_loops(*args, compensated=True)
     assert traj.steps[0].h == h
 
 
@@ -231,8 +295,10 @@ def test_tighter_tolerances_do_not_worsen_drift():
 # ------------------------------------------------------------ convergence
 
 
-def test_fixed_step_convergence_is_at_least_fourth_order():
-    """Halving the step must shrink the error by at least 2^4."""
+def test_fixed_step_convergence_is_above_seventh_order():
+    """Halving the step must shrink the error by more than 2^7.  The steps
+    are powers of two, so they land exactly on the horizon, and long
+    enough that the error is not yet at roundoff."""
     state = _loop_state()
     horizon = 2.0
     ref = integrate(Flow.PHYSICAL, state, KEPLER,
@@ -241,13 +307,13 @@ def test_fixed_step_convergence_is_at_least_fourth_order():
     _, y_ref = ref.eval(horizon)
 
     errors = []
-    for h in (0.01, 0.005, 0.0025):
+    for h in (0.125, 0.0625, 0.03125):
         traj = integrate(Flow.PHYSICAL, state, KEPLER,
                          IntegrationSettings(t_max=horizon, fixed_step=h))
         _, y = traj.eval(horizon)
         errors.append(max(abs(a - b) for a, b in zip(y[:4], y_ref[:4])))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
-    assert min(orders) > 4.0, f"observed orders {orders}"
+    assert min(orders) > 7.0, f"observed orders {orders}"
 
 
 def test_bitwise_deterministic_repeats():
@@ -358,17 +424,18 @@ def _switching_run():
 
 
 def test_step_stages_are_the_vector_field_at_the_step_ends():
-    """FSAL: the first and last stages are the field at y0 and y1, bit for
+    """FSAL: the rates a step keeps are the field at y0 and y1, bit for
     bit, also where the chart switched at the step start."""
     traj, _ = _switching_run()
     for st in traj.steps:
-        assert st.k[0] == traj.rhs(st.chart, st.y0)
-        assert st.k[6] == traj.rhs(st.chart, st.y1)
+        assert st.f0 == traj.rhs(st.chart, st.y0)
+        assert st.f1 == traj.rhs(st.chart, st.y1)
 
 
 def test_event_location_reads_step_end_rates_from_the_stages():
-    """The event gets the field at a step's ends from the step's stages, so
-    no field call lands on a y0 or y1; each event value off the ends costs
+    """The event gets the field at a step's ends from the step's own rates
+    and at its midpoint from the rate of the dense output, so no field
+    call lands on a y0, a midpoint or a y1; each other event value costs
     one call.  A chart-switch boundary is read in both charts."""
     traj, switches = _switching_run()
     rhs = traj.rhs
@@ -384,11 +451,26 @@ def test_event_location_reads_step_end_rates_from_the_stages():
         calls.append((t, chart))
         return y[1]
     assert locate_event(traj, event)
-    ends = {st.y0 for st in traj.steps} | {st.y1 for st in traj.steps}
-    assert not ends.intersection(field_args)
-    assert len(field_args) == len(calls) - 2 * len(traj.steps)
+    probes = ({st.y0 for st in traj.steps} | {st.y1 for st in traj.steps}
+              | {st.eval(st.t0 + 0.5 * st.h) for st in traj.steps})
+    assert not probes.intersection(field_args)
+    assert len(field_args) == len(calls) - 3 * len(traj.steps)
     for t, before, after in switches:
         assert (t, before) in calls and (t, after) in calls
+
+
+def test_step_roots_splits_two_roots_at_the_midpoint():
+    """Two roots in one step, one on each side of its midpoint, are both
+    found; the ends alone see no sign change."""
+    traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
+                     IntegrationSettings(t_max=2.0))
+    for st in traj.steps[:10]:
+        r1, r2 = st.t0 + 0.3 * st.h, st.t0 + 0.7 * st.h
+        hits = integrator.step_roots(
+            st, traj.rhs, lambda t, chart, y, dy: (t - r1) * (t - r2), 0,
+            1e-14)
+        assert [h.t for h in hits] == [pytest.approx(r1, abs=1e-13),
+                                       pytest.approx(r2, abs=1e-13)]
 
 
 def test_early_stop_predicate_truncates_the_run():

@@ -32,7 +32,9 @@ from ccorb import (
     scan_and_bracket,
 )
 from ccorb import shooting
-from ccorb.dynamics import EnergyLevel
+from ccorb.cli import _scan_ranges
+from ccorb.dynamics import EnergyLevel, solve_bracket
+from ccorb.integrator import EventHit
 from ccorb.shooting import _shoot, axis_discriminant, pericenter_hits
 
 #: the benchmark's seed-0 chord table
@@ -187,6 +189,52 @@ def test_shot_locates_its_passes_in_the_step_loop():
     assert hits == pericenter_hits(traj)  # t, chart and y, bit for bit
     last = traj.steps[-1]
     assert last.t0 <= hits[2].t <= last.t0 + last.h
+
+
+def _sampled_passes(traj, samples: int = 16):
+    """Near passes found by sampling each step's pericenter rate at
+    ``samples`` interior points and solving every sign change between
+    neighbouring samples on the dense output."""
+    hits = []
+    for st in traj.steps:
+        def value(t, st=st):
+            y = st.eval(t)
+            return shooting._pericenter_rate(t, st.chart, y,
+                                             traj.rhs(st.chart, y))
+        ts = [st.t0 + st.h * j / (samples + 1) for j in range(samples + 2)]
+        vs = [value(t) for t in ts]
+        for j in range(samples + 1):
+            if vs[j] < 0.0 <= vs[j + 1]:
+                lo, _, hi, _ = solve_bracket(value, ts[j], vs[j], ts[j + 1],
+                                             vs[j + 1], 1e-12)
+                t = 0.5 * (lo + hi)
+                hits.append(EventHit(t=t, chart=st.chart, y=st.eval(t)))
+    return shooting._near_passes(hits)
+
+
+def test_no_two_passes_merge_within_a_step():
+    """On 8 shots of the reference grid, both sides and both branches, a
+    shot's passes are those that 16 samples per step find.  The passes
+    there come about 3.3 apart in flow time, more than MAX_STEP = 1, so
+    no step holds two of them; the midpoint probe that splits two roots
+    in one step is pinned by the integrator tests."""
+    params, level = _reference_level()
+    settings = IntegrationSettings()
+    shots = passes = 0
+    for lo, hi, _ in _scan_ranges(None, params, level):
+        for branch in Branch:
+            for i in (3, 36):
+                spec = ShotSpec(s=lo + (hi - lo) * i / 39, branch=branch,
+                                params=params, level=level)
+                traj, hits = _shoot(spec, settings, 3)
+                want = _sampled_passes(traj)
+                assert len(hits) == len(want)
+                for got, ref in zip(hits, want):
+                    assert got.chart is ref.chart
+                    assert got.t == pytest.approx(ref.t, abs=1e-9)
+                shots += 1
+                passes += len(hits)
+    assert (shots, passes) == (8, 24)
 
 
 def test_miss_changes_sign_across_the_root(kepler_params, kepler_level,
