@@ -57,7 +57,17 @@ from .regularization import (
     collision_point,
     phase_to_chart,
 )
-from .shooting import Branch, ShotSpec, _shoot, refine_chord, scan_and_bracket
+# scan_and_bracket is not called here; perfbench/op.py wraps this name
+from .shooting import (  # noqa: F401
+    Branch,
+    ShotSpec,
+    _shoot,
+    bracket_grid,
+    grid_specs,
+    refine_chord,
+    scan_and_bracket,
+    shoot_grid,
+)
 
 
 def _config(command: str, settings: IntegrationSettings | None = None,
@@ -66,8 +76,9 @@ def _config(command: str, settings: IntegrationSettings | None = None,
 
     The fields given, in order and without those that are None, then the
     tolerances and horizon of ``settings``, then the artifact version.
-    Neither ``--jobs`` nor ``--out`` changes a result, so neither is
-    recorded: the same run gives the same bytes anywhere.
+    Neither ``--jobs`` (which has no effect) nor ``--out`` changes a
+    result, so neither is recorded: the same run gives the same bytes
+    anywhere.
     """
     cfg = {"command": command}
     cfg.update((k, v) for k, v in fields.items() if v is not None)
@@ -226,32 +237,35 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "scan", settings, mu=args.mu, jacobi=c, jacobi_spec=args.jacobi,
         branch=args.branch, s_range=s_range, grid=args.grid,
         k_max=args.kmax))
+    grids = [(side, branch, grid_specs((lo, hi), args.grid, branch, params,
+                                       level))
+             for lo, hi, side in ranges for branch in branches]
+    misses = iter(shoot_grid([spec for *_, specs in grids for spec in specs],
+                             settings, args.kmax))
     rows = []
     warnings = []
-    for lo, hi, side in ranges:
-        for branch in branches:
-            brackets = scan_and_bracket((lo, hi), args.grid, branch, params,
-                                        level, settings, k_max=args.kmax,
-                                        jobs=args.jobs)
-            for bracket in brackets:
-                if bracket.kind != "sign_change":
-                    warnings.append(
-                        f"tangential candidate at s = {bracket.s_lo!r} "
-                        f"(k={bracket.pericenter_index}, {side}/"
-                        f"{branch.value}); no sign change to refine")
-                    continue
-                try:
-                    chord = refine_chord(bracket, level, settings)
-                except NumericalError as exc:
-                    warnings.append(
-                        f"refinement failed on [{bracket.s_lo!r}, "
-                        f"{bracket.s_hi!r}] (k="
-                        f"{bracket.pericenter_index}): {exc}")
-                    continue
-                if catalog_insert(catalog, chord, settings):
-                    rows.append((side, branch.value, chord.pericenter_index,
-                                 chord.spec.s, chord.tau_reeb,
-                                 chord.flight_time, chord.conditioning))
+    for side, branch, specs in grids:
+        brackets = bracket_grid(specs, [next(misses) for _ in specs],
+                                args.kmax)
+        for bracket in brackets:
+            if bracket.kind != "sign_change":
+                warnings.append(
+                    f"tangential candidate at s = {bracket.s_lo!r} "
+                    f"(k={bracket.pericenter_index}, {side}/"
+                    f"{branch.value}); no sign change to refine")
+                continue
+            try:
+                chord = refine_chord(bracket, level, settings)
+            except NumericalError as exc:
+                warnings.append(
+                    f"refinement failed on [{bracket.s_lo!r}, "
+                    f"{bracket.s_hi!r}] (k="
+                    f"{bracket.pericenter_index}): {exc}")
+                continue
+            if catalog_insert(catalog, chord, settings):
+                rows.append((side, branch.value, chord.pericenter_index,
+                             chord.spec.s, chord.tau_reeb,
+                             chord.flight_time, chord.conditioning))
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -551,7 +565,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="lo:hi axis window (default: both Hill segments)")
     p.add_argument("--grid", type=int, default=40)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted (at least 1) and ignored: the grid runs "
+                        "as one lockstep batch in this process")
     p.add_argument("--force", action="store_true",
                    help="at mu = 0, scan even at/above the first critical "
                         "value")

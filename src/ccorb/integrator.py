@@ -367,7 +367,7 @@ def _rhs_regularized(mu: float, f: float):
         g, ga1, ga2, gb1, gb2 = g_and_gradient(chart, a1, a2, b1, b2, mu, f)
         da1 = -g * gb1
         da2 = -g * gb2
-        beta = math.hypot(b1, b2)
+        beta = math.sqrt(b1 * b1 + b2 * b2)
         if chart is Chart.NORTH:
             r = beta
         else:
@@ -397,13 +397,25 @@ def _error_norm(e5: tuple[float, ...], e3: tuple[float, ...],
 
 
 def _initial_step(rhs, chart, y0, f0, atol, rtol) -> float:
-    """Deterministic starting-step heuristic (scaled Euler probe)."""
+    """Deterministic starting-step heuristic (scaled Euler probe).
+
+    Raises
+    ------
+    UsageError
+        When a scaled rate overflows: a clock starts at 0, so its scale is
+        ``atol`` alone, and a tiny ``atol`` cannot scale its rate.
+    """
     n = len(y0)
     sc = [atol + rtol * abs(y0[i]) for i in range(n)]
     d0 = d1 = d2 = 0  # plain loops: sum() is compensated from Python 3.12
-    for i in range(n):
-        d0 += (y0[i] / sc[i]) ** 2
-        d1 += (f0[i] / sc[i]) ** 2
+    try:
+        for i in range(n):
+            d0 += (y0[i] / sc[i]) ** 2
+            d1 += (f0[i] / sc[i]) ** 2
+    except OverflowError as exc:
+        raise UsageError(
+            f"tolerances abs_tol={atol!r}, rel_tol={rtol!r} are too small: "
+            f"the scaled starting rate overflows ({exc})") from exc
     d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = tuple(y0[i] + h0 * f0[i] for i in range(n))
@@ -488,20 +500,38 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
     """
     chart, y = prepare_initial(flow, initial, level)
     traj = Trajectory(flow, level, settings, chart, y)
-    rhs = traj.rhs
-
-    atol, rtol = settings.abs_tol, settings.rel_tol
-    t = 0.0
-    t_max = settings.t_max
     try:
-        f_now = rhs(chart, y)
+        f_now = traj.rhs(chart, y)
     except SingularInputError as exc:
         raise UsageError(f"singular initial condition: {exc}") from exc
+    return advance(traj, 0.0, first_step(traj.rhs, chart, y, f_now, settings),
+                   chart, y, f_now, False, until)
+
+
+def first_step(rhs, chart: Chart | None, y: tuple[float, ...],
+               f_now: tuple[float, ...], settings: IntegrationSettings
+               ) -> float:
+    """The step size a run starts with: ``fixed_step``, or the heuristic."""
     if settings.fixed_step is not None:
-        h = settings.fixed_step
-    else:
-        h = _initial_step(rhs, chart, y, f_now, atol, rtol)
-    rejected = False
+        return settings.fixed_step
+    return _initial_step(rhs, chart, y, f_now, settings.abs_tol,
+                         settings.rel_tol)
+
+
+def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
+            y: tuple[float, ...], f_now: tuple[float, ...], rejected: bool,
+            until=None, taken: int = 0) -> Trajectory:
+    """The step loop of :func:`integrate`, from any point of a run.
+
+    ``(t, h, chart, y, f_now, rejected)`` is the loop's whole state at the
+    top of an attempt, and ``taken`` counts the steps accepted before it
+    that ``traj.steps`` does not hold, so a run handed over mid-way takes
+    the same steps, bit for bit, as one that started here.  Accepted
+    steps are appended to ``traj.steps``.
+    """
+    flow, settings, rhs = traj.flow, traj.settings, traj.rhs
+    atol, rtol = settings.abs_tol, settings.rel_tol
+    t_max = settings.t_max
     # the nonzero weights, named by row and stage (_ marks a zero); p3..p6
     # are the rows of _D that make the dense rows d3..d6
     (_, (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
@@ -530,7 +560,7 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
       p6_13, p6_14, p6_15)) = _D
 
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
-        if len(traj.steps) >= MAX_STEPS:
+        if taken + len(traj.steps) >= MAX_STEPS:
             raise NumericalError(
                 f"step budget {MAX_STEPS} exhausted at t={t}")
         h = min(h, MAX_STEP, t_max - t)

@@ -1,0 +1,401 @@
+"""Lockstep DOP853 over many regularized-flow starts at once.
+
+Every live start is a lane: one column of numpy arrays holding its own
+``t``, ``h``, chart, rejection flag and step count.  Each iteration takes
+one attempt in every lane with whole-column array operations, so the
+Python overhead of a step is paid once for all lanes.
+
+Every lane takes the steps of the scalar loop
+(:func:`~ccorb.integrator.advance`) bit for bit:
+
+* the array expressions repeat the scalar ones term for term: each stage
+  sum starts from 0.0 and runs in tableau order over the nonzero weights
+  of ``_A``, ``_E5`` and ``_D``; the error norm sums the six component
+  rows in order; the dense output and the event are
+  :meth:`~ccorb.integrator.Step.eval`, :meth:`~ccorb.integrator.Step.rate`
+  and the caller's event function themselves, run on whole columns;
+* arrays see only + - * /, sqrt, abs, where and comparisons, which IEEE
+  754 rounds correctly on every machine; the chart kernels are the same
+  text as the scalar ones (:func:`~ccorb.regularization.north_field`,
+  :func:`~ccorb.regularization.south_field`), with North lanes kept first
+  so each chart runs on one slice;
+* what differs per lane stays scalar: the starting step, the controller
+  factor (Python floats, never ``np.power``), the chart switch and the
+  root solve, which runs on a :class:`~ccorb.integrator.Step` built from
+  the lane's columns whenever a start, midpoint and end sign test shows
+  an upward crossing;
+* a stage at a singular point (b = 0, or q = E) marks its lane, and that
+  lane retreats with ``h *= 0.25`` as the scalar loop does.
+
+A lane leaves when the caller's ``on_step`` says it is done or when it
+reaches ``t_max``.  Once fewer than :data:`TAIL_WIDTH` lanes are left,
+each resumes the scalar loop from its exact state: on a 2-vCPU VM one
+numpy iteration costs about as much as 12 to 15 scalar steps.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .dynamics import SINGULAR_DISTANCE
+from .errors import (
+    CcorbError,
+    NumericalError,
+    SingularInputError,
+    StepUnderflowError,
+    UsageError,
+)
+from .integrator import (
+    _A,
+    _BHH,
+    _D,
+    _E5,
+    _EXPONENT,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _SAFETY,
+    MAX_STEP,
+    MAX_STEPS,
+    SWITCH_UPPER,
+    Flow,
+    IntegrationSettings,
+    Step,
+    Trajectory,
+    _rhs_regularized,
+    _transition_state,
+    advance,
+    first_step,
+)
+from .regularization import Chart, RegularizedLevel, north_field, south_field
+
+#: below this many live lanes, the rest finish on the scalar step loop
+TAIL_WIDTH = 12
+#: |a|^2 above which a lane may leave its chart; the exact test is scalar
+_SWITCH_CANDIDATE = 0.96 * SWITCH_UPPER * SWITCH_UPPER
+#: the kernels' singular thresholds, as 0-d arrays (faster to compare)
+_TINY_B = np.array(1e-300)
+_TINY_D = np.array(SINGULAR_DISTANCE)
+
+
+def _field(ys, n_north: int, mu: float, f: float, bad):
+    """The regularized vector field on every lane, North lanes first.
+
+    Mirrors ``integrator._rhs_regularized`` term for term; lanes where a
+    kernel meets a singular point are set in ``bad``.
+    """
+    out = np.empty_like(ys)
+    width = ys.shape[1]
+    for lo, hi, field in ((0, n_north, north_field),
+                          (n_north, width, south_field)):
+        if lo == hi:
+            continue
+
+        radius = []
+
+        def seen(beta, r, d=None, lo=lo, hi=hi):
+            hit = beta < _TINY_B
+            if d is not None:
+                hit |= d < _TINY_D
+            bad[lo:hi] |= hit
+            radius.append(r)
+        b1, b2 = ys[2, lo:hi], ys[3, lo:hi]
+        g, ga1, ga2, gb1, gb2 = field(ys[0, lo:hi], ys[1, lo:hi], b1, b2,
+                                      mu, f, np.sqrt, seen)
+        ng = -g
+        da1 = np.multiply(ng, gb1, out=out[0, lo:hi])
+        da2 = np.multiply(ng, gb2, out=out[1, lo:hi])
+        np.multiply(g, ga1, out=out[2, lo:hi])
+        np.multiply(g, ga2, out=out[3, lo:hi])
+        np.multiply(g, radius[0], out=out[4, lo:hi])
+        np.negative(b1 * da1 + b2 * da2, out=out[5, lo:hi])
+    return out
+
+
+def _weights(row):
+    """A tableau row as 0-d arrays (faster operands than floats), zero
+    weights as None."""
+    return tuple(np.array(w) if w else None for w in row)
+
+
+_A_LANES = tuple(_weights(row) for row in _A)
+_E5_LANES = _weights(_E5)
+_D_LANES = tuple(_weights(row) for row in _D)
+
+
+def _weighted(weights, ks, tmp):
+    """0.0 + w_0 k_0 + w_1 k_1 + ..., in order, zero weights left out.
+
+    Summed in place, with ``tmp`` for the products; the 0.0 comes after
+    the first product, since x + 0.0 and 0.0 + x are the same bits.
+    """
+    acc = None
+    for w, k in zip(weights, ks):
+        if w is None:
+            continue
+        if acc is None:
+            acc = np.multiply(w, k)
+            acc += 0.0
+        else:
+            np.multiply(w, k, out=tmp)
+            acc += tmp
+    return acc
+
+
+def _scaled(hh, acc):
+    """h * acc, in place."""
+    acc *= hh
+    return acc
+
+
+def _stage(y, hh, weights, ks, tmp):
+    """The stage input y + h (0.0 + w_0 k_0 + ...), in place."""
+    acc = _scaled(hh, _weighted(weights, ks, tmp))
+    acc += y
+    return acc
+
+
+def _max(a, b):
+    """Python's ``max(a, b)`` per lane: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Python's ``min(a, b)`` per lane: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _error_norms(e5, e3, y0, y1, h, atol: float, rtol: float):
+    """``integrator._error_norm`` of every lane (rows are components)."""
+    sk = atol + rtol * _max(np.abs(y0), np.abs(y1))
+    r5 = e5 / sk
+    r3 = e3 / sk
+    sq5 = r5 * r5
+    sq3 = r3 * r3
+    n5 = n3 = 0.0
+    for row5, row3 in zip(sq5, sq3):
+        n5 = n5 + row5
+        n3 = n3 + row3
+    deno = n5 + 0.01 * n3
+    return np.where(deno <= 0.0, 0.0,
+                    h * n5 * np.sqrt(1.0 / (len(e5) * deno)))
+
+
+def _factors(err, accept, retreat, rejected):
+    """The step-size factor of every lane, as the scalar loop takes it.
+
+    Only the power is taken per lane, on Python floats.
+    """
+    scaled = _SAFETY * np.array([e ** -_EXPONENT if e > 0.0 else 0.0
+                                 for e in err.tolist()])
+    grow = _min(_MAX_FACTOR, _max(_MIN_FACTOR, np.where(err > 0.0, scaled,
+                                                        _MAX_FACTOR)))
+    grow = np.where(rejected, _min(1.0, grow), grow)
+    shrink = _min(1.0, _max(_MIN_FACTOR, scaled))
+    return np.where(retreat, 0.25, np.where(accept, grow, shrink))
+
+
+def _event_values(event, t, ys, dys, n_north: int):
+    """``event`` on every lane, one call per chart slice."""
+    parts = [event(t[lo:hi], chart, ys[:, lo:hi], dys[:, lo:hi])
+             for lo, hi, chart in ((0, n_north, Chart.NORTH),
+                                   (n_north, ys.shape[1], Chart.SOUTH))
+             if lo < hi]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _upward(va, vb):
+    """Lanes where va -> vb crosses zero upward (``integrator._crosses``)."""
+    return (va < 0.0) & (0.0 <= vb)
+
+
+def integrate_lanes(starts, level: RegularizedLevel,
+                    settings: IntegrationSettings, event, on_step
+                    ) -> list[CcorbError | None]:
+    """Integrate regularized-flow starts in lockstep.
+
+    Parameters
+    ----------
+    starts : list of (Chart, tuple of float)
+        Normalized starts, as :func:`~ccorb.integrator.prepare_initial`
+        returns them.
+    event : callable
+        ``event(t, chart, y, dy)``, written so that it also runs on the
+        rows of a chart slice of lanes.
+    on_step : callable
+        ``on_step(i, step)`` is called with each accepted step of lane i
+        in which ``event`` crosses zero upward, in step order; True ends
+        the lane.
+
+    Returns
+    -------
+    list
+        Per lane, None or the :class:`~ccorb.errors.CcorbError` that ended
+        it: a singular start, a singular point met by a chart switch or an
+        event probe (:class:`~ccorb.errors.UsageError`), or a step
+        underflow or spent step budget
+        (:class:`~ccorb.errors.NumericalError`).  The lanes' steps are not
+        kept.
+
+    Raises
+    ------
+    UsageError
+        When the tolerances cannot start a step (see
+        :func:`~ccorb.integrator.first_step`).
+    """
+    mu, f = level.params.mu, level.f
+    rhs = _rhs_regularized(mu, f)
+    mu_, f_ = np.array(mu), np.array(f)  # the same values, as 0-d arrays
+    errors: list[CcorbError | None] = [None] * len(starts)
+    lanes = []  # (lane, chart, y, f, h)
+    for i, (chart, y) in enumerate(starts):
+        try:
+            f0 = rhs(chart, y)
+        except SingularInputError as exc:
+            errors[i] = UsageError(f"singular initial condition: {exc}")
+            continue
+        lanes.append((i, chart, y, f0, first_step(rhs, chart, y, f0,
+                                                  settings)))
+    t_max = settings.t_max
+    t_end = t_max - 1e-15 * max(1.0, abs(t_max))
+    if not 0.0 < t_end:
+        return errors
+    lanes.sort(key=lambda lane: lane[1] is not Chart.NORTH)
+    ids = [lane[0] for lane in lanes]
+    north = np.array([lane[1] is Chart.NORTH for lane in lanes], dtype=bool)
+    y = np.array([lane[2] for lane in lanes], dtype=float).T.copy()
+    fy = np.array([lane[3] for lane in lanes], dtype=float).T.copy()
+    h = np.array([lane[4] for lane in lanes], dtype=float)
+    t = np.zeros(len(lanes))
+    taken = np.zeros(len(lanes), dtype=np.int64)
+    rejected = np.zeros(len(lanes), dtype=bool)
+    atol, rtol = settings.abs_tol, settings.rel_tol
+    lockstep = settings.fixed_step is None
+    with np.errstate(all="ignore"):
+        while lockstep and len(ids) >= TAIL_WIDTH:
+            n_north = int(np.count_nonzero(north))
+            h = np.minimum(np.minimum(h, MAX_STEP), t_max - t)
+            spent = taken >= MAX_STEPS
+            tiny = h < 1e-15 * np.maximum(1.0, np.abs(t))
+            if spent.any() or tiny.any():
+                for j in np.flatnonzero(spent | tiny).tolist():
+                    tj, hj = float(t[j]), float(h[j])
+                    errors[ids[j]] = (
+                        NumericalError(
+                            f"step budget {MAX_STEPS} exhausted at t={tj}")
+                        if spent[j] else StepUnderflowError(
+                            f"step size underflow ({hj:.3e}) at t={tj}",
+                            t=tj))
+                keep = ~(spent | tiny)
+                ids = [i for i, k in zip(ids, keep.tolist()) if k]
+                t, h, taken, rejected, north = (
+                    t[keep], h[keep], taken[keep], rejected[keep],
+                    north[keep])
+                y, fy = y[:, keep], fy[:, keep]
+                continue
+
+            # one DOP853 attempt in every lane (see integrator.advance)
+            bad = np.zeros(len(ids), dtype=bool)
+            hh = np.empty_like(y)
+            hh[:] = h  # h per lane and component: no broadcast in products
+            tmp = np.empty_like(y)
+            ks = [fy]
+            for row in _A_LANES[1:12]:
+                ks.append(_field(_stage(y, hh, row, ks, tmp), n_north, mu_,
+                                 f_, bad))
+            dy = _weighted(_A_LANES[12], ks, tmp)
+            y1 = y + hh * dy
+            ks.append(_field(y1, n_north, mu_, f_, bad))
+            err = _error_norms(
+                _weighted(_E5_LANES, ks, tmp),
+                dy - _BHH[0] * ks[0] - _BHH[1] * ks[8] - _BHH[2] * ks[11],
+                y, y1, h, atol, rtol)
+            ok = err <= 1.0
+            bad_dense = np.zeros(len(ids), dtype=bool)
+            for row in _A_LANES[13:]:
+                ks.append(_field(_stage(y, hh, row, ks, tmp), n_north, mu_,
+                                 f_, bad_dense))
+            retreat = bad | (ok & bad_dense)
+            accept = ok & ~retreat
+
+            r0 = y1 - y
+            r1 = hh * ks[0] - r0
+            # Step's own eval and rate, on one "component": the whole block
+            step = Step(t0=t, h=h, chart=None, y0=(y,), y1=(y1,), f0=(fy,),
+                        f1=(ks[12],),
+                        rows=((r0,), (r1,), (r0 - hh * ks[12] - r1,),
+                              *[(_scaled(hh, _weighted(row, ks, tmp)),)
+                                for row in _D_LANES]))
+            tm = t + 0.5 * h
+            vm = _event_values(event, tm, step.eval(tm)[0],
+                               step.rate(tm)[0], n_north)
+            crossing = accept & (
+                _upward(_event_values(event, t, y, fy, n_north), vm)
+                | _upward(vm, _event_values(event, t + h, y1, ks[12],
+                                            n_north)))
+
+            t_next = np.where(accept, t + h, t)
+            h_next = h * _factors(err, accept, retreat, rejected)
+            y_next = np.where(accept, y1, y)
+            f_next = np.where(accept, ks[12], fy)
+
+            alive = t_next < t_end
+            moved = False
+            alpha = y_next[0] * y_next[0] + y_next[1] * y_next[1]
+            for j in np.flatnonzero(accept & (alpha > _SWITCH_CANDIDATE)
+                                    ).tolist():
+                col = tuple(y_next[:, j].tolist())
+                if not math.hypot(col[0], col[1]) > SWITCH_UPPER:
+                    continue
+                chart, col = _transition_state(
+                    Chart.NORTH if north[j] else Chart.SOUTH, col)
+                try:
+                    f_next[:, j] = rhs(chart, col)
+                except SingularInputError as exc:
+                    errors[ids[j]] = exc
+                    alive[j] = crossing[j] = False
+                    continue
+                y_next[:, j] = col
+                north[j] = chart is Chart.NORTH
+                moved = True
+            for j in np.flatnonzero(crossing).tolist():
+                st = Step(t0=float(t[j]), h=float(h[j]),
+                          chart=Chart.NORTH if j < n_north else Chart.SOUTH,
+                          y0=tuple(y[:, j].tolist()),
+                          y1=tuple(y1[:, j].tolist()),
+                          f0=tuple(fy[:, j].tolist()),
+                          f1=tuple(ks[12][:, j].tolist()),
+                          rows=tuple(tuple(r[0][:, j].tolist())
+                                     for r in step.rows))
+                try:
+                    if on_step(ids[j], st):
+                        alive[j] = False
+                except CcorbError as exc:
+                    errors[ids[j]] = exc
+                    alive[j] = False
+
+            t, h, y, fy = t_next, h_next, y_next, f_next
+            taken = taken + accept
+            rejected = ~accept
+            if moved or not alive.all():
+                keep = np.concatenate((np.flatnonzero(alive & north),
+                                       np.flatnonzero(alive & ~north)))
+                ids = [ids[j] for j in keep.tolist()]
+                t, h, taken, rejected, north = (
+                    t[keep], h[keep], taken[keep], rejected[keep],
+                    north[keep])
+                y, fy = y[:, keep], fy[:, keep]
+
+    for j, i in enumerate(ids):
+        traj = Trajectory(Flow.REGULARIZED, level, settings, None, ())
+        try:
+            advance(traj, float(t[j]), float(h[j]),
+                    Chart.NORTH if north[j] else Chart.SOUTH,
+                    tuple(y[:, j].tolist()), tuple(fy[:, j].tolist()),
+                    bool(rejected[j]),
+                    until=lambda tr, i=i: on_step(i, tr.steps[-1]),
+                    taken=int(taken[j]))
+        except CcorbError as exc:
+            errors[i] = exc
+    return errors

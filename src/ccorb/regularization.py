@@ -158,6 +158,87 @@ def g_value(chart: Chart, a1: float, a2: float, b1: float, b2: float,
             + (f - 0.5) * r - e_term)
 
 
+def _refuse_singular(beta: float, r: float, d: float | None = None) -> None:
+    """The ``seen`` of the scalar kernels: raise at b = 0 and at q = E
+    (``r`` is not needed here)."""
+    if beta < 1e-300:
+        raise SingularInputError("fiber coordinate b = 0 is singular")
+    if d is not None and d < SINGULAR_DISTANCE:
+        raise SingularInputError(
+            "chart point pulls back to the primary E (singular)")
+
+
+def north_field(a1, a2, b1, b2, mu: float, f: float, sqrt, seen):
+    """North-chart G and its chart gradient (G, dG/da1, dG/da2, dG/db1,
+    dG/db2).
+
+    G = |b| c0 with c0 = |a|^2/2 + s + mu a2 and s = a1 b2 - a2 b1 + f
+    - mu/|b - E|.  One text serves floats (``sqrt`` = ``math.sqrt``) and
+    numpy lanes (``np.sqrt``): it uses only + - * /, sqrt and no branch on
+    the lane data, so the two agree bit for bit.  ``seen(beta, r)`` or
+    ``seen(beta, r, d)`` gets |b|, r = |q| and the distance to E before
+    they divide anything.
+    """
+    beta = sqrt(b1 * b1 + b2 * b2)
+    alpha = a1 * a1 + a2 * a2
+    cross = a1 * b2 - a2 * b1
+    if mu != 0.0:
+        e1 = b1 - 1.0
+        d = sqrt(e1 * e1 + b2 * b2)
+        seen(beta, beta, d)
+        inv_d = 1.0 / d
+        mi = mu * inv_d
+        k = mi * beta * inv_d * inv_d
+    else:
+        seen(beta, beta)
+        e1 = mi = k = 0.0  # mu-weighted terms vanish identically
+    c0 = 0.5 * alpha + (cross + f - mi) + mu * a2
+    cb = c0 / beta
+    return (beta * c0, beta * (a1 + b2), beta * (a2 - b1 + mu),
+            cb * b1 - beta * a2 + k * e1, cb * b2 + beta * a1 + k * b2)
+
+
+def south_field(a1, a2, b1, b2, mu: float, f: float, sqrt, seen):
+    """South-chart G and its chart gradient; here r = |q| = |a|^2 |b|.
+
+    G = |b| p with p = 1/2 + |a|^2 s + mu a2 and
+    s = a1 b2 - a2 b1 + f - mu/|q - E|, q = |a|^2 b - 2 (a.b) a.
+    With e = q - E, the E term enters the gradient through
+    e . dq/da = 2 (cross e2 - w e1, -(cross e1 + w e2)) and
+    e . dq/db = |a|^2 e - 2 (e.a) a, where w = a.b.  Same conventions as
+    :func:`north_field`.
+    """
+    beta = sqrt(b1 * b1 + b2 * b2)
+    alpha = a1 * a1 + a2 * a2
+    cross = a1 * b2 - a2 * b1
+    w = a1 * b1 + a2 * b2
+    r = alpha * beta
+    if mu != 0.0:
+        tw = w + w
+        e1 = alpha * b1 - tw * a1 - 1.0
+        e2 = alpha * b2 - tw * a2
+        d = sqrt(e1 * e1 + e2 * e2)
+        seen(beta, r, d)
+        inv_d = 1.0 / d
+        mi = mu * inv_d
+        k = mi * r * inv_d * inv_d
+    else:
+        seen(beta, r)
+        e1 = e2 = mi = k = 0.0  # mu-weighted terms vanish identically
+    s = cross + f - mi
+    p = 0.5 + alpha * s + mu * a2
+    k2 = k + k
+    ka = k * alpha
+    kea = k2 * (e1 * a1 + e2 * a2)
+    bs = beta * (s + s)
+    pb = p / beta
+    return (beta * p,
+            bs * a1 + r * b2 + k2 * (cross * e2 - w * e1),
+            bs * a2 + mu * beta - r * b1 - k2 * (cross * e1 + w * e2),
+            pb * b1 - r * a2 + (ka * e1 - kea * a1),
+            pb * b2 + r * a1 + (ka * e2 - kea * a2))
+
+
 def g_and_gradient(chart: Chart, a1: float, a2: float, b1: float, b2: float,
                    mu: float, f: float
                    ) -> tuple[float, float, float, float, float]:
@@ -166,75 +247,18 @@ def g_and_gradient(chart: Chart, a1: float, a2: float, b1: float, b2: float,
     Returns
     -------
     tuple of float
-        (G, dG/da1, dG/da2, dG/db1, dG/db2).  Shared subexpressions make
-        this the integration hot path; kept in plain floats on purpose.
+        (G, dG/da1, dG/da2, dG/db1, dG/db2), from :func:`north_field` or
+        :func:`south_field`.  The integration hot path; plain floats.
+
+    Raises
+    ------
+    SingularInputError
+        At b = 0, or where the chart point pulls back to the primary E.
     """
-    beta = math.hypot(b1, b2)
-    if beta < 1e-300:
-        raise SingularInputError("fiber coordinate b = 0 is singular")
-    alpha = a1 * a1 + a2 * a2
-    cross = a1 * b2 - a2 * b1
     if chart is Chart.NORTH:
-        q1, q2, r = b1, b2, beta
-        if mu != 0.0:
-            d = math.hypot(q1 - 1.0, q2)
-            if d < SINGULAR_DISTANCE:
-                raise SingularInputError(
-                    "chart point pulls back to the primary E (singular)")
-            inv_d = 1.0 / d
-            id3 = mu * beta * inv_d * inv_d * inv_d
-        else:
-            inv_d = 0.0  # mu-weighted terms vanish identically
-            id3 = 0.0
-        g = (beta * (1.0 + alpha) * 0.5 + r * cross + mu * a2 * beta
-             + (f - 0.5) * r - mu * r * inv_d)
-        ga1 = beta * (a1 + b2)
-        ga2 = beta * (a2 - b1 + mu)
-        # d/db of every |b|-proportional term plus the cross and E terms
-        common = ((1.0 + alpha) * 0.5 + cross + mu * a2 + (f - 0.5)
-                  - mu * inv_d) / beta
-        gb1 = common * b1 - beta * a2 + id3 * (q1 - 1.0)
-        gb2 = common * b2 + beta * a1 + id3 * q2
-        return g, ga1, ga2, gb1, gb2
-    w = a1 * b1 + a2 * b2
-    r = alpha * beta
-    q1 = alpha * b1 - 2.0 * w * a1
-    q2 = alpha * b2 - 2.0 * w * a2
-    if mu != 0.0:
-        d = math.hypot(q1 - 1.0, q2)
-        if d < SINGULAR_DISTANCE:
-            raise SingularInputError(
-                "chart point pulls back to the primary E (singular)")
-        inv_d = 1.0 / d
-        # dq_i/da_j = 2 a_j b_i - 2 b_j a_i - 2 w delta_ij
-        dq1a1 = -2.0 * w
-        dq1a2 = 2.0 * (a2 * b1 - b2 * a1)
-        dq2a1 = -dq1a2
-        dq2a2 = -2.0 * w
-        # dq_i/db_j = alpha delta_ij - 2 a_i a_j  (symmetric matrix)
-        dq1b1 = alpha - 2.0 * a1 * a1
-        dq12b = -2.0 * a1 * a2
-        dq2b2 = alpha - 2.0 * a2 * a2
-        e1 = q1 - 1.0
-        dda1 = (e1 * dq1a1 + q2 * dq2a1) * inv_d
-        dda2 = (e1 * dq1a2 + q2 * dq2a2) * inv_d
-        ddb1 = (e1 * dq1b1 + q2 * dq12b) * inv_d
-        ddb2 = (e1 * dq12b + q2 * dq2b2) * inv_d
-    else:
-        inv_d = 0.0  # mu-weighted terms vanish identically
-        dda1 = dda2 = ddb1 = ddb2 = 0.0
-    g = (beta * (1.0 + alpha) * 0.5 + r * cross + mu * a2 * beta
-         + (f - 0.5) * r - mu * r * inv_d)
-    inv_beta = 1.0 / beta
-    cc = cross + (f - 0.5) - mu * inv_d
-    mu_r_d2 = mu * r * inv_d * inv_d
-    ga1 = beta * a1 + 2.0 * beta * a1 * cc + r * b2 + mu_r_d2 * dda1
-    ga2 = beta * a2 + 2.0 * beta * a2 * cc - r * b1 + mu * beta + mu_r_d2 * dda2
-    gb1 = ((1.0 + alpha) * 0.5 * b1 * inv_beta + alpha * b1 * inv_beta * cc
-           - r * a2 + mu * a2 * b1 * inv_beta + mu_r_d2 * ddb1)
-    gb2 = ((1.0 + alpha) * 0.5 * b2 * inv_beta + alpha * b2 * inv_beta * cc
-           + r * a1 + mu * a2 * b2 * inv_beta + mu_r_d2 * ddb2)
-    return g, ga1, ga2, gb1, gb2
+        return north_field(a1, a2, b1, b2, mu, f, math.sqrt,
+                           _refuse_singular)
+    return south_field(a1, a2, b1, b2, mu, f, math.sqrt, _refuse_singular)
 
 
 def kcheck_value(pt: MoserChartPoint, level: RegularizedLevel) -> float:

@@ -21,10 +21,9 @@ its values straight off the k-th one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .dynamics import (
     PhaseState,
@@ -43,10 +42,13 @@ from .integrator import (
     Flow,
     IntegrationSettings,
     Trajectory,
+    _rhs_regularized,
     integrate,
     locate_event,
+    prepare_initial,
     step_roots,
 )
+from .lanes import integrate_lanes
 from .regularization import Chart, RegularizedLevel, phase_to_chart
 
 #: pericenter minima with |q| above this radius are not near passes (D12)
@@ -167,7 +169,10 @@ def axis_initial_state(spec: ShotSpec) -> PhaseState:
 
 
 def _pericenter_rate(t, chart, y, dy) -> float:
-    """Event function d|q|^2/dt evaluated chart-smoothly."""
+    """Event function d|q|^2/dt evaluated chart-smoothly.
+
+    Also runs on the rows of a chart slice of lanes (numpy arrays).
+    """
     bdot = y[2] * dy[2] + y[3] * dy[3]
     if chart is Chart.NORTH:
         return 2.0 * bdot
@@ -188,6 +193,11 @@ def _radius_sq(chart: Chart, y) -> float:
 def _near_passes(hits):
     """The pericenter hits closer to O than :data:`R_NEAR`."""
     return [h for h in hits if _radius_sq(h.chart, h.y) < _R_NEAR_SQ]
+
+
+def _passes(st, rhs, tol: float):
+    """The near passes located in one accepted step."""
+    return _near_passes(step_roots(st, rhs, _pericenter_rate, +1, tol))
 
 
 def pericenter_hits(traj: Trajectory):
@@ -211,9 +221,7 @@ def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
     hits = []
 
     def until(traj: Trajectory) -> bool:
-        hits.extend(_near_passes(step_roots(
-            traj.steps[-1], traj.rhs, _pericenter_rate, +1,
-            settings.event_tol)))
+        hits.extend(_passes(traj.steps[-1], traj.rhs, settings.event_tol))
         return len(hits) >= k
 
     traj = integrate(Flow.REGULARIZED, phase_to_chart(state), spec.level,
@@ -242,58 +250,79 @@ def miss_function(spec: ShotSpec, settings: IntegrationSettings,
     return _miss(hits[pericenter_index - 1])
 
 
-def _eval_shot_worker(spec: ShotSpec, settings: IntegrationSettings,
-                      k_max: int) -> list[float]:
-    """Top-level grid worker (picklable): the misses of passes 1..k_max.
+def shoot_grid(specs: list[ShotSpec], settings: IntegrationSettings,
+               k_max: int) -> list[list[float]]:
+    """The misses of passes 1..k_max of every shot, in one lockstep batch.
 
-    The list is shorter when t_max comes first, and empty when the shot
-    cannot start.
+    Each list holds, bit for bit, the misses that :func:`_shoot` gives for
+    its spec (:mod:`~ccorb.lanes` integrates all shots together).  It is
+    shorter when t_max comes first, and empty when the shot cannot start
+    or meets a singular point on its way.  A numerical failure of any shot
+    is raised, the first in spec order.  All specs share one level.
     """
-    try:
-        _, hits = _shoot(spec, settings, k_max)
-    except UsageError:
+    if k_max < 1:
+        raise UsageError(f"k_max must be at least 1, got {k_max}")
+    if not specs:
         return []
-    return [_miss(hit) for hit in hits[:k_max]]
+    level = specs[0].level
+    if any(spec.level != level for spec in specs):
+        raise UsageError("one lockstep batch takes one energy level")
+    starts, spec_of = [], []
+    for i, spec in enumerate(specs):
+        try:
+            starts.append(prepare_initial(
+                Flow.REGULARIZED, phase_to_chart(axis_initial_state(spec)),
+                level))
+        except UsageError:
+            continue
+        spec_of.append(i)
+    rhs = _rhs_regularized(level.params.mu, level.f)
+    hits = [[] for _ in starts]
+
+    def on_step(lane: int, st) -> bool:
+        hits[lane] += _passes(st, rhs, settings.event_tol)
+        return len(hits[lane]) >= k_max
+
+    errors = integrate_lanes(starts, level, settings, _pericenter_rate,
+                             on_step)
+    misses: list[list[float]] = [[] for _ in specs]
+    for lane, i in enumerate(spec_of):
+        if errors[lane] is None:
+            misses[i] = [_miss(hit) for hit in hits[lane][:k_max]]
+        elif not isinstance(errors[lane], UsageError):
+            raise errors[lane]
+    return misses
 
 
-def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
-                     params: SystemParams, level: RegularizedLevel,
-                     settings: IntegrationSettings, k_max: int = 3,
-                     jobs: int = 1) -> list[Bracket]:
-    """Sweep a uniform s-grid and bracket miss-function sign changes.
-
-    Each shot is integrated once; its pericenter passes 1..k_max define
-    the k-indexed miss families.  Adjacent finite misses of opposite sign
-    become refinable brackets (a shot with fewer than k passes has no k-th
-    miss); isolated grid points with
-    |m| < :data:`GRAZING_TOL` but no sign change are flagged as tangential
-    candidates.  With ``jobs`` > 1 the grid fans out over a process pool;
-    results are merged in grid order, so the output is identical to a
-    serial run.
-    """
+def grid_specs(s_range: tuple[float, float], n: int, branch: Branch,
+               params: SystemParams, level: RegularizedLevel
+               ) -> list[ShotSpec]:
+    """The shots of a uniform n-point s-grid over ``s_range``."""
     lo, hi = s_range
     if not (lo < hi) or n < 2:
         raise UsageError("need s_lo < s_hi and a grid of at least 2 points")
-    if k_max < 1:
-        raise UsageError(f"k_max must be at least 1, got {k_max}")
     if lo <= 0.0 <= hi:
         raise UsageError("s-range must not contain the primary at s = 0")
-    specs = [ShotSpec(s=lo + (hi - lo) * i / (n - 1), branch=branch,
-                      params=params, level=level) for i in range(n)]
-    worker = partial(_eval_shot_worker, settings=settings, k_max=k_max)
-    if jobs > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(worker, specs, chunksize=1))
-        except OSError:
-            results = [worker(spec) for spec in specs]
-    else:
-        results = [worker(spec) for spec in specs]
+    return [ShotSpec(s=lo + (hi - lo) * i / (n - 1), branch=branch,
+                     params=params, level=level) for i in range(n)]
 
+
+def bracket_grid(specs: list[ShotSpec], misses: list[list[float]],
+                 k_max: int) -> list[Bracket]:
+    """Bracket the miss-function sign changes of one grid.
+
+    ``misses`` are :func:`shoot_grid`'s lists for ``specs``, one branch
+    in s order; passes 1..k_max define the k-indexed miss families.
+    Adjacent finite misses of opposite sign become refinable brackets (a
+    shot with fewer than k passes has no k-th miss); isolated grid points
+    with |m| < :data:`GRAZING_TOL` but no sign change are flagged as
+    tangential candidates.
+    """
+    branch = specs[0].branch
     brackets: list[Bracket] = []
     for k in range(1, k_max + 1):
-        row = [(spec.s, misses[k - 1] if k <= len(misses) else math.nan)
-               for spec, misses in zip(specs, results)]
+        row = [(spec.s, shot[k - 1] if k <= len(shot) else math.nan)
+               for spec, shot in zip(specs, misses)]
         for (sa, ma), (sb, mb) in zip(row, row[1:]):
             if (math.isfinite(ma) and math.isfinite(mb)
                     and (ma < 0.0) != (mb < 0.0)):
@@ -311,6 +340,20 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
                     branch=branch, kind="tangential"))
     brackets.sort(key=lambda b: (b.pericenter_index, b.s_lo))
     return brackets
+
+
+def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
+                     params: SystemParams, level: RegularizedLevel,
+                     settings: IntegrationSettings, k_max: int = 3,
+                     jobs: int = 1) -> list[Bracket]:
+    """Sweep a uniform s-grid and bracket miss-function sign changes.
+
+    The one-grid case of :func:`grid_specs`, :func:`shoot_grid` and
+    :func:`bracket_grid`.  ``jobs`` is accepted for callers that pass it
+    and has no effect: the grid runs as one lockstep batch.
+    """
+    specs = grid_specs(s_range, n, branch, params, level)
+    return bracket_grid(specs, shoot_grid(specs, settings, k_max), k_max)
 
 
 def _slope_across(probes, negative_lo: bool) -> float:

@@ -57,6 +57,13 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def test_the_operation_finds_the_scan_it_wraps():
+    """``perfbench/op.py`` counts brackets by wrapping the name
+    ``scan_and_bracket`` of ``ccorb.cli``."""
+    import ccorb.cli
+    assert ccorb.cli.scan_and_bracket is scan_and_bracket
+
+
 def test_setup_code_runs():
     run = _load("run")
     exec(compile(run.SETUP_CODE, "SETUP_CODE", "exec"), {})

@@ -226,7 +226,7 @@ def _no_work(*args, **kwargs):
 
 def test_scan_to_a_missing_directory_exits_two_before_shooting(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "scan_and_bracket", _no_work)
+    monkeypatch.setattr(cli, "shoot_grid", _no_work)
     rc = main(ORACLE_SCAN + ["--out", str(tmp_path / "absent" / "o.jsonl")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -262,7 +262,7 @@ def test_orbit_svg_to_a_missing_directory_exits_two_before_reshooting(
 def test_scan_rejects_a_range_outside_the_hill_interval(
         s_range, grid, tmp_path, capsys, monkeypatch):
     """At mu = 0.1, auto-0.1 the axis interval is (-0.55585, 0.58408)."""
-    monkeypatch.setattr(cli, "scan_and_bracket", _no_work)
+    monkeypatch.setattr(cli, "shoot_grid", _no_work)
     out = tmp_path / "x.jsonl"
     rc = main(["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
                "minus", "--kmax", "1", "--grid", grid,
@@ -437,6 +437,23 @@ def test_integrate_rejects_a_nan_tolerance(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "rel_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--grid", "3", "--kmax",
+     "1", "--jobs", "1"],
+    ["integrate", "--mu", "0.1", "--jacobi", "auto-0.1", "--regularized",
+     "--eject", "0.3", "--tmax", "1"],
+])
+def test_a_tolerance_too_small_to_start_a_step_is_a_usage_error(
+        argv, tmp_path, capsys):
+    """A clock starts at 0, so its error scale is abs_tol alone; at 1e-300
+    its scaled rate overflows the starting-step heuristic."""
+    rc = main(argv + ["--abs-tol", "1e-300", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "abs_tol" in err
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------- starshape

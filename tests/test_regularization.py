@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ccorb import (
@@ -23,9 +24,10 @@ from ccorb import (
     physical_state,
 )
 from ccorb import hamiltonian
-from ccorb.errors import AtCollisionError, UsageError
+from ccorb.dynamics import SINGULAR_DISTANCE
+from ccorb.errors import AtCollisionError, SingularInputError, UsageError
 from ccorb.integrator import _rhs_regularized
-from ccorb.regularization import g_and_gradient
+from ccorb.regularization import g_and_gradient, north_field, south_field
 
 LEVEL = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
 
@@ -193,6 +195,47 @@ def test_g_gradient_matches_finite_differences(chart):
         for i, grad in enumerate((da1, da2, db1, db2)):
             fd = (g_at(i, h) - g_at(i, -h)) / (2.0 * h)
             assert grad == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.0])
+@pytest.mark.parametrize("chart", [Chart.NORTH, Chart.SOUTH])
+def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(chart, mu):
+    """The chart kernel run on numpy lanes gives g_and_gradient's floats
+    at random points, and flags exactly the points where it raises: b = 0
+    and the pull-backs of E (E itself and a point within 1e-14 of it)."""
+    rng = random.Random(11)
+    points = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
+               rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+              for _ in range(400)]
+    points += [(0.3, -0.2, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
+    if chart is Chart.NORTH:
+        points += [(0.2, 0.4, 1.0, 0.0), (0.2, 0.4, 1.0 + 5e-15, 0.0)]
+    else:  # a = (1, 0), b = (-1, 0) pulls back to q = (1, 0)
+        points += [(1.0, 0.0, -1.0, 0.0), (1.0, 0.0, -1.0 - 5e-15, 0.0)]
+    f = LEVEL.f
+    want, singular = [], []
+    for pt in points:
+        try:
+            want.append(g_and_gradient(chart, *pt, mu, f))
+            singular.append(False)
+        except SingularInputError:
+            want.append(None)
+            singular.append(True)
+    flags = np.zeros(len(points), dtype=bool)
+
+    def seen(beta, r, d=None):
+        flags[:] |= beta < 1e-300
+        if d is not None:
+            flags[:] |= d < SINGULAR_DISTANCE
+    field = north_field if chart is Chart.NORTH else south_field
+    with np.errstate(all="ignore"):
+        got = field(*np.array(points).T, mu, f, np.sqrt, seen)
+    assert flags.tolist() == singular
+    assert sum(singular) == (4 if mu else 2)
+    for j, value in enumerate(want):
+        if value is not None:
+            assert [x.hex() for x in value] == [
+                float(row[j]).hex() for row in got]
 
 
 def test_vector_field_is_scaled_skew_gradient():

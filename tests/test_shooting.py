@@ -31,11 +31,19 @@ from ccorb import (
     refine_chord,
     scan_and_bracket,
 )
-from ccorb import shooting
+from ccorb import lanes, shooting
 from ccorb.cli import _scan_ranges
 from ccorb.dynamics import EnergyLevel, solve_bracket
 from ccorb.integrator import EventHit
-from ccorb.shooting import _shoot, axis_discriminant, pericenter_hits
+from ccorb.shooting import (
+    _miss,
+    _shoot,
+    axis_discriminant,
+    bracket_grid,
+    grid_specs,
+    pericenter_hits,
+    shoot_grid,
+)
 
 #: the benchmark's seed-0 chord table
 REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -341,23 +349,35 @@ def test_grid_refinement_keeps_every_bracket(kepler_params, kepler_level,
         assert inside, f"bracket {b.s_lo}:{b.s_hi} lost under refinement"
 
 
-def test_reference_level_brackets_survive_grid_doubling():
-    """Completeness: grids N = 8 and 2N = 16 on the reference level find
-    the same sign changes, each fine bracket inside a coarse one."""
+def _reference_grids(n: int):
+    """Every (side, branch) grid of the reference scan at n points."""
     params, level = _reference_level()
-    hill = hill_component_interval(params, level)
-    s_range = (0.02 * hill.s_max, hill.s_max - 0.02 * hill.s_max)
+    return [((side, branch), grid_specs((lo, hi), n, branch, params, level))
+            for lo, hi, side in _scan_ranges(None, params, level)
+            for branch in Branch]
 
+
+def test_reference_level_brackets_survive_grid_doubling():
+    """Completeness over the whole reference level: grids N = 8 and
+    2N = 16, both sides and both branches at k = 1..3, each shot as one
+    batch, find the same 6 sign changes, each fine bracket inside the
+    coarse one of its side, branch and k (grids 12 and 40 find the same
+    6)."""
     def sign_changes(n):
-        return [b for b in scan_and_bracket(s_range, n, Branch.MINUS, params,
-                                            level, IntegrationSettings(),
-                                            k_max=1)
-                if b.kind == "sign_change"]
+        grids = _reference_grids(n)
+        misses = iter(shoot_grid([s for _, specs in grids for s in specs],
+                                 IntegrationSettings(), 3))
+        return {(key, b.pericenter_index, b.s_lo, b.s_hi)
+                for key, specs in grids
+                for b in bracket_grid(specs, [next(misses) for _ in specs],
+                                      3)
+                if b.kind == "sign_change"}
     coarse, fine = sign_changes(8), sign_changes(16)
-    assert coarse and len(fine) == len(coarse)
-    for f in fine:
-        assert any(b.s_lo <= f.s_lo and f.s_hi <= b.s_hi for b in coarse), (
-            f"bracket {f.s_lo}:{f.s_hi} outside every grid-8 bracket")
+    assert len(coarse) == len(fine) == 6
+    for key, k, lo, hi in fine:
+        assert any(c[:2] == (key, k) and c[2] <= lo and hi <= c[3]
+                   for c in coarse), (
+            f"bracket {key} k={k} {lo}:{hi} outside every grid-8 bracket")
 
 
 @pytest.mark.parametrize("bad", [(-0.1, 0.2), (0.5, 0.4), (0.3, 0.3)])
@@ -383,6 +403,69 @@ def test_parallel_scan_matches_serial(kepler_params, kepler_level,
     fanned = scan_and_bracket((0.40, 0.53), 9, Branch.MINUS, kepler_params,
                               kepler_level, tight_settings, k_max=2, jobs=3)
     assert serial == fanned
+
+
+# ------------------------------------------------------- lockstep batch
+
+
+def _scalar_misses(specs, settings, k_max):
+    """Each spec's misses by its own scalar shot; [] when it cannot start
+    or meets a singular point."""
+    out = []
+    for spec in specs:
+        try:
+            _, hits = _shoot(spec, settings, k_max)
+        except UsageError:
+            out.append([])
+            continue
+        out.append([_miss(hit).hex() for hit in hits[:k_max]])
+    return out
+
+
+def _batch_cases():
+    params, level = _reference_level()
+    kepler = SystemParams(mu=0.0)
+    kepler_level = RegularizedLevel(params=kepler, f=2.0)
+    tight = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-12, t_max=10.0)
+    coarse = [s for _, specs in _reference_grids(8) for s in specs]
+    return {
+        "refine-coarse grids": (coarse, IntegrationSettings(), 3),
+        "mu = 0 oracle grid": (
+            grid_specs((0.40, 0.53), 8, Branch.MINUS, kepler, kepler_level),
+            tight, 2),
+        # s > 1/2 lies outside the Hill region at mu = 0, c = -2
+        "unstartable specs": (
+            grid_specs((0.45, 0.62), 6, Branch.MINUS, kepler, kepler_level),
+            tight, 1),
+        "one shot": (coarse[5:6], IntegrationSettings(), 3),
+        "across the tail width": (coarse[:lanes.TAIL_WIDTH + 1],
+                                  IntegrationSettings(), 3),
+        # a fixed step runs every lane on the scalar loop
+        "fixed step": (coarse[:lanes.TAIL_WIDTH + 1],
+                       IntegrationSettings(fixed_step=0.05, t_max=8.0), 1),
+        "no room for a step": (coarse[:lanes.TAIL_WIDTH + 1],
+                               IntegrationSettings(t_max=1e-16), 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_batch_cases()))
+def test_batch_misses_are_the_scalar_shots(case):
+    """Every lane of a lockstep batch gives the misses of the scalar shot
+    of its spec, bit for bit."""
+    specs, settings, k_max = _batch_cases()[case]
+    got = [[m.hex() for m in misses]
+           for misses in shoot_grid(specs, settings, k_max)]
+    assert got == _scalar_misses(specs, settings, k_max)
+    if case == "unstartable specs":
+        assert [] in got and got.count([]) < len(got)
+
+
+def test_batch_takes_one_level(kepler_params, kepler_level, tight_settings):
+    other = RegularizedLevel(params=kepler_params, f=2.1)
+    specs = [ShotSpec(s=0.45, branch=Branch.MINUS, params=kepler_params,
+                      level=level) for level in (kepler_level, other)]
+    with pytest.raises(UsageError):
+        shoot_grid(specs, tight_settings, 1)
 
 
 # -------------------------------------------------------------- refinement
