@@ -62,11 +62,10 @@ from .shooting import (  # noqa: F401
     Branch,
     ShotSpec,
     _shoot,
-    bracket_grid,
     grid_specs,
     refine_chord,
     scan_and_bracket,
-    shoot_grid,
+    scan_grids,
 )
 
 
@@ -212,6 +211,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     s_range = _parse_srange(args.s_range) if args.s_range else None
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.kmax < 1:
+        raise UsageError(f"--kmax must be at least 1, got {args.kmax}")
     settings = _settings(args)
     level = RegularizedLevel(params, f=-c)
     crit = first_critical_value(params)
@@ -240,13 +241,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     grids = [(side, branch, grid_specs((lo, hi), args.grid, branch, params,
                                        level))
              for lo, hi, side in ranges for branch in branches]
-    misses = iter(shoot_grid([spec for *_, specs in grids for spec in specs],
-                             settings, args.kmax))
+    found = scan_grids([specs for *_, specs in grids], settings, args.kmax)
     rows = []
     warnings = []
-    for side, branch, specs in grids:
-        brackets = bracket_grid(specs, [next(misses) for _ in specs],
-                                args.kmax)
+    for (side, branch, _), brackets in zip(grids, found):
         for bracket in brackets:
             if bracket.kind != "sign_change":
                 warnings.append(

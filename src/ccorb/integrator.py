@@ -218,6 +218,10 @@ class IntegrationSettings:
                     and value > 0):
                 raise UsageError(
                     f"{name} must be finite and positive, got {value!r}")
+            # an error of order one leaves the energy level, and the steps
+            # then shrink towards the step budget for minutes
+            if name in ("rel_tol", "abs_tol") and value >= 1.0:
+                raise UsageError(f"{name} must be below 1, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

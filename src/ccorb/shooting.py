@@ -21,7 +21,7 @@ its values straight off the k-th one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -34,7 +34,9 @@ from .dynamics import (
 )
 from .errors import (
     BisectionStagnationError,
+    CcorbError,
     EnergeticallyForbiddenError,
+    SingularInputError,
     TangentialRootError,
     UsageError,
 )
@@ -43,6 +45,7 @@ from .integrator import (
     IntegrationSettings,
     Trajectory,
     _rhs_regularized,
+    first_step,
     integrate,
     locate_event,
     prepare_initial,
@@ -60,6 +63,14 @@ S_INTERVAL_TOL = 1e-13
 SLOPE_MIN_SEPARATION = 1e-9
 #: grid points with |m| below this but no sign change flag tangential roots
 GRAZING_TOL = 1e-4
+#: (rel_tol, abs_tol) of a scan grid's shots, which decide signs only,
+#: when the run's own tolerances are tighter in both (see :func:`scan_grids`)
+GRID_TOL = (1e-7, 1e-9)
+#: the sign certificate's margin in |m| and in |q| at a pass, as a multiple
+#: of the grid's rel_tol, and in the time of a pass, as a multiple of that
+#: rel_tol times t_max: over 100 times the largest gap between a loose and
+#: a full-tolerance shot on the reference grids
+CERT_MARGIN = 3000.0
 #: refined shots must come at least this close to O to count as collisions
 R_PERI_COLLISION = 1e-9
 
@@ -250,15 +261,16 @@ def miss_function(spec: ShotSpec, settings: IntegrationSettings,
     return _miss(hits[pericenter_index - 1])
 
 
-def shoot_grid(specs: list[ShotSpec], settings: IntegrationSettings,
-               k_max: int) -> list[list[float]]:
-    """The misses of passes 1..k_max of every shot, in one lockstep batch.
+def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
+                 k_max: int, lane_settings: IntegrationSettings | None = None
+                 ) -> list[tuple[list, CcorbError | None]]:
+    """Every shot of ``specs`` in one lockstep batch, to its k_max-th pass.
 
-    Each list holds, bit for bit, the misses that :func:`_shoot` gives for
-    its spec (:mod:`~ccorb.lanes` integrates all shots together).  It is
-    shorter when t_max comes first, and empty when the shot cannot start
-    or meets a singular point on its way.  A numerical failure of any shot
-    is raised, the first in spec order.  All specs share one level.
+    Per spec, the (t, |q|^2, m) of its pericenter passes, near or not, and
+    the error that ended its lane; ([], None) when it cannot start.  The
+    lanes run at ``lane_settings``, by default ``settings``, which must be
+    able to start every lane as they must for the scalar shot.  All specs
+    share one level.
     """
     if k_max < 1:
         raise UsageError(f"k_max must be at least 1, got {k_max}")
@@ -277,20 +289,54 @@ def shoot_grid(specs: list[ShotSpec], settings: IntegrationSettings,
             continue
         spec_of.append(i)
     rhs = _rhs_regularized(level.params.mu, level.f)
-    hits = [[] for _ in starts]
+    if lane_settings is not None:  # refuse what the scalar shot refuses
+        for chart, y in starts:
+            try:
+                first_step(rhs, chart, y, rhs(chart, y), settings)
+            except SingularInputError:
+                continue
+    passes = [[] for _ in starts]
+    near = [0] * len(starts)
 
     def on_step(lane: int, st) -> bool:
-        hits[lane] += _passes(st, rhs, settings.event_tol)
-        return len(hits[lane]) >= k_max
+        for hit in step_roots(st, rhs, _pericenter_rate, +1,
+                              settings.event_tol):
+            r2 = _radius_sq(hit.chart, hit.y)
+            passes[lane].append((hit.t, r2, _miss(hit)))
+            near[lane] += r2 < _R_NEAR_SQ
+        return near[lane] >= k_max
 
-    errors = integrate_lanes(starts, level, settings, _pericenter_rate,
-                             on_step)
-    misses: list[list[float]] = [[] for _ in specs]
+    errors = integrate_lanes(starts, level, lane_settings or settings,
+                             _pericenter_rate, on_step)
+    shots = [([], None)] * len(specs)
     for lane, i in enumerate(spec_of):
-        if errors[lane] is None:
-            misses[i] = [_miss(hit) for hit in hits[lane][:k_max]]
-        elif not isinstance(errors[lane], UsageError):
-            raise errors[lane]
+        shots[i] = (passes[lane], errors[lane])
+    return shots
+
+
+def _near_misses(passes, k_max: int) -> list[float]:
+    """The misses of the first k_max near passes of :func:`_shoot_lanes`."""
+    return [m for _, r2, m in passes if r2 < _R_NEAR_SQ][:k_max]
+
+
+def shoot_grid(specs: list[ShotSpec], settings: IntegrationSettings,
+               k_max: int) -> list[list[float]]:
+    """The misses of passes 1..k_max of every shot, in one lockstep batch.
+
+    Each list holds, bit for bit, the misses that :func:`_shoot` gives for
+    its spec (:mod:`~ccorb.lanes` integrates all shots together).  It is
+    shorter when t_max comes first, and empty when the shot cannot start
+    or meets a singular point on its way.  A numerical failure of any shot
+    is raised, the first in spec order.  All specs share one level.  A
+    scan shoots its grids through :func:`scan_grids`, which calls this
+    only for the lanes whose signs it must shoot at the run's settings.
+    """
+    misses: list[list[float]] = []
+    for passes, error in _shoot_lanes(specs, settings, k_max):
+        if error is not None and not isinstance(error, UsageError):
+            raise error
+        misses.append([] if error is not None
+                      else _near_misses(passes, k_max))
     return misses
 
 
@@ -342,18 +388,110 @@ def bracket_grid(specs: list[ShotSpec], misses: list[list[float]],
     return brackets
 
 
+def _certain(passes, failed: bool, t_max: float) -> bool:
+    """The sign certificate: whether a shot at :data:`GRID_TOL` has the
+    near-pass count, signs and grazing flags of the same shot at any
+    tighter tolerance.
+
+    ``passes`` are the (t, r, m) of the pericenter passes of its run, near
+    or not, and ``failed`` says that an error ended it.  Errors scale with
+    the tolerance (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4),
+    so a value farther than :data:`CERT_MARGIN` times the grid's rel_tol
+    from an edge stays on its side: r from :data:`R_NEAR` at every pass,
+    m from 0 and from :data:`GRAZING_TOL` at a near pass, and t (by that
+    margin times t_max) from t_max.
+    """
+    margin = CERT_MARGIN * GRID_TOL[0]
+    return not failed and all(
+        abs(r - R_NEAR) > margin
+        and abs(t - t_max) > margin * t_max
+        and (r > R_NEAR or (abs(m) > margin
+                            and abs(abs(m) - GRAZING_TOL) > margin))
+        for t, r, m in passes)
+
+
+def _sign_misses(specs: list[ShotSpec], settings: IntegrationSettings,
+                 k_max: int) -> tuple[list[list[float]], dict]:
+    """Misses whose signs, counts and grazing flags are those of
+    :func:`shoot_grid` at ``settings``, shot at :data:`GRID_TOL`.
+
+    Every lane runs to t_max plus the certificate's time margin, so that a
+    pass just past t_max is seen; a lane that :func:`_certain` clears has
+    no pass within that margin of t_max, so none past it.  Every other
+    lane is shot again at ``settings``.  Returns the misses and, keyed by
+    (s, branch, k), those that are the run's own values already.
+    """
+    t_max = settings.t_max
+    grid = replace(settings, rel_tol=GRID_TOL[0], abs_tol=GRID_TOL[1],
+                   t_max=t_max + CERT_MARGIN * GRID_TOL[0] * t_max)
+    misses, unsure = [], []
+    for i, (passes, error) in enumerate(_shoot_lanes(specs, settings, k_max,
+                                                     grid)):
+        misses.append(_near_misses(passes, k_max))
+        if not _certain([(t, math.sqrt(r2), m) for t, r2, m in passes],
+                        error is not None, t_max):
+            unsure.append(i)
+    exact = {}
+    for i, shot in zip(unsure, shoot_grid([specs[i] for i in unsure],
+                                          settings, k_max)):
+        misses[i] = shot
+        exact.update(((specs[i].s, specs[i].branch, k), m)
+                     for k, m in enumerate(shot, 1))
+    return misses, exact
+
+
+def scan_grids(grids: list[list[ShotSpec]], settings: IntegrationSettings,
+               k_max: int) -> list[list[Bracket]]:
+    """The brackets of each grid (:func:`bracket_grid`), from one batch.
+
+    The grids share one level.  Signs are all a grid needs, so when both
+    tolerances of ``settings`` are tighter than :data:`GRID_TOL` (and no
+    ``fixed_step`` is set), its shots run at :data:`GRID_TOL`, and a shot
+    whose pass count, signs or grazing flags the sign certificate
+    (:func:`_certain`) cannot vouch for is shot again at ``settings``.  The
+    brackets then equal those of :func:`shoot_grid` at ``settings``: each
+    end's miss, the point of a tangential one included, is that shot's
+    value, shot once per (s, branch, k) by :func:`miss_function` unless
+    its lane was shot at ``settings`` already.  Otherwise every shot runs
+    at ``settings``.
+    """
+    specs = [spec for grid in grids for spec in grid]
+    if (settings.fixed_step is None and settings.rel_tol < GRID_TOL[0]
+            and settings.abs_tol < GRID_TOL[1]):
+        misses, exact = _sign_misses(specs, settings, k_max)
+    else:
+        misses, exact = shoot_grid(specs, settings, k_max), None
+    shots = iter(misses)
+    found = [bracket_grid(grid, [next(shots) for _ in grid], k_max)
+             for grid in grids]
+    if exact is None:
+        return found
+    spec_at = {(spec.s, spec.branch): spec for spec in specs}
+
+    def full(s: float, branch: Branch, k: int) -> float:
+        if (s, branch, k) not in exact:
+            exact[s, branch, k] = miss_function(spec_at[s, branch], settings,
+                                                k)
+        return exact[s, branch, k]
+
+    return [[replace(b, m_lo=full(b.s_lo, b.branch, b.pericenter_index),
+                     m_hi=full(b.s_hi, b.branch, b.pericenter_index))
+             for b in brackets] for brackets in found]
+
+
 def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
                      params: SystemParams, level: RegularizedLevel,
                      settings: IntegrationSettings, k_max: int = 3,
                      jobs: int = 1) -> list[Bracket]:
     """Sweep a uniform s-grid and bracket miss-function sign changes.
 
-    The one-grid case of :func:`grid_specs`, :func:`shoot_grid` and
-    :func:`bracket_grid`.  ``jobs`` is accepted for callers that pass it
-    and has no effect: the grid runs as one lockstep batch.
+    The one-grid case of :func:`scan_grids`, on the grid of
+    :func:`grid_specs`; every bracket end's miss is the shot's at
+    ``settings``.  ``jobs`` is accepted for callers that pass it and has
+    no effect: the grid runs as one lockstep batch.
     """
-    specs = grid_specs(s_range, n, branch, params, level)
-    return bracket_grid(specs, shoot_grid(specs, settings, k_max), k_max)
+    return scan_grids([grid_specs(s_range, n, branch, params, level)],
+                      settings, k_max)[0]
 
 
 def _slope_across(probes, negative_lo: bool) -> float:

@@ -24,7 +24,7 @@ from ccorb import (
     integrate,
     physical_state,
 )
-from ccorb import cli
+from ccorb import cli, shooting
 from ccorb.cli import main
 
 ORACLE_SCAN = ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
@@ -178,7 +178,8 @@ def test_scan_rejects_malformed_range(tmp_path, capsys):
     ("--kmax", "0"), ("--kmax", "-1"),
 ])
 def test_scan_rejects_bad_settings_before_shooting(flag, value, tmp_path,
-                                                   capsys):
+                                                   capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scan_grids", _no_work)
     out = tmp_path / "x.jsonl"
     argv = [a for a in ORACLE_SCAN if a not in ("--kmax", "1")]
     rc = main(argv + [flag, value, "--out", str(out)])
@@ -189,7 +190,8 @@ def test_scan_rejects_bad_settings_before_shooting(flag, value, tmp_path,
 
 @pytest.mark.parametrize("s_range", ["0.1:inf", "-inf:-0.1", "nan:0.5"])
 def test_scan_rejects_a_non_finite_range_before_shooting(s_range, tmp_path,
-                                                        capsys):
+                                                        capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scan_grids", _no_work)
     out = tmp_path / "x.jsonl"
     rc = main(["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
                "minus", "--kmax", "1", "--grid", "4",
@@ -226,7 +228,7 @@ def _no_work(*args, **kwargs):
 
 def test_scan_to_a_missing_directory_exits_two_before_shooting(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "shoot_grid", _no_work)
+    monkeypatch.setattr(cli, "scan_grids", _no_work)
     rc = main(ORACLE_SCAN + ["--out", str(tmp_path / "absent" / "o.jsonl")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -262,7 +264,7 @@ def test_orbit_svg_to_a_missing_directory_exits_two_before_reshooting(
 def test_scan_rejects_a_range_outside_the_hill_interval(
         s_range, grid, tmp_path, capsys, monkeypatch):
     """At mu = 0.1, auto-0.1 the axis interval is (-0.55585, 0.58408)."""
-    monkeypatch.setattr(cli, "shoot_grid", _no_work)
+    monkeypatch.setattr(cli, "scan_grids", _no_work)
     out = tmp_path / "x.jsonl"
     rc = main(["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
                "minus", "--kmax", "1", "--grid", grid,
@@ -454,6 +456,49 @@ def test_a_tolerance_too_small_to_start_a_step_is_a_usage_error(
     err = capsys.readouterr().err
     assert err.startswith("error:") and "abs_tol" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--abs-tol", "100"),
+                                         ("--abs-tol", "1e3"),
+                                         ("--rel-tol", "1")])
+@pytest.mark.parametrize("argv", [
+    ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--kmax", "2", "--grid",
+     "4"],
+    ["integrate", "--mu", "0.1", "--jacobi", "auto-0.1", "--regularized",
+     "--eject", "0.3"],
+], ids=["scan", "integrate"])
+def test_a_tolerance_of_one_or_more_is_a_usage_error(argv, flag, value,
+                                                      tmp_path, capsys):
+    """Such a run leaves the energy level and used to crawl for minutes
+    towards the step budget."""
+    out = tmp_path / "x"
+    rc = main(argv + [flag, value, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "below 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_the_loose_grid_leaves_every_scan_byte_unchanged(tmp_path, capsys,
+                                                         monkeypatch):
+    """The refine-coarse scan of one side gives the same catalog and stdout
+    with its grid shot for signs at GRID_TOL as with the grid shot at the
+    run's own settings, which is the exact path."""
+    params = SystemParams(0.1)
+    level = RegularizedLevel(params, f=-(first_critical_value(params) - 0.1))
+    lo, hi, _ = cli._scan_ranges(None, params, level)[0]
+    argv = ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
+            "both", "--kmax", "3", "--grid", "8", f"--s-range={lo!r}:{hi!r}"]
+    runs = []
+    for grid_tol in (shooting.GRID_TOL, (IntegrationSettings.rel_tol,
+                                         IntegrationSettings.abs_tol)):
+        monkeypatch.setattr(shooting, "GRID_TOL", grid_tol)
+        out = tmp_path / "catalog.jsonl"
+        rc = main(argv + ["--out", str(out)])
+        runs.append((rc, out.read_bytes(), capsys.readouterr().out))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------- starshape

@@ -519,7 +519,7 @@ def test_eval_outside_domain_is_an_error():
 
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": 0.0}, {"abs_tol": -1e-12}, {"t_max": 0.0}, {"event_tol": 0.0},
-    {"fixed_step": 0.0},
+    {"fixed_step": 0.0}, {"rel_tol": 1.0}, {"abs_tol": 1e3},
 ])
 def test_settings_validation(kwargs):
     with pytest.raises(UsageError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import replace
@@ -36,12 +37,18 @@ from ccorb.cli import _scan_ranges
 from ccorb.dynamics import EnergyLevel, solve_bracket
 from ccorb.integrator import EventHit
 from ccorb.shooting import (
+    CERT_MARGIN,
+    GRAZING_TOL,
+    GRID_TOL,
+    R_NEAR,
+    _certain,
     _miss,
     _shoot,
     axis_discriminant,
     bracket_grid,
     grid_specs,
     pericenter_hits,
+    scan_grids,
     shoot_grid,
 )
 
@@ -357,6 +364,24 @@ def _reference_grids(n: int):
             for branch in Branch]
 
 
+def _full_brackets(grids, settings, k_max):
+    """Each grid's brackets from one batch of shots at ``settings``."""
+    misses = iter(shoot_grid([s for specs in grids for s in specs], settings,
+                             k_max))
+    return [bracket_grid(specs, [next(misses) for _ in specs], k_max)
+            for specs in grids]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_brackets(n: int):
+    """((side, branch), brackets) of every reference grid at n points, all
+    shot at the default settings."""
+    grids = _reference_grids(n)
+    return list(zip([key for key, _ in grids],
+                    _full_brackets([specs for _, specs in grids],
+                                   IntegrationSettings(), 3)))
+
+
 def test_reference_level_brackets_survive_grid_doubling():
     """Completeness over the whole reference level: grids N = 8 and
     2N = 16, both sides and both branches at k = 1..3, each shot as one
@@ -364,20 +389,100 @@ def test_reference_level_brackets_survive_grid_doubling():
     coarse one of its side, branch and k (grids 12 and 40 find the same
     6)."""
     def sign_changes(n):
-        grids = _reference_grids(n)
-        misses = iter(shoot_grid([s for _, specs in grids for s in specs],
-                                 IntegrationSettings(), 3))
         return {(key, b.pericenter_index, b.s_lo, b.s_hi)
-                for key, specs in grids
-                for b in bracket_grid(specs, [next(misses) for _ in specs],
-                                      3)
-                if b.kind == "sign_change"}
+                for key, brackets in _reference_brackets(n)
+                for b in brackets if b.kind == "sign_change"}
     coarse, fine = sign_changes(8), sign_changes(16)
     assert len(coarse) == len(fine) == 6
     for key, k, lo, hi in fine:
         assert any(c[:2] == (key, k) and c[2] <= lo and hi <= c[3]
                    for c in coarse), (
             f"bracket {key} k={k} {lo}:{hi} outside every grid-8 bracket")
+
+
+def _fields(brackets):
+    return [(b.s_lo, b.s_hi, b.m_lo.hex(), b.m_hi.hex(), b.pericenter_index,
+             b.branch, b.kind) for b in brackets]
+
+
+@pytest.mark.parametrize("n", [8, 16, 40, "oracle"])
+def test_certified_brackets_are_the_full_tolerance_brackets(n, monkeypatch):
+    """Signs from the loose grid, certified, give every field of the
+    brackets of a grid shot at the run's settings, the end misses bit for
+    bit: on the reference level (both sides and branches, k = 1..3) and
+    on the mu = 0 oracle grid.  Most lanes are never shot at the run's
+    settings."""
+    if n == "oracle":
+        kepler = SystemParams(mu=0.0)
+        level = RegularizedLevel(params=kepler, f=2.0)
+        grids = [grid_specs((0.40, 0.53), 8, Branch.MINUS, kepler, level)]
+        settings = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-12,
+                                       t_max=10.0)
+        want = _full_brackets(grids, settings, 2)
+    else:
+        grids = [specs for _, specs in _reference_grids(n)]
+        settings = IntegrationSettings()
+        want = [brackets for _, brackets in _reference_brackets(n)]
+    assert settings.rel_tol < GRID_TOL[0] and settings.abs_tol < GRID_TOL[1]
+    shot = []
+    full_grid = shooting.shoot_grid
+
+    def counted(specs, *args):
+        shot.extend(specs)
+        return full_grid(specs, *args)
+    monkeypatch.setattr(shooting, "shoot_grid", counted)
+    got = scan_grids(grids, settings, 2 if n == "oracle" else 3)
+    assert [_fields(b) for b in got] == [_fields(b) for b in want]
+    assert any(b.kind == "sign_change" for brackets in got for b in brackets)
+    assert len(shot) < sum(map(len, grids)) // 4
+
+
+#: a near pass clear of every edge of the certificate, as (t, r, m)
+_CLEAR = (10.0, 0.05, 0.3)
+_EDGE = CERT_MARGIN * GRID_TOL[0]
+
+
+@pytest.mark.parametrize("passes", [
+    [(10.0, 0.05, 0.5 * _EDGE)],
+    [(10.0, 0.05, -0.5 * _EDGE)],
+    [(10.0, 0.05, GRAZING_TOL + 0.9 * _EDGE)],
+    [(10.0, 0.05, -GRAZING_TOL - 0.9 * _EDGE)],
+    [_CLEAR, (20.0, R_NEAR + 0.5 * _EDGE, 0.3)],
+    [_CLEAR, (20.0, R_NEAR - 0.5 * _EDGE, 0.3)],
+    [_CLEAR, (50.0 - 0.5 * _EDGE * 50.0, 0.5, 0.3)],
+    [_CLEAR, (50.0 + 0.5 * _EDGE * 50.0, 0.5, 0.3)],
+], ids=["m-near-0+", "m-near-0-", "m-near-grazing+", "m-near-grazing-",
+        "r-above-r-near", "r-below-r-near", "t-before-t-max",
+        "t-after-t-max"])
+def test_a_pass_at_an_edge_sends_the_lane_back(passes):
+    assert not _certain(passes, False, 50.0)
+
+
+def test_a_failed_lane_goes_back():
+    assert not _certain([_CLEAR], True, 50.0)
+    assert not _certain([], True, 50.0)
+
+
+def test_a_miss_near_zero_goes_back_at_any_margin(monkeypatch):
+    """Below GRAZING_TOL / 2 the margin parts the windows of m around 0
+    and around GRAZING_TOL; a near pass inside the one around 0 still
+    sends its lane back, and one between them does not."""
+    monkeypatch.setattr(shooting, "CERT_MARGIN", 100.0)
+    margin = 100.0 * GRID_TOL[0]
+    assert not _certain([(10.0, 0.05, -0.5 * margin)], False, 50.0)
+    assert _certain([(10.0, 0.05, 0.5 * GRAZING_TOL)], False, 50.0)
+
+
+@pytest.mark.parametrize("passes", [
+    [], [_CLEAR], [(10.0, 0.05, -0.3), (20.0, 0.5, 0.0)],
+    [(10.0, 0.05, 2.0 * _EDGE), (30.0, 0.05, GRAZING_TOL + 2.0 * _EDGE),
+     (40.0, R_NEAR + 2.0 * _EDGE, 0.3),
+     (50.0 - 2.0 * _EDGE * 50.0, 0.05, -0.3)],
+])
+def test_passes_clear_of_every_edge_are_certain(passes):
+    """Twice the margin from each edge clears a lane; the miss of a pass
+    that is not near counts for nothing."""
+    assert _certain(passes, False, 50.0)
 
 
 @pytest.mark.parametrize("bad", [(-0.1, 0.2), (0.5, 0.4), (0.3, 0.3)])
