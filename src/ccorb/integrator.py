@@ -15,14 +15,15 @@ Characteristics
 * automatic stereographic chart switching for the regularized flow with a
   hysteresis band (switch out at |a| > 1.25, re-entry happens below 0.8)
 * bitwise-deterministic: no randomness, no wall-clock dependence
-* one unrolled step for both state sizes: each stage input, error
-  estimate and dense row is one expression per state component over
-  ``zip`` of the stages.  Every sum keeps the tableau order and starts
-  from the 0.0 of a plain loop over the rows of ``_A``, ``_E5`` or
+* one straight-line attempt per flow, generated with the flow's vector
+  field from one text at the field's first use: each state component is
+  a local float, each stage input, error estimate and dense row is one
+  expression per component, and every sum keeps the tableau order and
+  starts from the 0.0 of a plain loop over the rows of ``_A``, ``_E5`` or
   ``_D``, so the results are bit-identical to those loops; only the zero
-  weights are left out.  Each vector is ``tuple([...])``: the list gives
-  the tuple its exact size, which ran faster and with a lower peak memory
-  than ``tuple()`` of a generator
+  weights are left out.  The regularized attempt forms the six rates
+  inline and takes no stage input for the two clocks, which the field
+  never reads
 
 The regularized state vector is (a1, a2, b1, b2, t_phys, tau): alongside
 the chart coordinates the physical clock dt_phys/ds = G r and the contact
@@ -33,7 +34,10 @@ vector is plain (q1, q2, p1, p2).
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -351,36 +355,6 @@ class Trajectory:
         return max(abs(v - values[0]) for v in values)
 
 
-def _rhs_physical(mu: float):
-    def rhs(chart: Chart | None, y: tuple[float, ...]) -> tuple[float, ...]:
-        return dynamics.vector_field_values(y[0], y[1], y[2], y[3], mu)
-    return rhs
-
-
-def _rhs_regularized(mu: float, f: float):
-    """Vector field of KCheck = G^2/2 with both clocks appended.
-
-    With canonical pairs (a, -b), da/ds = -G dG/db and db/ds = G dG/da,
-    smooth across a = 0 in the South chart; then dt_phys/ds = G r and
-    dtau/ds = -b . da/ds.
-    """
-    g_and_gradient = regularization.g_and_gradient
-
-    def rhs(chart: Chart, y: tuple[float, ...]) -> tuple[float, ...]:
-        a1, a2, b1, b2 = y[0], y[1], y[2], y[3]
-        g, ga1, ga2, gb1, gb2 = g_and_gradient(chart, a1, a2, b1, b2, mu, f)
-        da1 = -g * gb1
-        da2 = -g * gb2
-        beta = math.sqrt(b1 * b1 + b2 * b2)
-        if chart is Chart.NORTH:
-            r = beta
-        else:
-            r = (a1 * a1 + a2 * a2) * beta
-        return (da1, da2, g * ga1, g * ga2, g * r,
-                -(b1 * da1 + b2 * da2))
-    return rhs
-
-
 def _error_norm(e5: tuple[float, ...], e3: tuple[float, ...],
                 y0: tuple[float, ...], y1: tuple[float, ...], h: float,
                 atol: float, rtol: float) -> float:
@@ -398,6 +372,137 @@ def _error_norm(e5: tuple[float, ...], e3: tuple[float, ...],
     if deno <= 0.0:
         return 0.0
     return h * n5 * math.sqrt(1.0 / (len(e5) * deno))
+
+
+# ----------------------------------------------------------------------
+# The vector fields and the step attempt, generated from one text
+# ----------------------------------------------------------------------
+#: per flow: the state size, the lines that set up a field evaluation, the
+#: lines that set the rates k{s}_0, k{s}_1, ... of stage s from the kernel
+#: ``field`` at x0..x3, and those that set the clocks' rates
+_FIELDS = {
+    Flow.PHYSICAL: (4, (), (
+        "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = field(x0, x1, x2, x3, mu)",), ()),
+    Flow.REGULARIZED: (6, ("north = chart is NORTH",), (
+        "g, ga1, ga2, gb1, gb2 = field(chart, x0, x1, x2, x3, mu, f)",
+        "k{s}_0 = -g * gb1",
+        "k{s}_1 = -g * gb2",
+        "k{s}_2 = g * ga1",
+        "k{s}_3 = g * ga2"), (
+        "beta = sqrt(x2 * x2 + x3 * x3)",
+        "k{s}_4 = g * (beta if north else (x0 * x0 + x1 * x1) * beta)",
+        "k{s}_5 = -(x2 * k{s}_0 + x3 * k{s}_1)")),
+}
+
+
+def _dot(row, m: int) -> str:
+    """``0.0 + w_0 k0_m + w_1 k1_m + ...`` over the nonzero weights."""
+    return " + ".join(["0.0"] + [f"{w!r} * k{j}_{m}"
+                                 for j, w in enumerate(row) if w])
+
+
+def _names(prefix: str, n: int) -> str:
+    return ", ".join(f"{prefix}{m}" for m in range(n))
+
+
+def _flow_source(flow: Flow) -> str:
+    """The text of the two factories of ``flow``.
+
+    ``field_of(field, mu, f)`` returns its vector field ``rhs(chart, y)``,
+    and ``bind(field, mu, f, atol, rtol, fixed)`` one DOP853 attempt
+    ``attempt(chart, y, k0, h) -> (err, y1, f1, rows)``, where ``f1`` and
+    ``rows`` are None when the step is rejected.
+    """
+    n, setup, rates, clocks = _FIELDS[flow]
+    lines = ["def field_of(field, mu, f):",
+             "    def rhs(chart, y):",
+             *["        " + line for line in setup],
+             "        x0, x1, x2, x3 = y[0], y[1], y[2], y[3]",
+             *["        " + line.format(s="") for line in rates + clocks],
+             f"        return ({_names('k_', n)})",
+             "    return rhs",
+             "",
+             "",
+             "def bind(field, mu, f, atol, rtol, fixed):",
+             "    def attempt(chart, y, k0, h):"]
+
+    def body(*stmts: str) -> None:
+        lines.extend("        " + stmt for stmt in stmts)
+
+    def field(s: int) -> None:
+        # stage inputs read no clock, so only y1, the error estimates and
+        # the dense rows read a clock's rate: not those of stages 1-4
+        read = s == 12 or any(s < len(row) and row[s]
+                              for row in (_A[12], _E5, *_D))
+        body(*[line.format(s=s) for line in rates + (clocks if read else ())])
+
+    def stage(s: int) -> None:  # only the field's four inputs
+        body(*[f"x{m} = y_{m} + h * ({_dot(_A[s], m)})" for m in range(4)])
+        field(s)
+    body(*setup, f"{_names('y_', n)} = y", f"{_names('k0_', n)} = k0")
+    for s in range(1, 12):
+        stage(s)
+    body(*[f"d_{m} = {_dot(_A[12], m)}" for m in range(n)])
+    body(*[f"z_{m} = y_{m} + h * d_{m}" for m in range(n)])
+    body(f"y1 = ({_names('z_', n)})", "x0, x1, x2, x3 = z_0, z_1, z_2, z_3")
+    field(12)
+    body("if fixed:", "    err = 0.0", "else:")
+    body(*[f"    e5_{m} = {_dot(_E5, m)}" for m in range(n)])
+    body(*[f"    e3_{m} = d_{m} - {_BHH[0]!r} * k0_{m} - {_BHH[1]!r} * k8_{m}"
+           f" - {_BHH[2]!r} * k11_{m}" for m in range(n)])
+    body(f"    err = _integrator._error_norm(({_names('e5_', n)}),",
+         f"                                  ({_names('e3_', n)}),",
+         "                                  y, y1, h, atol, rtol)",
+         "if not err <= 1.0:",
+         "    return err, y1, None, None")
+    for s in range(13, 16):  # the dense-output stages of an accepted step
+        stage(s)
+    body(*[f"r0_{m} = z_{m} - y_{m}" for m in range(n)])
+    body(*[f"r1_{m} = h * k0_{m} - r0_{m}" for m in range(n)])
+    body(*[f"r2_{m} = r0_{m} - h * k12_{m} - r1_{m}" for m in range(n)])
+    for j, row in enumerate(_D, 3):
+        body(*[f"r{j}_{m} = h * ({_dot(row, m)})" for m in range(n)])
+    body(f"return err, y1, ({_names('k12_', n)}), (",
+         *[f"    ({_names(f'r{j}_', n)})," for j in range(7)], ")")
+    lines.append("    return attempt")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _flow_code(flow: Flow) -> dict:
+    """The factories of :func:`_flow_source`, compiled at the first use of
+    the flow's field, which comes before a run holds steps or lanes.
+
+    The text is registered with :mod:`linecache`, so tracebacks show its
+    lines.  Each factory takes the kernel, so that a kernel replaced at
+    run time (say, by a call counter) is the one that every rate calls.
+    """
+    source = _flow_source(flow)
+    filename = f"<ccorb.integrator: DOP853, {flow.value} flow>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    scope = {"NORTH": Chart.NORTH, "sqrt": math.sqrt,
+             "_integrator": sys.modules[__name__]}
+    exec(compile(source, filename, "exec"), scope)
+    return scope
+
+
+def _rhs_physical(mu: float):
+    """The Hamiltonian vector field X_H of ``dynamics.vector_field_values``."""
+    return _flow_code(Flow.PHYSICAL)["field_of"](
+        dynamics.vector_field_values, mu, 0.0)
+
+
+def _rhs_regularized(mu: float, f: float):
+    """Vector field of KCheck = G^2/2 with both clocks appended.
+
+    With canonical pairs (a, -b), da/ds = -G dG/db and db/ds = G dG/da,
+    smooth across a = 0 in the South chart; then dt_phys/ds = G r, with
+    r = |b| in the North chart and |a|^2 |b| in the South chart, and
+    dtau/ds = -b . da/ds.
+    """
+    return _flow_code(Flow.REGULARIZED)["field_of"](
+        regularization.g_and_gradient, mu, f)
 
 
 def _initial_step(rhs, chart, y0, f0, atol, rtol) -> float:
@@ -528,136 +633,29 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
     """The step loop of :func:`integrate`, from any point of a run.
 
     ``(t, h, chart, y, f_now, rejected)`` is the loop's whole state at the
-    top of an attempt, and ``taken`` counts the steps accepted before it
-    that ``traj.steps`` does not hold, so a run handed over mid-way takes
-    the same steps, bit for bit, as one that started here.  Accepted
-    steps are appended to ``traj.steps``.
+    top of an attempt, and ``taken`` counts the steps the run accepted
+    before it, so a run handed over mid-way takes the same steps, bit for
+    bit, and spends the same step budget as one that started here.
+    Accepted steps are appended to ``traj.steps``; the loop itself never
+    reads them back, so ``until`` may take them away.
     """
     flow, settings, rhs = traj.flow, traj.settings, traj.rhs
-    atol, rtol = settings.abs_tol, settings.rel_tol
     t_max = settings.t_max
-    # the nonzero weights, named by row and stage (_ marks a zero); p3..p6
-    # are the rows of _D that make the dense rows d3..d6
-    (_, (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
-     (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
-     (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
-     (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
-     (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
-     (b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11),
-     (a13_0, _, _, _, _, _, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11,
-      a13_12),
-     (a14_0, _, _, _, _, a14_5, a14_6, a14_7, _, _, a14_10, a14_11, a14_12,
-      a14_13),
-     (a15_0, _, _, _, _, a15_5, a15_6, a15_7, a15_8, _, _, _, a15_12, a15_13,
-      a15_14)) = _A
-    e0, _, _, _, _, e5, e6, e7, e8, e9, e10, e11 = _E5
-    bh0, bh8, bh11 = _BHH
-    ((p3_0, _, _, _, _, p3_5, p3_6, p3_7, p3_8, p3_9, p3_10, p3_11, p3_12,
-      p3_13, p3_14, p3_15),
-     (p4_0, _, _, _, _, p4_5, p4_6, p4_7, p4_8, p4_9, p4_10, p4_11, p4_12,
-      p4_13, p4_14, p4_15),
-     (p5_0, _, _, _, _, p5_5, p5_6, p5_7, p5_8, p5_9, p5_10, p5_11, p5_12,
-      p5_13, p5_14, p5_15),
-     (p6_0, _, _, _, _, p6_5, p6_6, p6_7, p6_8, p6_9, p6_10, p6_11, p6_12,
-      p6_13, p6_14, p6_15)) = _D
-
+    field = (dynamics.vector_field_values if flow is Flow.PHYSICAL
+             else regularization.g_and_gradient)
+    attempt = _flow_code(flow)["bind"](
+        field, traj.level.params.mu, traj.level.f, settings.abs_tol,
+        settings.rel_tol, settings.fixed_step is not None)
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
-        if taken + len(traj.steps) >= MAX_STEPS:
+        if taken >= MAX_STEPS:
             raise NumericalError(
                 f"step budget {MAX_STEPS} exhausted at t={t}")
         h = min(h, MAX_STEP, t_max - t)
         if h < 1e-15 * max(1.0, abs(t)):
             raise StepUnderflowError(
                 f"step size underflow ({h:.3e}) at t={t}", t=t)
-        k0 = f_now
         try:
-            ys = tuple([a + h * (0.0 + a1_0 * c0) for a, c0 in zip(y, k0)])
-            k1 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a2_0 * c0 + a2_1 * c1)
-                        for a, c0, c1 in zip(y, k0, k1)])
-            k2 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a3_0 * c0 + a3_2 * c2)
-                        for a, c0, c2 in zip(y, k0, k2)])
-            k3 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a4_0 * c0 + a4_2 * c2 + a4_3 * c3)
-                        for a, c0, c2, c3 in zip(y, k0, k2, k3)])
-            k4 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a5_0 * c0 + a5_3 * c3 + a5_4 * c4)
-                        for a, c0, c3, c4 in zip(y, k0, k3, k4)])
-            k5 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a6_0 * c0 + a6_3 * c3 + a6_4 * c4
-                                 + a6_5 * c5)
-                        for a, c0, c3, c4, c5 in zip(y, k0, k3, k4, k5)])
-            k6 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a7_0 * c0 + a7_3 * c3 + a7_4 * c4
-                                 + a7_5 * c5 + a7_6 * c6)
-                        for a, c0, c3, c4, c5, c6 in zip(y, k0, k3, k4, k5,
-                                                         k6)])
-            k7 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a8_0 * c0 + a8_3 * c3 + a8_4 * c4
-                                 + a8_5 * c5 + a8_6 * c6 + a8_7 * c7)
-                        for a, c0, c3, c4, c5, c6, c7 in zip(y, k0, k3, k4,
-                                                             k5, k6, k7)])
-            k8 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a9_0 * c0 + a9_3 * c3 + a9_4 * c4
-                                 + a9_5 * c5 + a9_6 * c6 + a9_7 * c7
-                                 + a9_8 * c8)
-                        for a, c0, c3, c4, c5, c6, c7, c8 in zip(
-                            y, k0, k3, k4, k5, k6, k7, k8)])
-            k9 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a10_0 * c0 + a10_3 * c3 + a10_4 * c4
-                                 + a10_5 * c5 + a10_6 * c6 + a10_7 * c7
-                                 + a10_8 * c8 + a10_9 * c9)
-                        for a, c0, c3, c4, c5, c6, c7, c8, c9 in zip(
-                            y, k0, k3, k4, k5, k6, k7, k8, k9)])
-            k10 = rhs(chart, ys)
-            ys = tuple([a + h * (0.0 + a11_0 * c0 + a11_3 * c3 + a11_4 * c4
-                                 + a11_5 * c5 + a11_6 * c6 + a11_7 * c7
-                                 + a11_8 * c8 + a11_9 * c9 + a11_10 * c10)
-                        for a, c0, c3, c4, c5, c6, c7, c8, c9, c10 in zip(
-                            y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
-            k11 = rhs(chart, ys)
-            # the weighted stage sum: y1 = y + h dy
-            dy = tuple([0.0 + b0 * c0 + b5 * c5 + b6 * c6 + b7 * c7 + b8 * c8
-                        + b9 * c9 + b10 * c10 + b11 * c11
-                        for c0, c5, c6, c7, c8, c9, c10, c11 in zip(
-                            k0, k5, k6, k7, k8, k9, k10, k11)])
-            y1 = tuple([a + h * d for a, d in zip(y, dy)])
-            k12 = rhs(chart, y1)
-            if settings.fixed_step is not None:
-                err = 0.0
-            else:
-                err5 = tuple([0.0 + e0 * c0 + e5 * c5 + e6 * c6 + e7 * c7
-                              + e8 * c8 + e9 * c9 + e10 * c10 + e11 * c11
-                              for c0, c5, c6, c7, c8, c9, c10, c11 in zip(
-                                  k0, k5, k6, k7, k8, k9, k10, k11)])
-                err3 = tuple([d - bh0 * c0 - bh8 * c8 - bh11 * c11
-                              for d, c0, c8, c11 in zip(dy, k0, k8, k11)])
-                err = _error_norm(err5, err3, y, y1, h, atol, rtol)
-            if err <= 1.0:  # the dense-output stages of an accepted step
-                ys = tuple([a + h * (0.0 + a13_0 * c0 + a13_6 * c6
-                                     + a13_7 * c7 + a13_8 * c8 + a13_9 * c9
-                                     + a13_10 * c10 + a13_11 * c11
-                                     + a13_12 * c12)
-                            for a, c0, c6, c7, c8, c9, c10, c11, c12 in zip(
-                                y, k0, k6, k7, k8, k9, k10, k11, k12)])
-                k13 = rhs(chart, ys)
-                ys = tuple([a + h * (0.0 + a14_0 * c0 + a14_5 * c5
-                                     + a14_6 * c6 + a14_7 * c7 + a14_10 * c10
-                                     + a14_11 * c11 + a14_12 * c12
-                                     + a14_13 * c13)
-                            for a, c0, c5, c6, c7, c10, c11, c12, c13 in zip(
-                                y, k0, k5, k6, k7, k10, k11, k12, k13)])
-                k14 = rhs(chart, ys)
-                ys = tuple([a + h * (0.0 + a15_0 * c0 + a15_5 * c5
-                                     + a15_6 * c6 + a15_7 * c7 + a15_8 * c8
-                                     + a15_12 * c12 + a15_13 * c13
-                                     + a15_14 * c14)
-                            for a, c0, c5, c6, c7, c8, c12, c13, c14 in zip(
-                                y, k0, k5, k6, k7, k8, k12, k13, k14)])
-                k15 = rhs(chart, ys)
+            err, y1, f1, rows = attempt(chart, y, f_now, h)
         except SingularInputError as exc:
             if flow is Flow.PHYSICAL:
                 raise SingularityApproachError(
@@ -667,59 +665,37 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
             rejected = True
             h *= 0.25
             continue
-        if err <= 1.0:
-            r0 = tuple([b - a for a, b in zip(y, y1)])
-            r1 = tuple([h * c - d for c, d in zip(k0, r0)])
-            r2 = tuple([d - h * c - e for d, c, e in zip(r0, k12, r1)])
-            r3, r4, r5, r6 = zip(*[(
-                h * (0.0 + p3_0 * c0 + p3_5 * c5 + p3_6 * c6 + p3_7 * c7
-                     + p3_8 * c8 + p3_9 * c9 + p3_10 * c10 + p3_11 * c11
-                     + p3_12 * c12 + p3_13 * c13 + p3_14 * c14
-                     + p3_15 * c15),
-                h * (0.0 + p4_0 * c0 + p4_5 * c5 + p4_6 * c6 + p4_7 * c7
-                     + p4_8 * c8 + p4_9 * c9 + p4_10 * c10 + p4_11 * c11
-                     + p4_12 * c12 + p4_13 * c13 + p4_14 * c14
-                     + p4_15 * c15),
-                h * (0.0 + p5_0 * c0 + p5_5 * c5 + p5_6 * c6 + p5_7 * c7
-                     + p5_8 * c8 + p5_9 * c9 + p5_10 * c10 + p5_11 * c11
-                     + p5_12 * c12 + p5_13 * c13 + p5_14 * c14
-                     + p5_15 * c15),
-                h * (0.0 + p6_0 * c0 + p6_5 * c5 + p6_6 * c6 + p6_7 * c7
-                     + p6_8 * c8 + p6_9 * c9 + p6_10 * c10 + p6_11 * c11
-                     + p6_12 * c12 + p6_13 * c13 + p6_14 * c14
-                     + p6_15 * c15))
-                for c0, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15
-                in zip(k0, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15)])
-            traj.steps.append(Step(t0=t, h=h, chart=chart, y0=y, y1=y1,
-                                   f0=k0, f1=k12,
-                                   rows=(r0, r1, r2, r3, r4, r5, r6)))
-            t += h
-            y = y1
-            f_now = k12  # FSAL
-            if flow is Flow.PHYSICAL:
-                if math.hypot(y[0], y[1]) < PHYSICAL_GUARD_RADIUS:
-                    raise SingularityApproachError(
-                        f"physical trajectory entered |q| < "
-                        f"{PHYSICAL_GUARD_RADIUS} at t={t}; use regularized "
-                        "flow")
-            else:
-                if math.hypot(y[0], y[1]) > SWITCH_UPPER:
-                    chart, y = _transition_state(chart, y)
-                    f_now = rhs(chart, y)
-            if settings.fixed_step is None:
-                factor = (_SAFETY * err ** -_EXPONENT if err > 0.0
-                          else _MAX_FACTOR)
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                if rejected:
-                    factor = min(1.0, factor)
-                h *= factor
-            rejected = False
-            if until is not None and until(traj):
-                break
-        else:
+        if rows is None:
             rejected = True
             factor = max(_MIN_FACTOR, _SAFETY * err ** -_EXPONENT)
             h *= min(1.0, factor)
+            continue
+        traj.steps.append(Step(t0=t, h=h, chart=chart, y0=y, y1=y1,
+                               f0=f_now, f1=f1, rows=rows))
+        taken += 1
+        t += h
+        y = y1
+        f_now = f1  # FSAL
+        if flow is Flow.PHYSICAL:
+            if math.hypot(y[0], y[1]) < PHYSICAL_GUARD_RADIUS:
+                raise SingularityApproachError(
+                    f"physical trajectory entered |q| < "
+                    f"{PHYSICAL_GUARD_RADIUS} at t={t}; use regularized "
+                    "flow")
+        else:
+            if math.hypot(y[0], y[1]) > SWITCH_UPPER:
+                chart, y = _transition_state(chart, y)
+                f_now = rhs(chart, y)
+        if settings.fixed_step is None:
+            factor = (_SAFETY * err ** -_EXPONENT if err > 0.0
+                      else _MAX_FACTOR)
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            if rejected:
+                factor = min(1.0, factor)
+            h *= factor
+        rejected = False
+        if until is not None and until(traj):
+            break
     return traj
 
 

@@ -29,8 +29,9 @@ Every lane takes the steps of the scalar loop
 
 A lane leaves when the caller's ``on_step`` says it is done or when it
 reaches ``t_max``.  Once fewer than :data:`TAIL_WIDTH` lanes are left,
-each resumes the scalar loop from its exact state: on a 2-vCPU VM one
-numpy iteration costs about as much as 12 to 15 scalar steps.
+each resumes the scalar loop from its exact state and keeps none of its
+steps: on a 2-vCPU VM one numpy iteration costs about 2 to 3 ms at 20 to
+160 lanes, as much as 25 to 40 scalar steps.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ from .integrator import (
 )
 from .regularization import Chart, RegularizedLevel, north_field, south_field
 
-#: below this many live lanes, the rest finish on the scalar step loop
-TAIL_WIDTH = 12
+#: below this many live lanes, the rest finish on the scalar step loop;
+#: of 12, 16, 20 and 24, the width with the least CPU time over both scan
+#: workloads of the benchmark
+TAIL_WIDTH = 20
 #: |a|^2 above which a lane may leave its chart; the exact test is scalar
 _SWITCH_CANDIDATE = 0.96 * SWITCH_UPPER * SWITCH_UPPER
 #: the kernels' singular thresholds, as 0-d arrays (faster to compare)
@@ -387,14 +390,14 @@ def integrate_lanes(starts, level: RegularizedLevel,
                     north[keep])
                 y, fy = y[:, keep], fy[:, keep]
 
-    for j, i in enumerate(ids):
+    for j, i in enumerate(ids):  # on_step takes each step off the run
         traj = Trajectory(Flow.REGULARIZED, level, settings, None, ())
         try:
             advance(traj, float(t[j]), float(h[j]),
                     Chart.NORTH if north[j] else Chart.SOUTH,
                     tuple(y[:, j].tolist()), tuple(fy[:, j].tolist()),
                     bool(rejected[j]),
-                    until=lambda tr, i=i: on_step(i, tr.steps[-1]),
+                    until=lambda tr, i=i: on_step(i, tr.steps.pop()),
                     taken=int(taken[j]))
         except CcorbError as exc:
             errors[i] = exc

@@ -451,9 +451,11 @@ def scan_grids(grids: list[list[ShotSpec]], settings: IntegrationSettings,
     (:func:`_certain`) cannot vouch for is shot again at ``settings``.  The
     brackets then equal those of :func:`shoot_grid` at ``settings``: each
     end's miss, the point of a tangential one included, is that shot's
-    value, shot once per (s, branch, k) by :func:`miss_function` unless
-    its lane was shot at ``settings`` already.  Otherwise every shot runs
-    at ``settings``.
+    value.  Unless its lane was shot at ``settings`` already, each grid
+    point is shot once by :func:`_shoot`, to the largest k any end there
+    needs, and every k reads its miss off that shot's passes; a stop at
+    an earlier pass would not have altered them.  Otherwise every shot
+    runs at ``settings``.
     """
     specs = [spec for grid in grids for spec in grid]
     if (settings.fixed_step is None and settings.rel_tol < GRID_TOL[0]
@@ -467,15 +469,21 @@ def scan_grids(grids: list[list[ShotSpec]], settings: IntegrationSettings,
     if exact is None:
         return found
     spec_at = {(spec.s, spec.branch): spec for spec in specs}
+    reach = {}  # (s, branch) -> the largest k an end there still needs
+    for b in (b for brackets in found for b in brackets):
+        for s in (b.s_lo, b.s_hi):
+            if (s, b.branch, b.pericenter_index) not in exact:
+                reach[s, b.branch] = max(reach.get((s, b.branch), 0),
+                                         b.pericenter_index)
+    for (s, branch), k in reach.items():
+        _, hits = _shoot(spec_at[s, branch], settings, k)
+        exact.update(((s, branch, j), _miss(hit))
+                     for j, hit in enumerate(hits[:k], 1))
 
-    def full(s: float, branch: Branch, k: int) -> float:
-        if (s, branch, k) not in exact:
-            exact[s, branch, k] = miss_function(spec_at[s, branch], settings,
-                                                k)
-        return exact[s, branch, k]
+    def full(b: Bracket, s: float) -> float:
+        return exact.get((s, b.branch, b.pericenter_index), math.nan)
 
-    return [[replace(b, m_lo=full(b.s_lo, b.branch, b.pericenter_index),
-                     m_hi=full(b.s_hi, b.branch, b.pericenter_index))
+    return [[replace(b, m_lo=full(b, b.s_lo), m_hi=full(b, b.s_hi))
              for b in brackets] for brackets in found]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import traceback
 
 import pytest
 
@@ -14,6 +15,7 @@ from ccorb import (
     MoserChartPoint,
     PhaseState,
     RegularizedLevel,
+    SingularInputError,
     SingularityApproachError,
     SystemParams,
     UsageError,
@@ -24,9 +26,9 @@ from ccorb import (
     locate_event,
     physical_state,
 )
-from ccorb import hamiltonian, integrator
+from ccorb import hamiltonian, integrator, regularization
 from ccorb.integrator import (
-    _A, _BHH, _C, _D, _E5, SWITCH_LOWER, SWITCH_UPPER)
+    _A, _BHH, _C, _D, _E5, SWITCH_LOWER, SWITCH_UPPER, Step)
 
 KEPLER = RegularizedLevel(params=SystemParams(mu=0.0), f=2.0)
 
@@ -202,6 +204,117 @@ def test_unrolled_step_is_bit_identical_to_the_tableau_loops(flow,
         for theta in (0.25, 0.5, 0.75):
             t = st.t0 + theta * st.h
             assert _bits(_nested_eval(st, t)) == _bits(st.eval(t))
+
+
+def _start(flow, level):
+    """A regularized start through both charts, or a physical one."""
+    if flow is Flow.REGULARIZED:
+        return collision_point((1.0, 0.0), level)
+    return PhaseState(q=(0.3, 0.2), p=(0.1, 0.9))
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.0])
+@pytest.mark.parametrize("flow", [Flow.REGULARIZED, Flow.PHYSICAL])
+def test_every_attempt_is_bit_identical_to_the_tableau_loops(flow, mu,
+                                                             monkeypatch):
+    """Each attempt of a run, the rejected ones too, takes the y1 and both
+    error estimates of the plain tableau loops from its y0, h and chart,
+    bit for bit, in both charts and at mu = 0.1 and 0."""
+    level = RegularizedLevel(params=SystemParams(mu=mu), f=1.8)
+    chart_of = [None]
+    kernel = regularization.g_and_gradient
+
+    def seen(chart, *args):
+        chart_of[0] = chart
+        return kernel(chart, *args)
+    attempts = []
+    error_norm = integrator._error_norm
+
+    def recorded(e5, e3, y0, y1, h, atol, rtol):
+        attempts.append((chart_of[0], y0, h, e5, e3, y1))
+        return error_norm(e5, e3, y0, y1, h, atol, rtol)
+    monkeypatch.setattr(regularization, "g_and_gradient", seen)
+    monkeypatch.setattr(integrator, "_error_norm", recorded)
+    t_max = 12.0 if flow is Flow.REGULARIZED else 3.0
+    traj = integrate(flow, _start(flow, level), level,
+                     IntegrationSettings(t_max=t_max))
+    monkeypatch.undo()
+    if flow is Flow.REGULARIZED:
+        assert {a[0] for a in attempts} == {Chart.NORTH, Chart.SOUTH}
+    assert len(attempts) > len(traj.steps) > 100
+    for chart, y0, h, e5, e3, y1 in attempts:
+        st = Step(t0=0.0, h=h, chart=chart, y0=y0, y1=(), f0=(), f1=(),
+                  rows=())
+        _, want_y1, err5, err3, _ = _tableau_step(traj.rhs, st)
+        assert _bits(y1) == _bits(want_y1)
+        assert _bits(e5) == _bits(err5)
+        assert _bits(e3) == _bits(err3)
+
+
+@pytest.mark.parametrize("flow", [Flow.REGULARIZED, Flow.PHYSICAL])
+def test_fixed_step_run_takes_the_tableau_loops_steps(flow, monkeypatch):
+    """A fixed step estimates no error, and each of its steps is the plain
+    tableau loops' step, bit for bit."""
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+
+    def refused(*args):
+        raise AssertionError("a fixed step estimates no error")
+    monkeypatch.setattr(integrator, "_error_norm", refused)
+    traj = integrate(flow, _start(flow, level), level,
+                     IntegrationSettings(t_max=2.0, fixed_step=0.0625))
+    assert len(traj.steps) == 32
+    for st in traj.steps:
+        k, y1, _, _, rows = _tableau_step(traj.rhs, st)
+        assert _bits(y1) == _bits(st.y1)
+        assert _bits(k[12]) == _bits(st.f1)
+        assert [_bits(r) for r in rows] == [_bits(r) for r in st.rows]
+
+
+def _first_step_from(h, kernel=None, monkeypatch=None):
+    """The first step of a regularized run on the mu = 0.1 level that
+    starts with step ``h``, its kernel replaced by ``kernel``."""
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+    chart, y = integrator.prepare_initial(
+        Flow.REGULARIZED, collision_point((1.0, 0.0), level), level)
+    traj = integrator.Trajectory(Flow.REGULARIZED, level,
+                                 IntegrationSettings(), chart, y)
+    f0 = traj.rhs(chart, y)
+    if kernel is not None:
+        monkeypatch.setattr(regularization, "g_and_gradient", kernel)
+    integrator.advance(traj, 0.0, h, chart, y, f0, False,
+                       until=lambda tr: True)
+    return traj.steps[0]
+
+
+def test_a_singular_stage_retreats_by_a_quarter_step(monkeypatch):
+    """A kernel that meets a singular point at one stage of an attempt
+    sends the loop back with a quarter of the step, whose step is the one
+    a run started at that step takes."""
+    kernel = regularization.g_and_gradient
+    calls = []
+
+    def singular_once(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise SingularInputError("fiber coordinate b = 0 is singular")
+        return kernel(*args)
+    got = _first_step_from(0.01, singular_once, monkeypatch)
+    monkeypatch.undo()
+    want = _first_step_from(0.0025)
+    assert got.h == want.h == 0.0025
+    assert _bits(got.y1) == _bits(want.y1)
+    assert [_bits(r) for r in got.rows] == [_bits(r) for r in want.rows]
+
+
+def test_tracebacks_show_the_generated_attempt(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken kernel")
+    with pytest.raises(RuntimeError) as info:
+        _first_step_from(0.01, broken, monkeypatch)
+    frame = traceback.extract_tb(info.value.__traceback__)[-2]
+    assert frame.filename.startswith("<ccorb.integrator: DOP853")
+    assert frame.line == (
+        "g, ga1, ga2, gb1, gb2 = field(chart, x0, x1, x2, x3, mu, f)")
 
 
 def _initial_step_by_loops(rhs, chart, y0, f0, atol, rtol, compensated=False):

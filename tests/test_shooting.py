@@ -32,10 +32,12 @@ from ccorb import (
     refine_chord,
     scan_and_bracket,
 )
-from ccorb import lanes, shooting
+from ccorb import integrator, lanes, shooting
 from ccorb.cli import _scan_ranges
 from ccorb.dynamics import EnergyLevel, solve_bracket
-from ccorb.integrator import EventHit
+from ccorb.errors import NumericalError
+from ccorb.integrator import EventHit, Flow, integrate, prepare_initial
+from ccorb.regularization import phase_to_chart
 from ccorb.shooting import (
     CERT_MARGIN,
     GRAZING_TOL,
@@ -437,6 +439,29 @@ def test_certified_brackets_are_the_full_tolerance_brackets(n, monkeypatch):
     assert len(shot) < sum(map(len, grids)) // 4
 
 
+@pytest.mark.parametrize("n", [8, 40])
+def test_each_grid_point_is_shot_again_once(n, monkeypatch):
+    """A grid point whose bracket ends need misses at the run's settings
+    is shot once, to the largest k they need there, and not once per
+    (s, branch, k)."""
+    grids = [specs for _, specs in _reference_grids(n)]
+    shots = []
+    shoot = shooting._shoot
+
+    def counted(spec, settings, k):
+        shots.append((spec.s, spec.branch, k))
+        return shoot(spec, settings, k)
+    monkeypatch.setattr(shooting, "_shoot", counted)
+    found = scan_grids(grids, IntegrationSettings(), 3)
+    ends = {(s, b.branch, b.pericenter_index)
+            for brackets in found for b in brackets for s in (b.s_lo, b.s_hi)}
+    points = [(s, branch) for s, branch, _ in shots]
+    assert shots and len(points) == len(set(points))
+    for s, branch, k in shots:
+        assert k == max(j for t, b, j in ends if (t, b) == (s, branch))
+    assert len(shots) < len([e for e in ends if e[:2] in set(points)])
+
+
 #: a near pass clear of every edge of the certificate, as (t, r, m)
 _CLEAR = (10.0, 0.05, 0.3)
 _EDGE = CERT_MARGIN * GRID_TOL[0]
@@ -563,6 +588,34 @@ def test_batch_misses_are_the_scalar_shots(case):
     assert got == _scalar_misses(specs, settings, k_max)
     if case == "unstartable specs":
         assert [] in got and got.count([]) < len(got)
+
+
+def test_a_lane_handed_over_mid_way_spends_the_same_step_budget(
+        monkeypatch):
+    """A lane that the lockstep loop hands to the scalar loop mid-way stops
+    at the step where its own scalar run spends the step budget."""
+    monkeypatch.setattr(lanes, "TAIL_WIDTH", 2)
+    monkeypatch.setattr(lanes, "MAX_STEPS", 60)
+    monkeypatch.setattr(integrator, "MAX_STEPS", 60)
+    params, level = _reference_level()
+    specs = grid_specs((0.1, 0.6), 4, Branch.MINUS, params, level)[1:3]
+    starts = [prepare_initial(Flow.REGULARIZED,
+                              phase_to_chart(axis_initial_state(spec)), level)
+              for spec in specs]
+    ended = []
+
+    def on_step(lane, st):
+        ended.append(lane)
+        return lane == 0  # lane 1 is left alone in the batch
+    errors = lanes.integrate_lanes(starts, level, IntegrationSettings(),
+                                   shooting._pericenter_rate, on_step)
+    assert errors[0] is None and ended.count(0) == 1 and 1 in ended
+    with pytest.raises(NumericalError) as scalar:
+        integrate(Flow.REGULARIZED, phase_to_chart(axis_initial_state(
+            specs[1])), level, IntegrationSettings())
+    assert isinstance(errors[1], NumericalError)
+    assert str(errors[1]) == str(scalar.value)
+    assert "step budget 60 exhausted" in str(scalar.value)
 
 
 def test_batch_takes_one_level(kepler_params, kepler_level, tight_settings):
