@@ -26,6 +26,7 @@ from ._version import __version__
 from .dynamics import SystemParams, _root_in, first_critical_value
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
 from .integrator import (
+    EVENT_TOL,
     Flow,
     IntegrationSettings,
     _transition_state,
@@ -375,7 +376,7 @@ def entry_from_chord(chord: Chord, settings: IntegrationSettings) -> dict:
         "integrator_tolerances": {
             "rel_tol": settings.rel_tol,
             "abs_tol": settings.abs_tol,
-            "event_tol": settings.event_tol,
+            "event_tol": EVENT_TOL,
         },
         "artifact_version": __version__,
     }

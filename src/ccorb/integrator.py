@@ -188,6 +188,8 @@ PHYSICAL_GUARD_RADIUS = 1e-6
 MAX_STEPS = 2_000_000
 #: largest step the adaptive controller may take
 MAX_STEP = 1.0
+#: time resolution of event location in :func:`step_roots`
+EVENT_TOL = 1e-12
 
 
 class Flow(Enum):
@@ -202,19 +204,16 @@ class IntegrationSettings:
     """Error control and horizon knobs.
 
     ``fixed_step`` disables the adaptive controller and forces a constant
-    step (used by the convergence-order study); ``event_tol`` is the time
-    resolution of event location in :func:`step_roots`.
+    step (used by the convergence-order study).
     """
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     t_max: float = 50.0
-    event_tol: float = 1e-12
     fixed_step: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "t_max", "event_tol",
-                     "fixed_step"):
+        for name in ("rel_tol", "abs_tol", "t_max", "fixed_step"):
             value = getattr(self, name)
             if value is None and name == "fixed_step":
                 continue
@@ -705,17 +704,16 @@ def _crosses(direction: int, va: float, vb: float) -> bool:
             or (direction <= 0 and va > 0.0 >= vb))
 
 
-def step_roots(st: Step, rhs, event, direction: int, tol: float
-               ) -> list[EventHit]:
+def step_roots(st: Step, rhs, event, direction: int) -> list[EventHit]:
     """Roots of ``event`` within one accepted step, in time order.
 
     Brackets are the step's start, midpoint and end (roots less than h/2
     apart may merge); each that crosses zero as ``direction`` asks is
     shrunk on the dense output by :func:`~ccorb.dynamics.solve_bracket`
-    to ``tol`` or to adjacent floats, and the hit is its midpoint.  The
-    vector field at the step's ends is the step's own ``f0`` and ``f1``,
-    and at the midpoint the rate of the dense output; ``rhs`` is called
-    only at the solver's probes.
+    to :data:`EVENT_TOL` or to adjacent floats, and the hit is its
+    midpoint.  The vector field at the step's ends is the step's own
+    ``f0`` and ``f1``, and at the midpoint the rate of the dense output;
+    ``rhs`` is called only at the solver's probes.
     """
     chart = st.chart
 
@@ -734,7 +732,7 @@ def step_roots(st: Step, rhs, event, direction: int, tol: float
         if not _crosses(direction, vs[j], vs[j + 1]):
             continue
         lo, _, hi, _ = dynamics.solve_bracket(
-            value, ts[j], vs[j], ts[j + 1], vs[j + 1], tol)
+            value, ts[j], vs[j], ts[j + 1], vs[j + 1], EVENT_TOL)
         t_star = 0.5 * (lo + hi)
         hits.append(EventHit(t=t_star, chart=chart, y=st.eval(t_star)))
     return hits
@@ -757,18 +755,16 @@ def locate_event(traj: Trajectory, event, direction: int = 0
     direction : {-1, 0, +1}
         +1 keeps only - to + crossings, -1 only + to -, 0 both.
 
-    Each step goes through :func:`step_roots` at the trajectory's
-    ``settings.event_tol``.
+    Each step goes through :func:`step_roots`.
 
     Returns
     -------
     list of EventHit
         In increasing time order; empty when no crossing exists.
     """
-    tol = traj.settings.event_tol
     hits: list[EventHit] = []
     for st in traj.steps:
-        hits += step_roots(st, traj.rhs, event, direction, tol)
+        hits += step_roots(st, traj.rhs, event, direction)
     return hits
 
 

@@ -206,9 +206,9 @@ def _near_passes(hits):
     return [h for h in hits if _radius_sq(h.chart, h.y) < _R_NEAR_SQ]
 
 
-def _passes(st, rhs, tol: float):
+def _passes(st, rhs):
     """The near passes located in one accepted step."""
-    return _near_passes(step_roots(st, rhs, _pericenter_rate, +1, tol))
+    return _near_passes(step_roots(st, rhs, _pericenter_rate, +1))
 
 
 def pericenter_hits(traj: Trajectory):
@@ -232,7 +232,7 @@ def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
     hits = []
 
     def until(traj: Trajectory) -> bool:
-        hits.extend(_passes(traj.steps[-1], traj.rhs, settings.event_tol))
+        hits.extend(_passes(traj.steps[-1], traj.rhs))
         return len(hits) >= k
 
     traj = integrate(Flow.REGULARIZED, phase_to_chart(state), spec.level,
@@ -262,15 +262,16 @@ def miss_function(spec: ShotSpec, settings: IntegrationSettings,
 
 
 def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
-                 k_max: int, lane_settings: IntegrationSettings | None = None
+                 k_max: int, lane_settings: IntegrationSettings
                  ) -> list[tuple[list, CcorbError | None]]:
     """Every shot of ``specs`` in one lockstep batch, to its k_max-th pass.
 
     Per spec, the (t, |q|^2, m) of its pericenter passes, near or not, and
     the error that ended its lane; ([], None) when it cannot start.  The
-    lanes run at ``lane_settings``, by default ``settings``, which must be
-    able to start every lane as they must for the scalar shot.  All specs
-    share one level.
+    lanes run at ``lane_settings``: ``settings`` itself in
+    :func:`shoot_grid`, the loose grid tolerances in :func:`scan_grids`.
+    ``settings`` must be able to start every lane, as it must for the
+    scalar shot.  All specs share one level.
     """
     if k_max < 1:
         raise UsageError(f"k_max must be at least 1, got {k_max}")
@@ -289,7 +290,7 @@ def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
             continue
         spec_of.append(i)
     rhs = _rhs_regularized(level.params.mu, level.f)
-    if lane_settings is not None:  # refuse what the scalar shot refuses
+    if lane_settings != settings:  # refuse what the scalar shot refuses
         for chart, y in starts:
             try:
                 first_step(rhs, chart, y, rhs(chart, y), settings)
@@ -299,15 +300,14 @@ def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
     near = [0] * len(starts)
 
     def on_step(lane: int, st) -> bool:
-        for hit in step_roots(st, rhs, _pericenter_rate, +1,
-                              settings.event_tol):
+        for hit in step_roots(st, rhs, _pericenter_rate, +1):
             r2 = _radius_sq(hit.chart, hit.y)
             passes[lane].append((hit.t, r2, _miss(hit)))
             near[lane] += r2 < _R_NEAR_SQ
         return near[lane] >= k_max
 
-    errors = integrate_lanes(starts, level, lane_settings or settings,
-                             _pericenter_rate, on_step)
+    errors = integrate_lanes(starts, level, lane_settings, _pericenter_rate,
+                             on_step)
     shots = [([], None)] * len(specs)
     for lane, i in enumerate(spec_of):
         shots[i] = (passes[lane], errors[lane])
@@ -328,11 +328,11 @@ def shoot_grid(specs: list[ShotSpec], settings: IntegrationSettings,
     shorter when t_max comes first, and empty when the shot cannot start
     or meets a singular point on its way.  A numerical failure of any shot
     is raised, the first in spec order.  All specs share one level.  A
-    scan shoots its grids through :func:`scan_grids`, which calls this
-    only for the lanes whose signs it must shoot at the run's settings.
+    scan shoots its grids through :func:`scan_grids`, and every shot it
+    takes at the run's settings comes through here.
     """
     misses: list[list[float]] = []
-    for passes, error in _shoot_lanes(specs, settings, k_max):
+    for passes, error in _shoot_lanes(specs, settings, k_max, settings):
         if error is not None and not isinstance(error, UsageError):
             raise error
         misses.append([] if error is not None
@@ -410,81 +410,65 @@ def _certain(passes, failed: bool, t_max: float) -> bool:
         for t, r, m in passes)
 
 
-def _sign_misses(specs: list[ShotSpec], settings: IntegrationSettings,
-                 k_max: int) -> tuple[list[list[float]], dict]:
-    """Misses whose signs, counts and grazing flags are those of
-    :func:`shoot_grid` at ``settings``, shot at :data:`GRID_TOL`.
-
-    Every lane runs to t_max plus the certificate's time margin, so that a
-    pass just past t_max is seen; a lane that :func:`_certain` clears has
-    no pass within that margin of t_max, so none past it.  Every other
-    lane is shot again at ``settings``.  Returns the misses and, keyed by
-    (s, branch, k), those that are the run's own values already.
-    """
-    t_max = settings.t_max
-    grid = replace(settings, rel_tol=GRID_TOL[0], abs_tol=GRID_TOL[1],
-                   t_max=t_max + CERT_MARGIN * GRID_TOL[0] * t_max)
-    misses, unsure = [], []
-    for i, (passes, error) in enumerate(_shoot_lanes(specs, settings, k_max,
-                                                     grid)):
-        misses.append(_near_misses(passes, k_max))
-        if not _certain([(t, math.sqrt(r2), m) for t, r2, m in passes],
-                        error is not None, t_max):
-            unsure.append(i)
-    exact = {}
-    for i, shot in zip(unsure, shoot_grid([specs[i] for i in unsure],
-                                          settings, k_max)):
-        misses[i] = shot
-        exact.update(((specs[i].s, specs[i].branch, k), m)
-                     for k, m in enumerate(shot, 1))
-    return misses, exact
-
-
 def scan_grids(grids: list[list[ShotSpec]], settings: IntegrationSettings,
                k_max: int) -> list[list[Bracket]]:
     """The brackets of each grid (:func:`bracket_grid`), from one batch.
 
     The grids share one level.  Signs are all a grid needs, so when both
     tolerances of ``settings`` are tighter than :data:`GRID_TOL` (and no
-    ``fixed_step`` is set), its shots run at :data:`GRID_TOL`, and a shot
-    whose pass count, signs or grazing flags the sign certificate
-    (:func:`_certain`) cannot vouch for is shot again at ``settings``.  The
-    brackets then equal those of :func:`shoot_grid` at ``settings``: each
-    end's miss, the point of a tangential one included, is that shot's
-    value.  Unless its lane was shot at ``settings`` already, each grid
-    point is shot once by :func:`_shoot`, to the largest k any end there
-    needs, and every k reads its miss off that shot's passes; a stop at
-    an earlier pass would not have altered them.  Otherwise every shot
-    runs at ``settings``.
+    ``fixed_step`` is set), its shots run at :data:`GRID_TOL`, to t_max
+    plus the certificate's time margin, so that a pass just past t_max is
+    seen.  Every shot at ``settings`` then goes through
+    :func:`shoot_grid`: first each lane whose pass count, signs or grazing
+    flags the sign certificate (:func:`_certain`) cannot vouch for, to
+    k_max; then, once, each other grid point at a bracket end, to the
+    largest k its ends there need.  The grids are then bracketed again:
+    the certificate vouches that the other lanes keep their pass counts,
+    signs and grazing flags, and no bracket ends at a pass beyond the one
+    a point was shot to, so the brackets are those of :func:`shoot_grid`
+    at ``settings``, and each end's miss, the point of a tangential one
+    included, is that shot's value.  Otherwise every shot runs at
+    ``settings``.
     """
     specs = [spec for grid in grids for spec in grid]
-    if (settings.fixed_step is None and settings.rel_tol < GRID_TOL[0]
+
+    def brackets() -> list[list[Bracket]]:
+        shots = iter(misses)
+        return [bracket_grid(grid, [next(shots) for _ in grid], k_max)
+                for grid in grids]
+
+    def shoot_again(reach: dict[int, int]) -> None:
+        """Shoot ``specs[i]`` to pass ``reach[i]``, a batch per k."""
+        for k in sorted(set(reach.values())):
+            again = [i for i in sorted(reach) if reach[i] == k]
+            for i, shot in zip(again, shoot_grid([specs[i] for i in again],
+                                                 settings, k)):
+                misses[i] = shot
+
+    if not (settings.fixed_step is None and settings.rel_tol < GRID_TOL[0]
             and settings.abs_tol < GRID_TOL[1]):
-        misses, exact = _sign_misses(specs, settings, k_max)
-    else:
-        misses, exact = shoot_grid(specs, settings, k_max), None
-    shots = iter(misses)
-    found = [bracket_grid(grid, [next(shots) for _ in grid], k_max)
-             for grid in grids]
-    if exact is None:
-        return found
-    spec_at = {(spec.s, spec.branch): spec for spec in specs}
-    reach = {}  # (s, branch) -> the largest k an end there still needs
-    for b in (b for brackets in found for b in brackets):
-        for s in (b.s_lo, b.s_hi):
-            if (s, b.branch, b.pericenter_index) not in exact:
-                reach[s, b.branch] = max(reach.get((s, b.branch), 0),
-                                         b.pericenter_index)
-    for (s, branch), k in reach.items():
-        _, hits = _shoot(spec_at[s, branch], settings, k)
-        exact.update(((s, branch, j), _miss(hit))
-                     for j, hit in enumerate(hits[:k], 1))
-
-    def full(b: Bracket, s: float) -> float:
-        return exact.get((s, b.branch, b.pericenter_index), math.nan)
-
-    return [[replace(b, m_lo=full(b, b.s_lo), m_hi=full(b, b.s_hi))
-             for b in brackets] for brackets in found]
+        misses = shoot_grid(specs, settings, k_max)
+        return brackets()
+    t_max = settings.t_max
+    loose = replace(settings, rel_tol=GRID_TOL[0], abs_tol=GRID_TOL[1],
+                    t_max=t_max + CERT_MARGIN * GRID_TOL[0] * t_max)
+    misses, unsure = [], {}  # unsure: spec index -> k_max
+    for i, (passes, error) in enumerate(_shoot_lanes(specs, settings, k_max,
+                                                     loose)):
+        misses.append(_near_misses(passes, k_max))
+        if not _certain([(t, math.sqrt(r2), m) for t, r2, m in passes],
+                        error is not None, t_max):
+            unsure[i] = k_max
+    shoot_again(unsure)
+    ends, start = {}, 0  # ends: spec index -> the largest k its ends need
+    for grid, found in zip(grids, brackets()):
+        at = {spec.s: i for i, spec in enumerate(grid, start)}
+        start += len(grid)
+        for b in found:
+            for i in {at[b.s_lo], at[b.s_hi]} - unsure.keys():
+                ends[i] = max(ends.get(i, 0), b.pericenter_index)
+    shoot_again(ends)
+    return brackets()
 
 
 def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,

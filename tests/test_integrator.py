@@ -572,16 +572,16 @@ def test_event_location_reads_step_end_rates_from_the_stages():
         assert (t, before) in calls and (t, after) in calls
 
 
-def test_step_roots_splits_two_roots_at_the_midpoint():
+def test_step_roots_splits_two_roots_at_the_midpoint(monkeypatch):
     """Two roots in one step, one on each side of its midpoint, are both
     found; the ends alone see no sign change."""
+    monkeypatch.setattr(integrator, "EVENT_TOL", 1e-14)
     traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
                      IntegrationSettings(t_max=2.0))
     for st in traj.steps[:10]:
         r1, r2 = st.t0 + 0.3 * st.h, st.t0 + 0.7 * st.h
         hits = integrator.step_roots(
-            st, traj.rhs, lambda t, chart, y, dy: (t - r1) * (t - r2), 0,
-            1e-14)
+            st, traj.rhs, lambda t, chart, y, dy: (t - r1) * (t - r2), 0)
         assert [h.t for h in hits] == [pytest.approx(r1, abs=1e-13),
                                        pytest.approx(r2, abs=1e-13)]
 
@@ -631,7 +631,7 @@ def test_eval_outside_domain_is_an_error():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rel_tol": 0.0}, {"abs_tol": -1e-12}, {"t_max": 0.0}, {"event_tol": 0.0},
+    {"rel_tol": 0.0}, {"abs_tol": -1e-12}, {"t_max": 0.0},
     {"fixed_step": 0.0}, {"rel_tol": 1.0}, {"abs_tol": 1e3},
 ])
 def test_settings_validation(kwargs):
@@ -640,7 +640,7 @@ def test_settings_validation(kwargs):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "ten"])
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "t_max", "event_tol",
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "t_max",
                                   "fixed_step"])
 def test_settings_must_be_finite(name, value):
     with pytest.raises(UsageError, match=name):

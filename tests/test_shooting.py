@@ -171,8 +171,9 @@ def test_miss_matches_the_kepler_closed_form(s, kepler_params, kepler_level,
 
 def test_event_tol_sets_the_pericenter_time_resolution(kepler_params,
                                                         kepler_level,
-                                                        tight_settings):
-    """The located pericenter time is resolved to settings.event_tol.
+                                                        tight_settings,
+                                                        monkeypatch):
+    """The located pericenter time is resolved to integrator.EVENT_TOL.
 
     A tolerance below the float spacing at the event time still ends:
     bisection stops once the bracket is two adjacent floats.
@@ -181,8 +182,8 @@ def test_event_tol_sets_the_pericenter_time_resolution(kepler_params,
                     level=kepler_level)
 
     def t_reg(event_tol: float) -> float:
-        run = replace(tight_settings, event_tol=event_tol)
-        _, hits = _shoot(spec, run, 1)
+        monkeypatch.setattr(integrator, "EVENT_TOL", event_tol)
+        _, hits = _shoot(spec, tight_settings, 1)
         return hits[0].t
 
     reference = t_reg(1e-14)
@@ -407,58 +408,96 @@ def _fields(brackets):
              b.branch, b.kind) for b in brackets]
 
 
-@pytest.mark.parametrize("n", [8, 16, 40, "oracle"])
-def test_certified_brackets_are_the_full_tolerance_brackets(n, monkeypatch):
-    """Signs from the loose grid, certified, give every field of the
-    brackets of a grid shot at the run's settings, the end misses bit for
-    bit: on the reference level (both sides and branches, k = 1..3) and
-    on the mu = 0 oracle grid.  Most lanes are never shot at the run's
-    settings."""
+def _scan_case(n):
+    """(grids, settings, k_max, the brackets of a grid shot wholly at the
+    run's settings) on the reference level at n points, or on the 8-point
+    mu = 0 oracle grid."""
     if n == "oracle":
         kepler = SystemParams(mu=0.0)
         level = RegularizedLevel(params=kepler, f=2.0)
         grids = [grid_specs((0.40, 0.53), 8, Branch.MINUS, kepler, level)]
         settings = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-12,
                                        t_max=10.0)
-        want = _full_brackets(grids, settings, 2)
-    else:
-        grids = [specs for _, specs in _reference_grids(n)]
-        settings = IntegrationSettings()
-        want = [brackets for _, brackets in _reference_brackets(n)]
-    assert settings.rel_tol < GRID_TOL[0] and settings.abs_tol < GRID_TOL[1]
-    shot = []
-    full_grid = shooting.shoot_grid
+        return grids, settings, 2, _full_brackets(grids, settings, 2)
+    return ([specs for _, specs in _reference_grids(n)],
+            IntegrationSettings(), 3,
+            [brackets for _, brackets in _reference_brackets(n)])
 
-    def counted(specs, *args):
-        shot.extend(specs)
-        return full_grid(specs, *args)
+
+def _traced_scan(grids, settings, k_max, monkeypatch):
+    """scan_grids's brackets, the lanes the sign certificate rejects, and
+    the (spec, k) of every shot that shoot_grid takes, in order."""
+    verdicts, shots = [], []
+    certain, full_grid = shooting._certain, shooting.shoot_grid
+
+    def judged(*args):
+        verdicts.append(certain(*args))
+        return verdicts[-1]
+
+    def counted(specs, run, k):
+        shots.extend((spec, k) for spec in specs)
+        return full_grid(specs, run, k)
+    monkeypatch.setattr(shooting, "_certain", judged)
     monkeypatch.setattr(shooting, "shoot_grid", counted)
-    got = scan_grids(grids, settings, 2 if n == "oracle" else 3)
+    found = scan_grids(grids, settings, k_max)
+    specs = [spec for grid in grids for spec in grid]
+    assert len(verdicts) == len(specs)
+    return found, [s for s, ok in zip(specs, verdicts) if not ok], shots
+
+
+@pytest.mark.parametrize("n", [8, 16, 40, "oracle"])
+def test_certified_brackets_are_the_full_tolerance_brackets(n, monkeypatch):
+    """Signs from the loose grid, certified, give every field of the
+    brackets of a grid shot at the run's settings, the end misses bit for
+    bit: on the reference level (both sides and branches, k = 1..3) and
+    on the mu = 0 oracle grid.  The lanes the certificate rejects, and
+    then each other grid point at a bracket end, are the only shots at
+    the run's settings."""
+    grids, settings, k_max, want = _scan_case(n)
+    assert settings.rel_tol < GRID_TOL[0] and settings.abs_tol < GRID_TOL[1]
+    got, rejected, shots = _traced_scan(grids, settings, k_max, monkeypatch)
     assert [_fields(b) for b in got] == [_fields(b) for b in want]
     assert any(b.kind == "sign_change" for brackets in got for b in brackets)
-    assert len(shot) < sum(map(len, grids)) // 4
+    at = {(spec.s, spec.branch): spec for grid in grids for spec in grid}
+    ends = {at[s, b.branch] for brackets in got for b in brackets
+            for s in (b.s_lo, b.s_hi)}
+    shot = [spec for spec, _ in shots]
+    assert shot[:len(rejected)] == rejected
+    assert len(shot) == len(set(shot))
+    assert set(shot) == set(rejected) | ends
+
+
+@pytest.mark.parametrize("n", [8, "oracle"])
+def test_a_scan_takes_no_scalar_shot(n, monkeypatch):
+    """Every grid shot of a scan, the re-shots at the run's settings
+    included, runs in a lockstep batch: with the scalar shot gone, the
+    brackets are still those of a grid shot wholly at the run's
+    settings."""
+    grids, settings, k_max, want = _scan_case(n)
+
+    def gone(*args):
+        raise AssertionError("a scan took a scalar shot")
+    monkeypatch.setattr(shooting, "_shoot", gone)
+    got = scan_grids(grids, settings, k_max)
+    assert [_fields(b) for b in got] == [_fields(b) for b in want]
 
 
 @pytest.mark.parametrize("n", [8, 40])
 def test_each_grid_point_is_shot_again_once(n, monkeypatch):
-    """A grid point whose bracket ends need misses at the run's settings
-    is shot once, to the largest k they need there, and not once per
-    (s, branch, k)."""
-    grids = [specs for _, specs in _reference_grids(n)]
-    shots = []
-    shoot = shooting._shoot
-
-    def counted(spec, settings, k):
-        shots.append((spec.s, spec.branch, k))
-        return shoot(spec, settings, k)
-    monkeypatch.setattr(shooting, "_shoot", counted)
-    found = scan_grids(grids, IntegrationSettings(), 3)
+    """A grid point is shot at the run's settings at most once: to k_max
+    when the certificate rejects its lane, else to the largest k its
+    bracket ends need there, and not once per (s, branch, k)."""
+    grids, settings, k_max, _ = _scan_case(n)
+    found, rejected, shots = _traced_scan(grids, settings, k_max,
+                                          monkeypatch)
     ends = {(s, b.branch, b.pericenter_index)
             for brackets in found for b in brackets for s in (b.s_lo, b.s_hi)}
-    points = [(s, branch) for s, branch, _ in shots]
+    points = [(spec.s, spec.branch) for spec, _ in shots]
     assert shots and len(points) == len(set(points))
-    for s, branch, k in shots:
-        assert k == max(j for t, b, j in ends if (t, b) == (s, branch))
+    for spec, k in shots:
+        assert k == (k_max if spec in rejected else
+                     max(j for s, b, j in ends
+                         if (s, b) == (spec.s, spec.branch)))
     assert len(shots) < len([e for e in ends if e[:2] in set(points)])
 
 
