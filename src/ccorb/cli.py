@@ -440,6 +440,8 @@ def cmd_orbit_svg(args: argparse.Namespace) -> int:
         catalog = ChordCatalog.load(catalog_path)
     except IntegrityError as exc:
         raise UsageError(str(exc)) from exc
+    if not catalog.entries:
+        raise UsageError(f"catalog {catalog_path!r} holds no chords")
     if not 0 <= index < len(catalog.entries):
         raise UsageError(
             f"catalog index {index} out of range 0..{len(catalog.entries)-1}")

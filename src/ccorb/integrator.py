@@ -6,7 +6,7 @@ Characteristics
   of orders 5 and 3 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10),
   FSAL
 * proportional step control with exponent 1/8, safety factor and growth
-  clamps
+  clamps, in one function, ``_factor``, for this loop and the lanes
 * seventh-order dense output on every accepted step: three more stages,
   kept as seven rows of a nested polynomial, plus the rates at both ends
 * event location step by step, by a bracket solve on the interpolant and
@@ -23,7 +23,9 @@ Characteristics
   ``_D``, so the results are bit-identical to those loops; only the zero
   weights are left out.  The regularized attempt forms the six rates
   inline and takes no stage input for the two clocks, which the field
-  never reads
+  never reads.  The same text writes the attempt of the lockstep lanes
+  (:mod:`ccorb.lanes`), whose one state component is the (6, n) block
+  of all their states
 
 The regularized state vector is (a1, a2, b1, b2, t_phys, tau): alongside
 the chart coordinates the physical clock dt_phys/ds = G r and the contact
@@ -37,7 +39,6 @@ from __future__ import annotations
 import functools
 import linecache
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -373,16 +374,33 @@ def _error_norm(e5: tuple[float, ...], e3: tuple[float, ...],
     return h * n5 * math.sqrt(1.0 / (len(e5) * deno))
 
 
+def _factor(err: float, accepted: bool, rejected: bool) -> float:
+    """The step-size factor after an attempt with error norm ``err``.
+
+    An accepted step grows by up to ``_MAX_FACTOR`` (at err = 0), but not
+    right after a rejection; a rejected one shrinks by at least
+    ``_MIN_FACTOR``, which a NaN or infinite ``err`` also gives.  The
+    lockstep lanes take their factors here too, one Python float each.
+    """
+    factor = (_MAX_FACTOR if accepted and err == 0.0
+              else max(_MIN_FACTOR, _SAFETY * err ** -_EXPONENT))
+    return min(_MAX_FACTOR if accepted and not rejected else 1.0, factor)
+
+
 # ----------------------------------------------------------------------
 # The vector fields and the step attempt, generated from one text
 # ----------------------------------------------------------------------
-#: per flow: the state size, the lines that set up a field evaluation, the
-#: lines that set the rates k{s}_0, k{s}_1, ... of stage s from the kernel
-#: ``field`` at x0..x3, and those that set the clocks' rates
+#: per flow, and for the lanes of :mod:`ccorb.lanes`: the state size, the
+#: lines that set up a field evaluation, the lines that set the rates
+#: k{s}_0, k{s}_1, ... of stage s from the kernel ``field`` at x0..x3, and
+#: those that set the clocks' rates.  The lanes' one component is the
+#: (6, n) block of the regularized flow, and their kernel marks a
+#: singular lane in row 1 of ``marks`` at a dense-output stage (13-15,
+#: where ``dense`` is true), in row 0 before
 _FIELDS = {
-    Flow.PHYSICAL: (4, (), (
+    "physical": (4, (), (
         "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = field(x0, x1, x2, x3, mu)",), ()),
-    Flow.REGULARIZED: (6, ("north = chart is NORTH",), (
+    "regularized": (6, ("north = chart is NORTH",), (
         "g, ga1, ga2, gb1, gb2 = field(chart, x0, x1, x2, x3, mu, f)",
         "k{s}_0 = -g * gb1",
         "k{s}_1 = -g * gb2",
@@ -391,6 +409,8 @@ _FIELDS = {
         "beta = sqrt(x2 * x2 + x3 * x3)",
         "k{s}_4 = g * (beta if north else (x0 * x0 + x1 * x1) * beta)",
         "k{s}_5 = -(x2 * k{s}_0 + x3 * k{s}_1)")),
+    "lanes": (1, ("n_north, marks = chart",), (
+        "k{s}_0 = field(x0, n_north, mu, f, marks[{dense:d}])",), ()),
 }
 
 
@@ -404,26 +424,30 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{m}" for m in range(n))
 
 
-def _flow_source(flow: Flow) -> str:
-    """The text of the two factories of ``flow``.
+def _flow_source(name: str) -> str:
+    """The text of the factories of the flow or the lanes ``name``.
 
-    ``field_of(field, mu, f)`` returns its vector field ``rhs(chart, y)``,
-    and ``bind(field, mu, f, atol, rtol, fixed)`` one DOP853 attempt
-    ``attempt(chart, y, k0, h) -> (err, y1, f1, rows)``, where ``f1`` and
-    ``rows`` are None when the step is rejected.
+    ``field_of(field, mu, f)`` returns the flow's vector field ``rhs(chart,
+    y)`` (the lanes have none), and ``bind(field, mu, f, atol, rtol, fixed,
+    error_norm)`` one DOP853 attempt ``attempt(chart, y, k0, h) -> (err,
+    y1, f1, rows)``.  A flow's ``f1`` and ``rows`` are None when the step
+    is rejected; the lanes' attempt always forms them, since some accept.
     """
-    n, setup, rates, clocks = _FIELDS[flow]
-    lines = ["def field_of(field, mu, f):",
-             "    def rhs(chart, y):",
-             *["        " + line for line in setup],
-             "        x0, x1, x2, x3 = y[0], y[1], y[2], y[3]",
-             *["        " + line.format(s="") for line in rates + clocks],
-             f"        return ({_names('k_', n)})",
-             "    return rhs",
-             "",
-             "",
-             "def bind(field, mu, f, atol, rtol, fixed):",
-             "    def attempt(chart, y, k0, h):"]
+    n, setup, rates, clocks = _FIELDS[name]
+    lanes = name == "lanes"
+    inputs = min(n, 4)  # no clock: the first four components, or the block
+    lines = [] if lanes else [
+        "def field_of(field, mu, f):",
+        "    def rhs(chart, y):",
+        *["        " + line for line in setup],
+        "        x0, x1, x2, x3 = y[0], y[1], y[2], y[3]",
+        *["        " + line.format(s="") for line in rates + clocks],
+        f"        return ({_names('k_', n)})",
+        "    return rhs",
+        "",
+        ""]
+    lines += ["def bind(field, mu, f, atol, rtol, fixed, error_norm):",
+              "    def attempt(chart, y, k0, h):"]
 
     def body(*stmts: str) -> None:
         lines.extend("        " + stmt for stmt in stmts)
@@ -433,28 +457,30 @@ def _flow_source(flow: Flow) -> str:
         # the dense rows read a clock's rate: not those of stages 1-4
         read = s == 12 or any(s < len(row) and row[s]
                               for row in (_A[12], _E5, *_D))
-        body(*[line.format(s=s) for line in rates + (clocks if read else ())])
+        body(*[line.format(s=s, dense=s > 12)
+               for line in rates + (clocks if read else ())])
 
-    def stage(s: int) -> None:  # only the field's four inputs
-        body(*[f"x{m} = y_{m} + h * ({_dot(_A[s], m)})" for m in range(4)])
+    def stage(s: int) -> None:  # only the field's inputs
+        body(*[f"x{m} = y_{m} + h * ({_dot(_A[s], m)})"
+               for m in range(inputs)])
         field(s)
     body(*setup, f"{_names('y_', n)} = y", f"{_names('k0_', n)} = k0")
     for s in range(1, 12):
         stage(s)
     body(*[f"d_{m} = {_dot(_A[12], m)}" for m in range(n)])
     body(*[f"z_{m} = y_{m} + h * d_{m}" for m in range(n)])
-    body(f"y1 = ({_names('z_', n)})", "x0, x1, x2, x3 = z_0, z_1, z_2, z_3")
+    body(f"y1 = ({_names('z_', n)})",
+         f"{_names('x', inputs)} = {_names('z_', inputs)}")
     field(12)
     body("if fixed:", "    err = 0.0", "else:")
     body(*[f"    e5_{m} = {_dot(_E5, m)}" for m in range(n)])
     body(*[f"    e3_{m} = d_{m} - {_BHH[0]!r} * k0_{m} - {_BHH[1]!r} * k8_{m}"
            f" - {_BHH[2]!r} * k11_{m}" for m in range(n)])
-    body(f"    err = _integrator._error_norm(({_names('e5_', n)}),",
-         f"                                  ({_names('e3_', n)}),",
-         "                                  y, y1, h, atol, rtol)",
-         "if not err <= 1.0:",
-         "    return err, y1, None, None")
-    for s in range(13, 16):  # the dense-output stages of an accepted step
+    body(f"    err = error_norm(({_names('e5_', n)}), ({_names('e3_', n)}), "
+         "y, y1, h, atol, rtol)")
+    if not lanes:
+        body("if not err <= 1.0:", "    return err, y1, None, None")
+    for s in range(13, 16):  # the dense-output stages
         stage(s)
     body(*[f"r0_{m} = z_{m} - y_{m}" for m in range(n)])
     body(*[f"r1_{m} = h * k0_{m} - r0_{m}" for m in range(n)])
@@ -468,27 +494,27 @@ def _flow_source(flow: Flow) -> str:
 
 
 @functools.cache
-def _flow_code(flow: Flow) -> dict:
+def _flow_code(name: str) -> dict:
     """The factories of :func:`_flow_source`, compiled at the first use of
-    the flow's field, which comes before a run holds steps or lanes.
+    the flow's field, which comes before a run holds steps or lanes, or
+    when a lockstep loop first runs.
 
     The text is registered with :mod:`linecache`, so tracebacks show its
     lines.  Each factory takes the kernel, so that a kernel replaced at
     run time (say, by a call counter) is the one that every rate calls.
     """
-    source = _flow_source(flow)
-    filename = f"<ccorb.integrator: DOP853, {flow.value} flow>"
+    source = _flow_source(name)
+    filename = f"<ccorb.integrator: DOP853, {name}>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
-    scope = {"NORTH": Chart.NORTH, "sqrt": math.sqrt,
-             "_integrator": sys.modules[__name__]}
+    scope = {"NORTH": Chart.NORTH, "sqrt": math.sqrt}
     exec(compile(source, filename, "exec"), scope)
     return scope
 
 
 def _rhs_physical(mu: float):
     """The Hamiltonian vector field X_H of ``dynamics.vector_field_values``."""
-    return _flow_code(Flow.PHYSICAL)["field_of"](
+    return _flow_code("physical")["field_of"](
         dynamics.vector_field_values, mu, 0.0)
 
 
@@ -500,7 +526,7 @@ def _rhs_regularized(mu: float, f: float):
     r = |b| in the North chart and |a|^2 |b| in the South chart, and
     dtau/ds = -b . da/ds.
     """
-    return _flow_code(Flow.REGULARIZED)["field_of"](
+    return _flow_code("regularized")["field_of"](
         regularization.g_and_gradient, mu, f)
 
 
@@ -642,9 +668,9 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
     t_max = settings.t_max
     field = (dynamics.vector_field_values if flow is Flow.PHYSICAL
              else regularization.g_and_gradient)
-    attempt = _flow_code(flow)["bind"](
+    attempt = _flow_code(flow.value)["bind"](
         field, traj.level.params.mu, traj.level.f, settings.abs_tol,
-        settings.rel_tol, settings.fixed_step is not None)
+        settings.rel_tol, settings.fixed_step is not None, _error_norm)
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
         if taken >= MAX_STEPS:
             raise NumericalError(
@@ -665,9 +691,8 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
             h *= 0.25
             continue
         if rows is None:
+            h *= _factor(err, False, rejected)
             rejected = True
-            factor = max(_MIN_FACTOR, _SAFETY * err ** -_EXPONENT)
-            h *= min(1.0, factor)
             continue
         traj.steps.append(Step(t0=t, h=h, chart=chart, y0=y, y1=y1,
                                f0=f_now, f1=f1, rows=rows))
@@ -686,12 +711,7 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
                 chart, y = _transition_state(chart, y)
                 f_now = rhs(chart, y)
         if settings.fixed_step is None:
-            factor = (_SAFETY * err ** -_EXPONENT if err > 0.0
-                      else _MAX_FACTOR)
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            if rejected:
-                factor = min(1.0, factor)
-            h *= factor
+            h *= _factor(err, True, rejected)
         rejected = False
         if until is not None and until(traj):
             break

@@ -8,24 +8,26 @@ Python overhead of a step is paid once for all lanes.
 Every lane takes the steps of the scalar loop
 (:func:`~ccorb.integrator.advance`) bit for bit:
 
-* the array expressions repeat the scalar ones term for term: each stage
-  sum starts from 0.0 and runs in tableau order over the nonzero weights
-  of ``_A``, ``_E5`` and ``_D``; the error norm sums the six component
-  rows in order; the dense output and the event are
-  :meth:`~ccorb.integrator.Step.eval`, :meth:`~ccorb.integrator.Step.rate`
-  and the caller's event function themselves, run on whole columns;
+* the attempt is the scalar one: :func:`~ccorb.integrator._flow_source`
+  writes both from one text, here with the whole (6, n) block as the one
+  state component and ``_error_norms`` summing its six rows in order;
+  the dense output and the event are :meth:`~ccorb.integrator.Step.eval`,
+  :meth:`~ccorb.integrator.Step.rate` and the caller's event function
+  themselves, run on whole columns;
 * arrays see only + - * /, sqrt, abs, where and comparisons, which IEEE
   754 rounds correctly on every machine; the chart kernels are the same
   text as the scalar ones (:func:`~ccorb.regularization.north_field`,
   :func:`~ccorb.regularization.south_field`), with North lanes kept first
   so each chart runs on one slice;
-* what differs per lane stays scalar: the starting step, the controller
-  factor (Python floats, never ``np.power``), the chart switch and the
-  root solve, which runs on a :class:`~ccorb.integrator.Step` built from
-  the lane's columns whenever a start, midpoint and end sign test shows
-  an upward crossing;
+* what differs per lane stays scalar: the starting step, the step-size
+  factor (:func:`~ccorb.integrator._factor` on Python floats, never
+  ``np.power``), the chart switch and the root solve, which runs on a
+  :class:`~ccorb.integrator.Step` built from the lane's columns whenever
+  a start, midpoint and end sign test shows an upward crossing;
 * a stage at a singular point (b = 0, or q = E) marks its lane, and that
-  lane retreats with ``h *= 0.25`` as the scalar loop does.
+  lane retreats with ``h *= 0.25`` as the scalar loop does; at a
+  dense-output stage only a lane that passes its error test, since the
+  scalar loop forms those stages only then.
 
 A lane leaves when the caller's ``on_step`` says it is done or when it
 reaches ``t_max``.  Once fewer than :data:`TAIL_WIDTH` lanes are left,
@@ -49,14 +51,6 @@ from .errors import (
     UsageError,
 )
 from .integrator import (
-    _A,
-    _BHH,
-    _D,
-    _E5,
-    _EXPONENT,
-    _MAX_FACTOR,
-    _MIN_FACTOR,
-    _SAFETY,
     MAX_STEP,
     MAX_STEPS,
     SWITCH_UPPER,
@@ -64,6 +58,8 @@ from .integrator import (
     IntegrationSettings,
     Step,
     Trajectory,
+    _factor,
+    _flow_code,
     _rhs_regularized,
     _transition_state,
     advance,
@@ -116,62 +112,10 @@ def _field(ys, n_north: int, mu: float, f: float, bad):
     return out
 
 
-def _weights(row):
-    """A tableau row as 0-d arrays (faster operands than floats), zero
-    weights as None."""
-    return tuple(np.array(w) if w else None for w in row)
-
-
-_A_LANES = tuple(_weights(row) for row in _A)
-_E5_LANES = _weights(_E5)
-_D_LANES = tuple(_weights(row) for row in _D)
-
-
-def _weighted(weights, ks, tmp):
-    """0.0 + w_0 k_0 + w_1 k_1 + ..., in order, zero weights left out.
-
-    Summed in place, with ``tmp`` for the products; the 0.0 comes after
-    the first product, since x + 0.0 and 0.0 + x are the same bits.
-    """
-    acc = None
-    for w, k in zip(weights, ks):
-        if w is None:
-            continue
-        if acc is None:
-            acc = np.multiply(w, k)
-            acc += 0.0
-        else:
-            np.multiply(w, k, out=tmp)
-            acc += tmp
-    return acc
-
-
-def _scaled(hh, acc):
-    """h * acc, in place."""
-    acc *= hh
-    return acc
-
-
-def _stage(y, hh, weights, ks, tmp):
-    """The stage input y + h (0.0 + w_0 k_0 + ...), in place."""
-    acc = _scaled(hh, _weighted(weights, ks, tmp))
-    acc += y
-    return acc
-
-
-def _max(a, b):
-    """Python's ``max(a, b)`` per lane: b only where b > a."""
-    return np.where(b > a, b, a)
-
-
-def _min(a, b):
-    """Python's ``min(a, b)`` per lane: b only where b < a."""
-    return np.where(b < a, b, a)
-
-
 def _error_norms(e5, e3, y0, y1, h, atol: float, rtol: float):
     """``integrator._error_norm`` of every lane (rows are components)."""
-    sk = atol + rtol * _max(np.abs(y0), np.abs(y1))
+    a0, a1 = np.abs(y0), np.abs(y1)
+    sk = atol + rtol * np.where(a1 > a0, a1, a0)  # max(a0, a1) per lane
     r5 = e5 / sk
     r3 = e3 / sk
     sq5 = r5 * r5
@@ -183,20 +127,6 @@ def _error_norms(e5, e3, y0, y1, h, atol: float, rtol: float):
     deno = n5 + 0.01 * n3
     return np.where(deno <= 0.0, 0.0,
                     h * n5 * np.sqrt(1.0 / (len(e5) * deno)))
-
-
-def _factors(err, accept, retreat, rejected):
-    """The step-size factor of every lane, as the scalar loop takes it.
-
-    Only the power is taken per lane, on Python floats.
-    """
-    scaled = _SAFETY * np.array([e ** -_EXPONENT if e > 0.0 else 0.0
-                                 for e in err.tolist()])
-    grow = _min(_MAX_FACTOR, _max(_MIN_FACTOR, np.where(err > 0.0, scaled,
-                                                        _MAX_FACTOR)))
-    grow = np.where(rejected, _min(1.0, grow), grow)
-    shrink = _min(1.0, _max(_MIN_FACTOR, scaled))
-    return np.where(retreat, 0.25, np.where(accept, grow, shrink))
 
 
 def _event_values(event, t, ys, dys, n_north: int):
@@ -274,7 +204,10 @@ def integrate_lanes(starts, level: RegularizedLevel,
     taken = np.zeros(len(lanes), dtype=np.int64)
     rejected = np.zeros(len(lanes), dtype=bool)
     atol, rtol = settings.abs_tol, settings.rel_tol
-    lockstep = settings.fixed_step is None
+    lockstep = settings.fixed_step is None and len(ids) >= TAIL_WIDTH
+    if lockstep:  # a batch that starts on the scalar loop compiles nothing
+        attempt = _flow_code("lanes")["bind"](_field, mu_, f_, atol, rtol,
+                                              False, _error_norms)
     with np.errstate(all="ignore"):
         while lockstep and len(ids) >= TAIL_WIDTH:
             n_north = int(np.count_nonzero(north))
@@ -298,50 +231,33 @@ def integrate_lanes(starts, level: RegularizedLevel,
                 y, fy = y[:, keep], fy[:, keep]
                 continue
 
-            # one DOP853 attempt in every lane (see integrator.advance)
-            bad = np.zeros(len(ids), dtype=bool)
-            hh = np.empty_like(y)
-            hh[:] = h  # h per lane and component: no broadcast in products
-            tmp = np.empty_like(y)
-            ks = [fy]
-            for row in _A_LANES[1:12]:
-                ks.append(_field(_stage(y, hh, row, ks, tmp), n_north, mu_,
-                                 f_, bad))
-            dy = _weighted(_A_LANES[12], ks, tmp)
-            y1 = y + hh * dy
-            ks.append(_field(y1, n_north, mu_, f_, bad))
-            err = _error_norms(
-                _weighted(_E5_LANES, ks, tmp),
-                dy - _BHH[0] * ks[0] - _BHH[1] * ks[8] - _BHH[2] * ks[11],
-                y, y1, h, atol, rtol)
+            # one DOP853 attempt in every lane (see integrator.advance);
+            # row 0 of marks flags a singular stage, row 1 a singular
+            # dense-output stage, which only an accepted lane retreats from
+            marks = np.zeros((2, len(ids)), dtype=bool)
+            err, y1, f1, rows = attempt((n_north, marks), y, fy, h)
+            bad, bad_dense = marks
             ok = err <= 1.0
-            bad_dense = np.zeros(len(ids), dtype=bool)
-            for row in _A_LANES[13:]:
-                ks.append(_field(_stage(y, hh, row, ks, tmp), n_north, mu_,
-                                 f_, bad_dense))
             retreat = bad | (ok & bad_dense)
             accept = ok & ~retreat
 
-            r0 = y1 - y
-            r1 = hh * ks[0] - r0
             # Step's own eval and rate, on one "component": the whole block
             step = Step(t0=t, h=h, chart=None, y0=(y,), y1=(y1,), f0=(fy,),
-                        f1=(ks[12],),
-                        rows=((r0,), (r1,), (r0 - hh * ks[12] - r1,),
-                              *[(_scaled(hh, _weighted(row, ks, tmp)),)
-                                for row in _D_LANES]))
+                        f1=(f1,), rows=tuple((row,) for row in rows))
             tm = t + 0.5 * h
             vm = _event_values(event, tm, step.eval(tm)[0],
                                step.rate(tm)[0], n_north)
             crossing = accept & (
                 _upward(_event_values(event, t, y, fy, n_north), vm)
-                | _upward(vm, _event_values(event, t + h, y1, ks[12],
-                                            n_north)))
+                | _upward(vm, _event_values(event, t + h, y1, f1, n_north)))
 
             t_next = np.where(accept, t + h, t)
-            h_next = h * _factors(err, accept, retreat, rejected)
+            h_next = h * np.array([
+                0.25 if back else _factor(e, a, r) for e, a, back, r in zip(
+                    err.tolist(), accept.tolist(), retreat.tolist(),
+                    rejected.tolist())])
             y_next = np.where(accept, y1, y)
-            f_next = np.where(accept, ks[12], fy)
+            f_next = np.where(accept, f1, fy)
 
             alive = t_next < t_end
             moved = False
@@ -368,9 +284,9 @@ def integrate_lanes(starts, level: RegularizedLevel,
                           y0=tuple(y[:, j].tolist()),
                           y1=tuple(y1[:, j].tolist()),
                           f0=tuple(fy[:, j].tolist()),
-                          f1=tuple(ks[12][:, j].tolist()),
-                          rows=tuple(tuple(r[0][:, j].tolist())
-                                     for r in step.rows))
+                          f1=tuple(f1[:, j].tolist()),
+                          rows=tuple(tuple(row[:, j].tolist())
+                                     for row in rows))
                 try:
                     if on_step(ids[j], st):
                         alive[j] = False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -138,6 +139,41 @@ def test_scan_output_is_deterministic(tmp_path):
         assert main(ORACLE_SCAN + ["--jobs", jobs, "--out", str(q)]) == 0
         contents.append(q.read_bytes())
     assert all(c == contents[0] for c in contents)
+
+
+#: the SHA-256 of the catalog and of stdout (path replaced by the file
+#: name) of two scans: the benchmark's refine-coarse scan at seed 0, and
+#: the README mu = 0 oracle scan
+GOLDEN_SCANS = {
+    "refine-coarse.jsonl": (
+        ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch", "both",
+         "--kmax", "3", "--grid", "8"],
+        "02ac8f8de990fabd5d5b0aa355c9962cd959771c5e0608efb240c8920674b69e",
+        "028294eb553940ef63a036c8cb6211af74c4a67039b19f35838298cf4bba7091"),
+    "oracle.jsonl": (
+        ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
+         "--s-range", "0.1:0.53", "--grid", "50"],
+        "732801af1385945c21b18a598668d3e4e6ea8119ae715f3aaf526ac825d194f3",
+        "650f0c31e49099280947d22ff801807253881ccc4d5009be0ed26827814d3331"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_bytes_are_pinned(name, tmp_path, capsys):
+    """Catalog and stdout bytes of two scans, pinned by their SHA-256.
+
+    The pin holds where the platform's ``pow`` rounds as glibc's does,
+    which is where CI runs: the step-size controller takes ``err **
+    -0.125`` through it, and every step size, and so every byte, follows.
+    A change that is meant to keep the outputs must keep these digests.
+    """
+    argv, catalog_digest, stdout_digest = GOLDEN_SCANS[name]
+    out = tmp_path / name
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), name)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == catalog_digest
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
 def test_scan_without_chords_exits_three(tmp_path, capsys):
@@ -577,6 +613,24 @@ def test_orbit_svg_index_out_of_range(oracle_catalog, tmp_path, capsys):
     rc = main(["orbit-svg", "--catalog", str(oracle_catalog),
                "--index", "5", "--out", str(tmp_path / "x.svg")])
     assert rc == 2
+
+
+def test_orbit_svg_on_a_catalog_without_chords(tmp_path, capsys):
+    """A scan that finds no chords writes a header-only catalog, and
+    orbit-svg says so, not that index 0 lies outside 0..-1."""
+    catalog = tmp_path / "none.jsonl"
+    assert main(["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
+                 "--s-range", "0.15:0.3", "--grid", "4", "--kmax", "1",
+                 "--tmax", "10", "--out", str(catalog)]) == 3
+    assert len(catalog.read_text().splitlines()) == 1
+    capsys.readouterr()
+    out = tmp_path / "x.svg"
+    rc = main(["orbit-svg", "--catalog", str(catalog), "--index", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "holds no chords" in err and "out of range" not in err
+    assert not out.exists()
 
 
 def test_orbit_svg_rejects_a_pass_index_below_one(oracle_catalog, tmp_path,

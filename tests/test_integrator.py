@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import traceback
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,7 @@ from ccorb import (
     locate_event,
     physical_state,
 )
-from ccorb import hamiltonian, integrator, regularization
+from ccorb import hamiltonian, integrator, lanes, regularization
 from ccorb.integrator import (
     _A, _BHH, _C, _D, _E5, SWITCH_LOWER, SWITCH_UPPER, Step)
 
@@ -315,6 +316,145 @@ def test_tracebacks_show_the_generated_attempt(monkeypatch):
     assert frame.filename.startswith("<ccorb.integrator: DOP853")
     assert frame.line == (
         "g, ga1, ga2, gb1, gb2 = field(chart, x0, x1, x2, x3, mu, f)")
+
+
+def _lockstep_attempts(monkeypatch, level, n_lanes=6, width=2, t_max=6.0,
+                       dense_singular_at=None):
+    """Every lockstep attempt of ``n_lanes`` regularized runs from collision
+    points around the circle, with the hand-over width ``width``.
+
+    Each record holds the lanes' North count, singular marks, y, k0, h,
+    the attempt's (err, y1, f1, rows), the rates of stages 1-15 and both
+    error estimates.  With ``dense_singular_at`` = i, the kernel marks
+    every lane singular at the dense-output stages of attempt i only.
+    """
+    field, error_norms = lanes._field, lanes._error_norms
+    flow_code = integrator._flow_code
+    attempts = []
+
+    def recorded_field(ys, n_north, mu, f, bad):
+        rates = attempts[-1].ks
+        rates.append(field(ys, n_north, mu, f, bad))
+        if len(attempts) - 1 == dense_singular_at and len(rates) > 12:
+            bad[:] = True
+        return rates[-1]
+
+    def recorded_norms(e5, e3, *args):
+        attempts[-1].e5, attempts[-1].e3 = e5, e3
+        return error_norms(e5, e3, *args)
+
+    def recorded_code(name):
+        bind = flow_code(name)["bind"]
+
+        def recorded_bind(*args):
+            attempt = bind(*args)
+
+            def recorded(chart, y, k0, h):
+                attempts.append(SimpleNamespace(n_north=chart[0], y=y, k0=k0,
+                                                h=h, ks=[]))
+                attempts[-1].out = attempt(chart, y, k0, h)
+                attempts[-1].marks = chart[1].copy()
+                return attempts[-1].out
+            return recorded
+        return {"bind": recorded_bind}
+    starts = [integrator.prepare_initial(
+        Flow.REGULARIZED, collision_point(
+            (math.cos(a), math.sin(a)), level), level)
+        for a in (2.0 * math.pi * i / n_lanes for i in range(n_lanes))]
+    with monkeypatch.context() as patch:
+        patch.setattr(lanes, "TAIL_WIDTH", width)
+        patch.setattr(lanes, "_field", recorded_field)
+        patch.setattr(lanes, "_error_norms", recorded_norms)
+        patch.setattr(lanes, "_flow_code", recorded_code)
+        errors = lanes.integrate_lanes(
+            starts, level, IntegrationSettings(t_max=t_max),
+            lambda t, chart, y, dy: t - 1e9, lambda i, st: False)
+    assert errors == [None] * n_lanes
+    return attempts
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.0])
+def test_every_lockstep_attempt_is_the_tableau_loops_in_each_lane(
+        mu, monkeypatch):
+    """In every lane column of every lockstep attempt, the rejected ones
+    too, the stage rates, y1, both error estimates and all seven dense
+    rows are those of the plain tableau loops from the lane's y, h and
+    chart, bit for bit, in both charts and at mu = 0.1 and 0."""
+    level = RegularizedLevel(params=SystemParams(mu=mu), f=1.8)
+    rhs = integrator._rhs_regularized(mu, 1.8)
+    seen = set()
+    for at in _lockstep_attempts(monkeypatch, level):
+        err, y1, _, rows = at.out
+        assert not at.marks.any() and len(at.ks) == 15
+        for j in range(at.y.shape[1]):
+            chart = Chart.NORTH if j < at.n_north else Chart.SOUTH
+            st = Step(t0=0.0, h=float(at.h[j]), chart=chart,
+                      y0=tuple(at.y[:, j].tolist()), y1=(), f0=(), f1=(),
+                      rows=())
+            k, want_y1, err5, err3, want_rows = _tableau_step(rhs, st)
+            assert [_bits(ks) for ks in k] == [
+                _bits(ks[:, j].tolist()) for ks in [at.k0] + at.ks]
+            assert _bits(want_y1) == _bits(y1[:, j].tolist())
+            assert _bits(err5) == _bits(at.e5[:, j].tolist())
+            assert _bits(err3) == _bits(at.e3[:, j].tolist())
+            assert [_bits(r) for r in want_rows] == [
+                _bits(r[:, j].tolist()) for r in rows]
+            seen.add((chart, bool(err[j] <= 1.0)))
+    assert seen == {(chart, ok) for chart in Chart for ok in (True, False)}
+
+
+def test_a_singular_dense_stage_retreats_only_an_accepted_lane(monkeypatch):
+    """A kernel singular only at stages 13-15 sends a lane that passes its
+    error test back with a quarter of its step, as the scalar loop does;
+    a lane that fails it shrinks by the controller's factor."""
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+    plain = _lockstep_attempts(monkeypatch, level)
+    i = next(i for i, at in enumerate(plain)
+             if (at.out[0] <= 1.0).any() and (at.out[0] > 1.0).any())
+    tampered = _lockstep_attempts(monkeypatch, level, dense_singular_at=i)
+    at, after = tampered[i], tampered[i + 1]
+    assert not at.marks[0].any() and at.marks[1].all()
+    for j, err in enumerate(at.out[0].tolist()):
+        want = 0.25 if err <= 1.0 else integrator._factor(err, False, False)
+        assert after.h[j] == at.h[j] * want
+        assert _bits(after.y[:, j].tolist()) == _bits(at.y[:, j].tolist())
+
+
+def test_step_factor():
+    """Growth 5 at a zero error, never above 1 right after a rejection;
+    a rejection shrinks by the controller's factor, and by 0.2 when its
+    error is NaN or infinite."""
+    factor = integrator._factor
+    assert factor(0.0, True, False) == 5.0
+    assert factor(0.0, True, True) == 1.0
+    assert factor(1e-4, True, False) == 0.9 * 1e-4 ** -0.125
+    assert factor(1e-4, True, True) == 1.0
+    assert factor(0.5, True, False) == 0.9 * 0.5 ** -0.125
+    assert factor(1e-12, True, False) == 5.0
+    assert factor(2.0, False, False) == factor(2.0, False, True) == (
+        0.9 * 2.0 ** -0.125)
+    for err in (math.nan, math.inf, 1e30):
+        for rejected in (False, True):
+            assert factor(err, False, rejected) == 0.2
+
+
+def test_a_lockstep_batch_takes_its_step_factors_from_the_controller(
+        monkeypatch):
+    """A batch of TAIL_WIDTH lanes asks ``_factor`` once for each lane of
+    each lockstep attempt."""
+    calls = []
+
+    def counted(err, accepted, rejected):
+        calls.append((err, accepted))
+        return integrator._factor(err, accepted, rejected)
+    monkeypatch.setattr(lanes, "_factor", counted)
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+    attempts = _lockstep_attempts(monkeypatch, level,
+                                  n_lanes=lanes.TAIL_WIDTH,
+                                  width=lanes.TAIL_WIDTH, t_max=1.0)
+    assert attempts
+    assert calls == [(err, err <= 1.0) for at in attempts
+                     for err in at.out[0].tolist()]
 
 
 def _initial_step_by_loops(rhs, chart, y0, f0, atol, rtol, compensated=False):
