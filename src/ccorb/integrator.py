@@ -7,15 +7,19 @@ Characteristics
   FSAL
 * proportional step control with exponent 1/8, safety factor and growth
   clamps, in one function, ``_factor``, for this loop and the lanes
-* seventh-order dense output on every accepted step: three more stages,
-  kept as seven rows of a nested polynomial, plus the rates at both ends
+* seventh-order dense output: three more stages, kept as seven rows of a
+  nested polynomial, plus the rates at both ends, formed only when a
+  step's rows are first read, as Hairer's code forms them only when
+  dense output is asked for
 * event location step by step, by a bracket solve on the interpolant and
   never by step clipping, so the step sequence is independent of event
-  queries
+  queries; a step whose ends show no crossing is first screened at its
+  midpoint on the cubic Hermite through its ends
 * automatic stereographic chart switching for the regularized flow with a
   hysteresis band (switch out at |a| > 1.25, re-entry happens below 0.8)
 * bitwise-deterministic: no randomness, no wall-clock dependence
-* one straight-line attempt per flow, generated with the flow's vector
+* one straight-line attempt (stages 1-12) and one dense-output function
+  (stages 13-15 and the rows) per flow, generated with the flow's vector
   field from one text at the field's first use: each state component is
   a local float, each stage input, error estimate and dense row is one
   expression per component, and every sum keeps the tableau order and
@@ -25,7 +29,8 @@ Characteristics
   inline and takes no stage input for the two clocks, which the field
   never reads.  The same text writes the attempt of the lockstep lanes
   (:mod:`ccorb.lanes`), whose one state component is the (6, n) block
-  of all their states
+  of all their states; a lane's dense rows come from the flow's own
+  dense-output function on its columns
 
 The regularized state vector is (a1, a2, b1, b2, t_phys, tau): alongside
 the chart coordinates the physical clock dt_phys/ds = G r and the contact
@@ -36,6 +41,7 @@ vector is plain (q1, q2, p1, p2).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import linecache
 import math
@@ -228,10 +234,16 @@ class IntegrationSettings:
                 raise UsageError(f"{name} must be below 1, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Step:
     """One accepted step: its ends, the rates there, and the seven rows of
-    its seventh-order dense output (see ``_D``)."""
+    its seventh-order dense output (see ``_D``).
+
+    The rows are formed the first time :attr:`rows`, :meth:`eval` or
+    :meth:`rate` is read, by ``dense(chart, y0, y1, h, ks)`` from the
+    rates ``ks`` of the stages in :data:`_DENSE_READS`, which the step then
+    drops; a step nobody reads never runs the three dense-output stages.
+    """
 
     t0: float
     h: float
@@ -240,7 +252,23 @@ class Step:
     y1: tuple[float, ...]
     f0: tuple[float, ...]
     f1: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
+    ks: tuple[float, ...] | None
+    dense: object
+    _rows: tuple[tuple[float, ...], ...] | None = dataclasses.field(
+        default=None, init=False)
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """Rows d0..d6 of the dense output, formed at the first read.
+
+        Raises :class:`~ccorb.errors.SingularInputError` when a
+        dense-output stage meets a singular point.
+        """
+        if self._rows is None:
+            self._rows = self.dense(self.chart, self.y0, self.y1, self.h,
+                                    self.ks)
+            self.ks = self.dense = None
+        return self._rows
 
     def eval(self, t: float) -> tuple[float, ...]:
         """Dense-output state at t0 <= t <= t0 + h."""
@@ -394,9 +422,8 @@ def _factor(err: float, accepted: bool, rejected: bool) -> float:
 #: lines that set up a field evaluation, the lines that set the rates
 #: k{s}_0, k{s}_1, ... of stage s from the kernel ``field`` at x0..x3, and
 #: those that set the clocks' rates.  The lanes' one component is the
-#: (6, n) block of the regularized flow, and their kernel marks a
-#: singular lane in row 1 of ``marks`` at a dense-output stage (13-15,
-#: where ``dense`` is true), in row 0 before
+#: (6, n) block of the regularized flow, and their kernel marks a lane
+#: that meets a singular point in ``bad``
 _FIELDS = {
     "physical": (4, (), (
         "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = field(x0, x1, x2, x3, mu)",), ()),
@@ -409,9 +436,13 @@ _FIELDS = {
         "beta = sqrt(x2 * x2 + x3 * x3)",
         "k{s}_4 = g * (beta if north else (x0 * x0 + x1 * x1) * beta)",
         "k{s}_5 = -(x2 * k{s}_0 + x3 * k{s}_1)")),
-    "lanes": (1, ("n_north, marks = chart",), (
-        "k{s}_0 = field(x0, n_north, mu, f, marks[{dense:d}])",), ()),
+    "lanes": (1, ("n_north, bad = chart",), (
+        "k{s}_0 = field(x0, n_north, mu, f, bad)",), ()),
 }
+#: the stages of a step, of 0-12, whose rates the dense output reads: k0
+#: and k5-k12
+_DENSE_READS = tuple(sorted({0, 12} | {
+    j for row in (*_A[13:], *_D) for j, w in enumerate(row) if w and j < 13}))
 
 
 def _dot(row, m: int) -> str:
@@ -427,27 +458,24 @@ def _names(prefix: str, n: int) -> str:
 def _flow_source(name: str) -> str:
     """The text of the factories of the flow or the lanes ``name``.
 
-    ``field_of(field, mu, f)`` returns the flow's vector field ``rhs(chart,
-    y)`` (the lanes have none), and ``bind(field, mu, f, atol, rtol, fixed,
-    error_norm)`` one DOP853 attempt ``attempt(chart, y, k0, h) -> (err,
-    y1, f1, rows)``.  A flow's ``f1`` and ``rows`` are None when the step
-    is rejected; the lanes' attempt always forms them, since some accept.
+    ``bind(field, mu, f, atol, rtol, fixed, error_norm)`` returns one
+    DOP853 attempt ``attempt(chart, y, k0, h) -> (err, y1, f1, ks)``: stages
+    1-12, the eighth-order solution and the error norm, where ``ks`` holds
+    the rates of the stages in :data:`_DENSE_READS`, stage by stage and
+    component by component, in one flat tuple.  A flow's ``f1`` and ``ks``
+    are None when the step is rejected; the lanes' attempt always forms
+    them, since some accept.  Only the flows have ``field_of(field, mu,
+    f)``, which returns the vector field ``rhs(chart, y)``, and
+    ``dense_of(field, mu, f)``, which returns ``dense(chart, y, y1, h, ks)
+    -> rows``: stages 13-15 and the seven dense-output rows of a step from
+    its ``ks``.  A lane's rows come from the flow's ``dense`` on its
+    columns.
     """
     n, setup, rates, clocks = _FIELDS[name]
     lanes = name == "lanes"
     inputs = min(n, 4)  # no clock: the first four components, or the block
-    lines = [] if lanes else [
-        "def field_of(field, mu, f):",
-        "    def rhs(chart, y):",
-        *["        " + line for line in setup],
-        "        x0, x1, x2, x3 = y[0], y[1], y[2], y[3]",
-        *["        " + line.format(s="") for line in rates + clocks],
-        f"        return ({_names('k_', n)})",
-        "    return rhs",
-        "",
-        ""]
-    lines += ["def bind(field, mu, f, atol, rtol, fixed, error_norm):",
-              "    def attempt(chart, y, k0, h):"]
+    kept = ", ".join(f"k{s}_{m}" for s in _DENSE_READS for m in range(n))
+    lines: list[str] = []
 
     def body(*stmts: str) -> None:
         lines.extend("        " + stmt for stmt in stmts)
@@ -457,13 +485,35 @@ def _flow_source(name: str) -> str:
         # the dense rows read a clock's rate: not those of stages 1-4
         read = s == 12 or any(s < len(row) and row[s]
                               for row in (_A[12], _E5, *_D))
-        body(*[line.format(s=s, dense=s > 12)
-               for line in rates + (clocks if read else ())])
+        body(*[line.format(s=s) for line in rates + (clocks if read else ())])
 
     def stage(s: int) -> None:  # only the field's inputs
         body(*[f"x{m} = y_{m} + h * ({_dot(_A[s], m)})"
                for m in range(inputs)])
         field(s)
+    if not lanes:
+        lines += ["def field_of(field, mu, f):",
+                  "    def rhs(chart, y):"]
+        body(*setup, "x0, x1, x2, x3 = y[0], y[1], y[2], y[3]",
+             *[line.format(s="") for line in rates + clocks],
+             f"return ({_names('k_', n)})")
+        lines += ["    return rhs", "", "",
+                  "def dense_of(field, mu, f):",
+                  "    def dense(chart, y, y1, h, ks):"]
+        body(*setup, f"{_names('y_', n)} = y", f"{_names('z_', n)} = y1",
+             f"{kept} = ks")
+        for s in range(13, 16):  # the dense-output stages
+            stage(s)
+        body(*[f"r0_{m} = z_{m} - y_{m}" for m in range(n)])
+        body(*[f"r1_{m} = h * k0_{m} - r0_{m}" for m in range(n)])
+        body(*[f"r2_{m} = r0_{m} - h * k12_{m} - r1_{m}" for m in range(n)])
+        for j, row in enumerate(_D, 3):
+            body(*[f"r{j}_{m} = h * ({_dot(row, m)})" for m in range(n)])
+        body("return (", *[f"    ({_names(f'r{j}_', n)})," for j in range(7)],
+             ")")
+        lines += ["    return dense", "", ""]
+    lines += ["def bind(field, mu, f, atol, rtol, fixed, error_norm):",
+              "    def attempt(chart, y, k0, h):"]
     body(*setup, f"{_names('y_', n)} = y", f"{_names('k0_', n)} = k0")
     for s in range(1, 12):
         stage(s)
@@ -480,15 +530,7 @@ def _flow_source(name: str) -> str:
          "y, y1, h, atol, rtol)")
     if not lanes:
         body("if not err <= 1.0:", "    return err, y1, None, None")
-    for s in range(13, 16):  # the dense-output stages
-        stage(s)
-    body(*[f"r0_{m} = z_{m} - y_{m}" for m in range(n)])
-    body(*[f"r1_{m} = h * k0_{m} - r0_{m}" for m in range(n)])
-    body(*[f"r2_{m} = r0_{m} - h * k12_{m} - r1_{m}" for m in range(n)])
-    for j, row in enumerate(_D, 3):
-        body(*[f"r{j}_{m} = h * ({_dot(row, m)})" for m in range(n)])
-    body(f"return err, y1, ({_names('k12_', n)}), (",
-         *[f"    ({_names(f'r{j}_', n)})," for j in range(7)], ")")
+    body(f"return err, y1, ({_names('k12_', n)}), ({kept})")
     lines.append("    return attempt")
     return "\n".join(lines) + "\n"
 
@@ -662,15 +704,21 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
     before it, so a run handed over mid-way takes the same steps, bit for
     bit, and spends the same step budget as one that started here.
     Accepted steps are appended to ``traj.steps``; the loop itself never
-    reads them back, so ``until`` may take them away.
+    reads them back, so ``until`` may take them away.  A stage that meets a
+    singular point sends the loop back with a quarter of the step; the
+    dense-output stages run only when a step's rows are read, and a
+    singular one raises :class:`~ccorb.errors.SingularInputError` there,
+    out of ``until`` and this loop.
     """
     flow, settings, rhs = traj.flow, traj.settings, traj.rhs
     t_max = settings.t_max
     field = (dynamics.vector_field_values if flow is Flow.PHYSICAL
              else regularization.g_and_gradient)
-    attempt = _flow_code(flow.value)["bind"](
-        field, traj.level.params.mu, traj.level.f, settings.abs_tol,
-        settings.rel_tol, settings.fixed_step is not None, _error_norm)
+    code = _flow_code(flow.value)
+    mu, f = traj.level.params.mu, traj.level.f
+    attempt = code["bind"](field, mu, f, settings.abs_tol, settings.rel_tol,
+                           settings.fixed_step is not None, _error_norm)
+    dense = code["dense_of"](field, mu, f)
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
         if taken >= MAX_STEPS:
             raise NumericalError(
@@ -680,7 +728,7 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
             raise StepUnderflowError(
                 f"step size underflow ({h:.3e}) at t={t}", t=t)
         try:
-            err, y1, f1, rows = attempt(chart, y, f_now, h)
+            err, y1, f1, ks = attempt(chart, y, f_now, h)
         except SingularInputError as exc:
             if flow is Flow.PHYSICAL:
                 raise SingularityApproachError(
@@ -690,12 +738,11 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
             rejected = True
             h *= 0.25
             continue
-        if rows is None:
+        if ks is None:
             h *= _factor(err, False, rejected)
             rejected = True
             continue
-        traj.steps.append(Step(t0=t, h=h, chart=chart, y0=y, y1=y1,
-                               f0=f_now, f1=f1, rows=rows))
+        traj.steps.append(Step(t, h, chart, y, y1, f_now, f1, ks, dense))
         taken += 1
         t += h
         y = y1
@@ -724,29 +771,54 @@ def _crosses(direction: int, va: float, vb: float) -> bool:
             or (direction <= 0 and va > 0.0 >= vb))
 
 
+def _hermite_midpoint(y0, y1, f0, f1, h):
+    """State and rate at the middle of a step on the cubic Hermite through
+    its ends: the dense output's rows d0-d2 alone (see ``_D``), which are
+    y0, y1, f0 and f1.  Component by component; a component may be the
+    (6, n) block of lanes, with ``h`` one per lane."""
+    ym, fm = [], []
+    for a, b, fa, fb in zip(y0, y1, f0, f1):
+        d0 = b - a
+        d1 = h * fa - d0
+        d2 = d0 - h * fb - d1
+        ym.append(a + 0.5 * (d0 + 0.5 * (d1 + 0.5 * d2)))
+        fm.append((d0 + 0.25 * d2) / h)
+    return tuple(ym), tuple(fm)
+
+
 def step_roots(st: Step, rhs, event, direction: int) -> list[EventHit]:
     """Roots of ``event`` within one accepted step, in time order.
 
-    Brackets are the step's start, midpoint and end (roots less than h/2
-    apart may merge); each that crosses zero as ``direction`` asks is
-    shrunk on the dense output by :func:`~ccorb.dynamics.solve_bracket`
-    to :data:`EVENT_TOL` or to adjacent floats, and the hit is its
-    midpoint.  The vector field at the step's ends is the step's own
-    ``f0`` and ``f1``, and at the midpoint the rate of the dense output;
-    ``rhs`` is called only at the solver's probes.
+    The event is read at the step's ends from its own ``f0`` and ``f1``.
+    When the ends show no crossing as ``direction`` asks, the midpoint is
+    screened on the cubic Hermite through the ends
+    (:func:`_hermite_midpoint`), and a step that shows none there either
+    has no hit: its dense rows are never formed.  Otherwise the brackets
+    are the step's start, midpoint and end, the midpoint read on the dense
+    output and its rate (roots less than h/2 apart may merge); each that
+    crosses zero as ``direction`` asks is shrunk on the dense output by
+    :func:`~ccorb.dynamics.solve_bracket` to :data:`EVENT_TOL` or to
+    adjacent floats, and the hit is its midpoint.  ``rhs`` is called only
+    at the solver's probes.  Reading the rows may raise
+    :class:`~ccorb.errors.SingularInputError`, as a probe may.
     """
-    chart = st.chart
+    chart, t0, h = st.chart, st.t0, st.h
+    t1 = t0 + h
+    tm = t0 + 0.5 * h
+    v0 = event(t0, chart, st.y0, st.f0)
+    v1 = event(t1, chart, st.y1, st.f1)
+    if not _crosses(direction, v0, v1):
+        ym, fm = _hermite_midpoint(st.y0, st.y1, st.f0, st.f1, h)
+        vm = event(tm, chart, ym, fm)
+        if not (_crosses(direction, v0, vm) or _crosses(direction, vm, v1)):
+            return []
 
     def value(t: float) -> float:
         y = st.eval(t)
         return event(t, chart, y, rhs(chart, y))
 
-    t1 = st.t0 + st.h
-    tm = st.t0 + 0.5 * st.h
-    ts = (st.t0, tm, t1)
-    vs = (event(st.t0, chart, st.y0, st.f0),
-          event(tm, chart, st.eval(tm), st.rate(tm)),
-          event(t1, chart, st.y1, st.f1))
+    ts = (t0, tm, t1)
+    vs = (v0, event(tm, chart, st.eval(tm), st.rate(tm)), v1)
     hits: list[EventHit] = []
     for j in range(2):
         if not _crosses(direction, vs[j], vs[j + 1]):
@@ -768,14 +840,16 @@ def locate_event(traj: Trajectory, event, direction: int = 0
     event : callable
         ``event(t, chart, y, dy) -> float``, where ``dy`` is the vector
         field ``traj.rhs(chart, y)`` (at a step's midpoint, the rate of
-        the dense output, which matches it to the integration
-        tolerance); piecewise smooth along the trajectory.  For minimum-type events pass the time derivative of
+        the cubic Hermite screen or of the dense output, each of which
+        matches it to its own order); piecewise smooth along the
+        trajectory.  For minimum-type events pass the time derivative of
         the monitored quantity (e.g. the radial rate for pericenters) and
         ``direction=+1`` to keep only minima.
     direction : {-1, 0, +1}
         +1 keeps only - to + crossings, -1 only + to -, 0 both.
 
-    Each step goes through :func:`step_roots`.
+    Each step goes through :func:`step_roots`, so only the steps whose
+    ends or screened midpoint show a crossing form their dense rows.
 
     Returns
     -------

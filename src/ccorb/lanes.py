@@ -11,9 +11,6 @@ Every lane takes the steps of the scalar loop
 * the attempt is the scalar one: :func:`~ccorb.integrator._flow_source`
   writes both from one text, here with the whole (6, n) block as the one
   state component and ``_error_norms`` summing its six rows in order;
-  the dense output and the event are :meth:`~ccorb.integrator.Step.eval`,
-  :meth:`~ccorb.integrator.Step.rate` and the caller's event function
-  themselves, run on whole columns;
 * arrays see only + - * /, sqrt, abs, where and comparisons, which IEEE
   754 rounds correctly on every machine; the chart kernels are the same
   text as the scalar ones (:func:`~ccorb.regularization.north_field`,
@@ -21,13 +18,20 @@ Every lane takes the steps of the scalar loop
   so each chart runs on one slice;
 * what differs per lane stays scalar: the starting step, the step-size
   factor (:func:`~ccorb.integrator._factor` on Python floats, never
-  ``np.power``), the chart switch and the root solve, which runs on a
-  :class:`~ccorb.integrator.Step` built from the lane's columns whenever
-  a start, midpoint and end sign test shows an upward crossing;
+  ``np.power``), the chart switch and the root solve;
 * a stage at a singular point (b = 0, or q = E) marks its lane, and that
-  lane retreats with ``h *= 0.25`` as the scalar loop does; at a
-  dense-output stage only a lane that passes its error test, since the
-  scalar loop forms those stages only then.
+  lane retreats with ``h *= 0.25`` as the scalar loop does.
+
+Events are read as :func:`~ccorb.integrator.step_roots` reads them, on
+whole columns: the caller's event function at each step's ends and at
+its midpoint on the cubic Hermite through them
+(:func:`~ccorb.integrator._hermite_midpoint`).  No dense output is formed
+for the block.  Each lane whose ends or screened midpoint show an upward
+crossing goes to the caller as a scalar :class:`~ccorb.integrator.Step`,
+whose rows the flow's own dense-output function forms from the lane's
+stage-rate columns when they are read; a dense-output stage at a
+singular point then ends the lane with
+:class:`~ccorb.errors.SingularInputError`, as an event probe does.
 
 A lane leaves when the caller's ``on_step`` says it is done or when it
 reaches ``t_max``.  Once fewer than :data:`TAIL_WIDTH` lanes are left,
@@ -42,6 +46,7 @@ import math
 
 import numpy as np
 
+from . import regularization
 from .dynamics import SINGULAR_DISTANCE
 from .errors import (
     CcorbError,
@@ -60,6 +65,7 @@ from .integrator import (
     Trajectory,
     _factor,
     _flow_code,
+    _hermite_midpoint,
     _rhs_regularized,
     _transition_state,
     advance,
@@ -157,16 +163,19 @@ def integrate_lanes(starts, level: RegularizedLevel,
         ``event(t, chart, y, dy)``, written so that it also runs on the
         rows of a chart slice of lanes.
     on_step : callable
-        ``on_step(i, step)`` is called with each accepted step of lane i
-        in which ``event`` crosses zero upward, in step order; True ends
+        ``on_step(i, step)`` is called, in step order, with each accepted
+        step of lane i whose ends or screened midpoint show an upward
+        crossing of ``event`` (the steps where
+        :func:`~ccorb.integrator.step_roots` may find a hit); True ends
         the lane.
 
     Returns
     -------
     list
         Per lane, None or the :class:`~ccorb.errors.CcorbError` that ended
-        it: a singular start, a singular point met by a chart switch or an
-        event probe (:class:`~ccorb.errors.UsageError`), or a step
+        it: a singular start, a singular point met by a chart switch, an
+        event probe or a dense-output stage
+        (:class:`~ccorb.errors.UsageError`), or a step
         underflow or spent step budget
         (:class:`~ccorb.errors.NumericalError`).  The lanes' steps are not
         kept.
@@ -179,6 +188,8 @@ def integrate_lanes(starts, level: RegularizedLevel,
     """
     mu, f = level.params.mu, level.f
     rhs = _rhs_regularized(mu, f)
+    dense = _flow_code("regularized")["dense_of"](
+        regularization.g_and_gradient, mu, f)
     mu_, f_ = np.array(mu), np.array(f)  # the same values, as 0-d arrays
     errors: list[CcorbError | None] = [None] * len(starts)
     lanes = []  # (lane, chart, y, f, h)
@@ -232,29 +243,24 @@ def integrate_lanes(starts, level: RegularizedLevel,
                 continue
 
             # one DOP853 attempt in every lane (see integrator.advance);
-            # row 0 of marks flags a singular stage, row 1 a singular
-            # dense-output stage, which only an accepted lane retreats from
-            marks = np.zeros((2, len(ids)), dtype=bool)
-            err, y1, f1, rows = attempt((n_north, marks), y, fy, h)
-            bad, bad_dense = marks
-            ok = err <= 1.0
-            retreat = bad | (ok & bad_dense)
-            accept = ok & ~retreat
+            # a lane that meets a singular stage retreats
+            bad = np.zeros(len(ids), dtype=bool)
+            err, y1, f1, ks = attempt((n_north, bad), y, fy, h)
+            accept = (err <= 1.0) & ~bad
 
-            # Step's own eval and rate, on one "component": the whole block
-            step = Step(t0=t, h=h, chart=None, y0=(y,), y1=(y1,), f0=(fy,),
-                        f1=(f1,), rows=tuple((row,) for row in rows))
-            tm = t + 0.5 * h
-            vm = _event_values(event, tm, step.eval(tm)[0],
-                               step.rate(tm)[0], n_north)
-            crossing = accept & (
-                _upward(_event_values(event, t, y, fy, n_north), vm)
-                | _upward(vm, _event_values(event, t + h, y1, f1, n_north)))
+            # step_roots' test on one "component", the whole block: the
+            # ends, and the midpoint on the cubic Hermite through them
+            v0 = _event_values(event, t, y, fy, n_north)
+            v1 = _event_values(event, t + h, y1, f1, n_north)
+            (ym,), (fm,) = _hermite_midpoint((y,), (y1,), (fy,), (f1,), h)
+            vm = _event_values(event, t + 0.5 * h, ym, fm, n_north)
+            crossing = accept & (_upward(v0, v1) | _upward(v0, vm)
+                                 | _upward(vm, v1))
 
             t_next = np.where(accept, t + h, t)
             h_next = h * np.array([
                 0.25 if back else _factor(e, a, r) for e, a, back, r in zip(
-                    err.tolist(), accept.tolist(), retreat.tolist(),
+                    err.tolist(), accept.tolist(), bad.tolist(),
                     rejected.tolist())])
             y_next = np.where(accept, y1, y)
             f_next = np.where(accept, f1, fy)
@@ -279,14 +285,12 @@ def integrate_lanes(starts, level: RegularizedLevel,
                 north[j] = chart is Chart.NORTH
                 moved = True
             for j in np.flatnonzero(crossing).tolist():
-                st = Step(t0=float(t[j]), h=float(h[j]),
-                          chart=Chart.NORTH if j < n_north else Chart.SOUTH,
-                          y0=tuple(y[:, j].tolist()),
-                          y1=tuple(y1[:, j].tolist()),
-                          f0=tuple(fy[:, j].tolist()),
-                          f1=tuple(f1[:, j].tolist()),
-                          rows=tuple(tuple(row[:, j].tolist())
-                                     for row in rows))
+                st = Step(float(t[j]), float(h[j]),
+                          Chart.NORTH if j < n_north else Chart.SOUTH,
+                          tuple(y[:, j].tolist()), tuple(y1[:, j].tolist()),
+                          tuple(fy[:, j].tolist()), tuple(f1[:, j].tolist()),
+                          tuple(v for k in ks for v in k[:, j].tolist()),
+                          dense)
                 try:
                     if on_step(ids[j], st):
                         alive[j] = False

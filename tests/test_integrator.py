@@ -29,7 +29,7 @@ from ccorb import (
 )
 from ccorb import hamiltonian, integrator, lanes, regularization
 from ccorb.integrator import (
-    _A, _BHH, _C, _D, _E5, SWITCH_LOWER, SWITCH_UPPER, Step)
+    _A, _BHH, _C, _D, _E5, SWITCH_LOWER, SWITCH_UPPER)
 
 KEPLER = RegularizedLevel(params=SystemParams(mu=0.0), f=2.0)
 
@@ -116,14 +116,15 @@ def _dot(weights, k, m):
     return acc
 
 
-def _tableau_step(rhs, st):
+def _tableau_step(rhs, chart, y, h):
     """Stages, eighth-order solution, both error estimates and dense rows
-    of ``st`` by plain loops over the tableau rows."""
-    y, h, n = st.y0, st.h, len(st.y0)
-    k = [rhs(st.chart, y)]
+    of the step h from y in ``chart`` by plain loops over the tableau
+    rows."""
+    n = len(y)
+    k = [rhs(chart, y)]
     for s in range(1, 16):
         ys = tuple(y[m] + h * _dot(_A[s], k, m) for m in range(n))
-        k.append(rhs(st.chart, ys))
+        k.append(rhs(chart, ys))
         if s == 12:
             y1 = ys
     err5 = [_dot(_E5, k, m) for m in range(n)]
@@ -167,10 +168,11 @@ def _bits(xs):
 @pytest.mark.parametrize("flow", [Flow.REGULARIZED, Flow.PHYSICAL])
 def test_unrolled_step_is_bit_identical_to_the_tableau_loops(flow,
                                                              monkeypatch):
-    """Stages, y1, both error estimates, the error norm, the dense rows and
-    the dense output of every accepted step equal the plain tableau loops
-    bit for bit (signed zeros included), on a mu = 0.1 regularized run
-    through chart switches and a physical run."""
+    """Stages, y1, both error estimates, the error norm, the dense rows,
+    formed when first read, and the dense output of every accepted step
+    equal the plain tableau loops bit for bit (signed zeros included), on
+    a mu = 0.1 regularized run through chart switches and a physical
+    run."""
     level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
     if flow is Flow.REGULARIZED:
         start = collision_point((1.0, 0.0), level)
@@ -193,7 +195,8 @@ def test_unrolled_step_is_bit_identical_to_the_tableau_loops(flow,
         assert len({st.chart for st in traj.steps}) == 2
     assert len(traj.steps) > 100
     for st in traj.steps:
-        k, y1, err5, err3, rows = _tableau_step(traj.rhs, st)
+        k, y1, err5, err3, rows = _tableau_step(traj.rhs, st.chart, st.y0,
+                                                st.h)
         assert _bits(k[0]) == _bits(st.f0)
         assert _bits(k[12]) == _bits(st.f1)
         assert _bits(y1) == _bits(st.y1)
@@ -244,9 +247,7 @@ def test_every_attempt_is_bit_identical_to_the_tableau_loops(flow, mu,
         assert {a[0] for a in attempts} == {Chart.NORTH, Chart.SOUTH}
     assert len(attempts) > len(traj.steps) > 100
     for chart, y0, h, e5, e3, y1 in attempts:
-        st = Step(t0=0.0, h=h, chart=chart, y0=y0, y1=(), f0=(), f1=(),
-                  rows=())
-        _, want_y1, err5, err3, _ = _tableau_step(traj.rhs, st)
+        _, want_y1, err5, err3, _ = _tableau_step(traj.rhs, chart, y0, h)
         assert _bits(y1) == _bits(want_y1)
         assert _bits(e5) == _bits(err5)
         assert _bits(e3) == _bits(err3)
@@ -254,8 +255,9 @@ def test_every_attempt_is_bit_identical_to_the_tableau_loops(flow, mu,
 
 @pytest.mark.parametrize("flow", [Flow.REGULARIZED, Flow.PHYSICAL])
 def test_fixed_step_run_takes_the_tableau_loops_steps(flow, monkeypatch):
-    """A fixed step estimates no error, and each of its steps is the plain
-    tableau loops' step, bit for bit."""
+    """A fixed step estimates no error, and each of its steps, its dense
+    rows formed when first read, is the plain tableau loops' step, bit for
+    bit."""
     level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
 
     def refused(*args):
@@ -265,7 +267,7 @@ def test_fixed_step_run_takes_the_tableau_loops_steps(flow, monkeypatch):
                      IntegrationSettings(t_max=2.0, fixed_step=0.0625))
     assert len(traj.steps) == 32
     for st in traj.steps:
-        k, y1, _, _, rows = _tableau_step(traj.rhs, st)
+        k, y1, _, _, rows = _tableau_step(traj.rhs, st.chart, st.y0, st.h)
         assert _bits(y1) == _bits(st.y1)
         assert _bits(k[12]) == _bits(st.f1)
         assert [_bits(r) for r in rows] == [_bits(r) for r in st.rows]
@@ -318,33 +320,112 @@ def test_tracebacks_show_the_generated_attempt(monkeypatch):
         "g, ga1, ga2, gb1, gb2 = field(chart, x0, x1, x2, x3, mu, f)")
 
 
+def test_a_run_forms_dense_rows_only_when_read(monkeypatch):
+    """A run whose rows nobody reads calls the kernel 12 times an attempt
+    (stages 1-12), besides its start and the starting-step probe; reading
+    every step's rows adds the 3 dense-output stages a step, once: a step
+    forms its rows at most once, whatever reads them."""
+    kernel = integrator.dynamics.vector_field_values
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+    attempts = [0]
+    error_norm = integrator._error_norm
+
+    def recorded(*args):
+        attempts[0] += 1
+        return error_norm(*args)
+    monkeypatch.setattr(integrator.dynamics, "vector_field_values", counted)
+    monkeypatch.setattr(integrator, "_error_norm", recorded)
+    traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
+                     IntegrationSettings(t_max=3.0))
+    assert attempts[0] > len(traj.steps) > 50
+    assert calls[0] == 2 + 12 * attempts[0]
+    for st in traj.steps:
+        assert len(st.rows) == 7
+    assert calls[0] == 2 + 12 * attempts[0] + 3 * len(traj.steps)
+    for st in traj.steps:
+        t = st.t0 + 0.5 * st.h
+        st.rows, st.eval(t), st.rate(t)
+    assert calls[0] == 2 + 12 * attempts[0] + 3 * len(traj.steps)
+
+
+def _singular_when(kernel, armed):
+    """``kernel``, singular whenever ``armed[0]`` is set."""
+    def singular(*args):
+        if armed[0]:
+            raise SingularInputError("fiber coordinate b = 0 is singular")
+        return kernel(*args)
+    return singular
+
+
+def test_a_singular_dense_stage_raises_where_the_rows_are_read(monkeypatch):
+    """The step loop never runs a dense-output stage, so one at a singular
+    point cannot send it back: a kernel singular only while step 5's rows
+    are read lets the run take the plain run's steps, and the
+    SingularInputError leaves the loop from ``until``, as one from an
+    event probe does.  The rows of a step whose forming failed are formed
+    at the next read."""
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+    settings = IntegrationSettings(t_max=2.0)
+    plain = integrate(Flow.REGULARIZED, _start(Flow.REGULARIZED, level),
+                      level, settings)
+    armed = [False]
+    monkeypatch.setattr(regularization, "g_and_gradient",
+                        _singular_when(regularization.g_and_gradient, armed))
+    taken = []
+
+    def until(traj):
+        taken[:] = traj.steps
+        if len(traj.steps) == 5:
+            armed[0] = True
+            try:
+                traj.steps[-1].rows
+            finally:
+                armed[0] = False
+        return False
+    with pytest.raises(SingularInputError):
+        integrate(Flow.REGULARIZED, _start(Flow.REGULARIZED, level), level,
+                  settings, until=until)
+    assert len(taken) == 5
+    for got, want in zip(taken, plain.steps):
+        assert (got.t0, got.h) == (want.t0, want.h)
+        assert _bits(got.y1) == _bits(want.y1)
+    assert [_bits(r) for r in taken[-1].rows] == [
+        _bits(r) for r in plain.steps[4].rows]
+
+
 def _lockstep_attempts(monkeypatch, level, n_lanes=6, width=2, t_max=6.0,
-                       dense_singular_at=None):
+                       event=None, on_step=None):
     """Every lockstep attempt of ``n_lanes`` regularized runs from collision
-    points around the circle, with the hand-over width ``width``.
+    points around the circle, with the hand-over width ``width``, and the
+    lanes' errors.
 
     Each record holds the lanes' North count, singular marks, y, k0, h,
-    the attempt's (err, y1, f1, rows), the rates of stages 1-15 and both
-    error estimates.  With ``dense_singular_at`` = i, the kernel marks
-    every lane singular at the dense-output stages of attempt i only.
+    the attempt's (err, y1, f1, ks), the rates of stages 1-12 and both
+    error estimates.  ``event`` defaults to one that never crosses, and
+    ``on_step`` to one that never ends a lane; ``on_step`` learns, as a
+    third argument, whether the lockstep loop (not the scalar tail) hands
+    the step over.
     """
     field, error_norms = lanes._field, lanes._error_norms
-    flow_code = integrator._flow_code
+    flow_code, advance = integrator._flow_code, lanes.advance
     attempts = []
+    tail = [False]
 
     def recorded_field(ys, n_north, mu, f, bad):
-        rates = attempts[-1].ks
-        rates.append(field(ys, n_north, mu, f, bad))
-        if len(attempts) - 1 == dense_singular_at and len(rates) > 12:
-            bad[:] = True
-        return rates[-1]
+        attempts[-1].ks.append(field(ys, n_north, mu, f, bad))
+        return attempts[-1].ks[-1]
 
     def recorded_norms(e5, e3, *args):
         attempts[-1].e5, attempts[-1].e3 = e5, e3
         return error_norms(e5, e3, *args)
 
     def recorded_code(name):
-        bind = flow_code(name)["bind"]
+        code = flow_code(name)
+        bind = code["bind"]
 
         def recorded_bind(*args):
             attempt = bind(*args)
@@ -356,7 +437,11 @@ def _lockstep_attempts(monkeypatch, level, n_lanes=6, width=2, t_max=6.0,
                 attempts[-1].marks = chart[1].copy()
                 return attempts[-1].out
             return recorded
-        return {"bind": recorded_bind}
+        return dict(code, bind=recorded_bind)
+
+    def recorded_advance(*args, **kwargs):
+        tail[0] = True
+        return advance(*args, **kwargs)
     starts = [integrator.prepare_initial(
         Flow.REGULARIZED, collision_point(
             (math.cos(a), math.sin(a)), level), level)
@@ -366,58 +451,139 @@ def _lockstep_attempts(monkeypatch, level, n_lanes=6, width=2, t_max=6.0,
         patch.setattr(lanes, "_field", recorded_field)
         patch.setattr(lanes, "_error_norms", recorded_norms)
         patch.setattr(lanes, "_flow_code", recorded_code)
+        patch.setattr(lanes, "advance", recorded_advance)
         errors = lanes.integrate_lanes(
             starts, level, IntegrationSettings(t_max=t_max),
-            lambda t, chart, y, dy: t - 1e9, lambda i, st: False)
-    assert errors == [None] * n_lanes
-    return attempts
+            event or (lambda t, chart, y, dy: t - 1e9),
+            lambda i, st: on_step is not None and on_step(i, st,
+                                                          not tail[0]))
+    return attempts, errors
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.0])
 def test_every_lockstep_attempt_is_the_tableau_loops_in_each_lane(
         mu, monkeypatch):
     """In every lane column of every lockstep attempt, the rejected ones
-    too, the stage rates, y1, both error estimates and all seven dense
-    rows are those of the plain tableau loops from the lane's y, h and
-    chart, bit for bit, in both charts and at mu = 0.1 and 0."""
+    too, the rates of stages 1-12, y1, both error estimates and the stage
+    rates kept for the dense output are those of the plain tableau loops
+    from the lane's y, h and chart, bit for bit, in both charts and at
+    mu = 0.1 and 0; so are the ends and the dense rows of every step the
+    lockstep loop hands over, formed from the lane's columns."""
     level = RegularizedLevel(params=SystemParams(mu=mu), f=1.8)
     rhs = integrator._rhs_regularized(mu, 1.8)
+    handed = []
+    attempts, errors = _lockstep_attempts(
+        monkeypatch, level, event=lambda t, chart, y, dy: y[1],
+        on_step=lambda i, st, lockstep: lockstep and handed.append(st))
+    assert errors == [None] * 6
     seen = set()
-    for at in _lockstep_attempts(monkeypatch, level):
-        err, y1, _, rows = at.out
-        assert not at.marks.any() and len(at.ks) == 15
+    for at in attempts:
+        err, y1, f1, ks = at.out
+        assert not at.marks.any() and len(at.ks) == 12
         for j in range(at.y.shape[1]):
             chart = Chart.NORTH if j < at.n_north else Chart.SOUTH
-            st = Step(t0=0.0, h=float(at.h[j]), chart=chart,
-                      y0=tuple(at.y[:, j].tolist()), y1=(), f0=(), f1=(),
-                      rows=())
-            k, want_y1, err5, err3, want_rows = _tableau_step(rhs, st)
-            assert [_bits(ks) for ks in k] == [
+            k, want_y1, err5, err3, _ = _tableau_step(
+                rhs, chart, tuple(at.y[:, j].tolist()), float(at.h[j]))
+            assert [_bits(ks) for ks in k[:13]] == [
                 _bits(ks[:, j].tolist()) for ks in [at.k0] + at.ks]
+            assert [_bits(k[s]) for s in integrator._DENSE_READS] == [
+                _bits(kept[:, j].tolist()) for kept in ks]
+            assert _bits(k[12]) == _bits(f1[:, j].tolist())
             assert _bits(want_y1) == _bits(y1[:, j].tolist())
             assert _bits(err5) == _bits(at.e5[:, j].tolist())
             assert _bits(err3) == _bits(at.e3[:, j].tolist())
-            assert [_bits(r) for r in want_rows] == [
-                _bits(r[:, j].tolist()) for r in rows]
             seen.add((chart, bool(err[j] <= 1.0)))
     assert seen == {(chart, ok) for chart in Chart for ok in (True, False)}
+    assert {st.chart for st in handed} == set(Chart) and len(handed) >= 10
+    for st in handed:
+        k, y1, _, _, rows = _tableau_step(rhs, st.chart, st.y0, st.h)
+        assert _bits(k[0]) == _bits(st.f0)
+        assert _bits(k[12]) == _bits(st.f1)
+        assert _bits(y1) == _bits(st.y1)
+        assert [_bits(r) for r in rows] == [_bits(r) for r in st.rows]
 
 
-def test_a_singular_dense_stage_retreats_only_an_accepted_lane(monkeypatch):
-    """A kernel singular only at stages 13-15 sends a lane that passes its
-    error test back with a quarter of its step, as the scalar loop does;
-    a lane that fails it shrinks by the controller's factor."""
+def test_the_lanes_hand_over_the_steps_the_scalar_screen_keeps(
+        monkeypatch):
+    """The lockstep loop hands over exactly the accepted lane steps where
+    ``step_roots`` goes past its screen: an upward crossing at the ends or
+    at the midpoint of the cubic Hermite through them.  The event has two
+    roots 0.02 apart in a2, so that some steps cross only at the
+    screened midpoint."""
     level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
-    plain = _lockstep_attempts(monkeypatch, level)
-    i = next(i for i, at in enumerate(plain)
-             if (at.out[0] <= 1.0).any() and (at.out[0] > 1.0).any())
-    tampered = _lockstep_attempts(monkeypatch, level, dense_singular_at=i)
-    at, after = tampered[i], tampered[i + 1]
-    assert not at.marks[0].any() and at.marks[1].all()
-    for j, err in enumerate(at.out[0].tolist()):
-        want = 0.25 if err <= 1.0 else integrator._factor(err, False, False)
-        assert after.h[j] == at.h[j] * want
-        assert _bits(after.y[:, j].tolist()) == _bits(at.y[:, j].tolist())
+
+    def event(t, chart, y, dy):
+        return (y[1] - 0.3) * (y[1] - 0.32)
+    handed = []
+    attempts, errors = _lockstep_attempts(
+        monkeypatch, level, event=event,
+        on_step=lambda i, st, lockstep: lockstep and handed.append(st))
+    assert errors == [None] * 6
+    crosses, want, screened = integrator._crosses, set(), 0
+    for at in attempts:
+        err, y1, f1, _ = at.out
+        for j in range(at.y.shape[1]):
+            if not err[j] <= 1.0:
+                continue
+            chart = Chart.NORTH if j < at.n_north else Chart.SOUTH
+            y0, f0 = tuple(at.y[:, j].tolist()), tuple(at.k0[:, j].tolist())
+            end, f_end = tuple(y1[:, j].tolist()), tuple(f1[:, j].tolist())
+            ym, fm = integrator._hermite_midpoint(y0, end, f0, f_end,
+                                                  float(at.h[j]))
+            v0, vm = event(0.0, chart, y0, f0), event(0.0, chart, ym, fm)
+            v1 = event(0.0, chart, end, f_end)
+            ends = crosses(+1, v0, v1)
+            if ends or crosses(+1, v0, vm) or crosses(+1, vm, v1):
+                want.add((float(at.h[j]), y0))
+                screened += not ends
+    assert screened > 0
+    assert {(st.h, st.y0) for st in handed} == want
+
+
+def test_a_singular_dense_stage_ends_only_its_lane(monkeypatch):
+    """A dense-output stage runs only when a handed-over step's rows are
+    read, so no lane retreats from one: a kernel singular while lane 0's
+    first crossing step forms its rows ends lane 0 with the
+    SingularInputError, as an event probe does, and every other lane
+    takes the steps of the plain batch."""
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+
+    def event(t, chart, y, dy):
+        return y[1]
+
+    def handed(steps):
+        def on_step(i, st, lockstep):
+            steps.append((i, st.t0, st.h, _bits(st.y1), lockstep))
+            return False
+        return on_step
+    plain = []
+    _lockstep_attempts(monkeypatch, level, event=event,
+                       on_step=handed(plain))
+    armed = [False]
+    monkeypatch.setattr(regularization, "g_and_gradient",
+                        _singular_when(regularization.g_and_gradient, armed))
+    tampered = []
+    record = handed(tampered)
+
+    def on_step(i, st, lockstep):
+        record(i, st, lockstep)
+        if i == 0:
+            armed[0] = True
+            try:
+                st.rows
+            finally:
+                armed[0] = False
+        return False
+    attempts, errors = _lockstep_attempts(monkeypatch, level, event=event,
+                                          on_step=on_step)
+    assert isinstance(errors[0], SingularInputError)
+    assert errors[1:] == [None] * 5
+    assert not any(at.marks.any() for at in attempts)
+    lane0 = [step for step in plain if step[0] == 0]
+    assert lane0[0][-1] and len(lane0) > 1  # handed over by the lockstep
+    assert [step for step in tampered if step[0] == 0] == lane0[:1]
+    assert [step for step in tampered if step[0] != 0] == [
+        step for step in plain if step[0] != 0]
 
 
 def test_step_factor():
@@ -449,10 +615,10 @@ def test_a_lockstep_batch_takes_its_step_factors_from_the_controller(
         return integrator._factor(err, accepted, rejected)
     monkeypatch.setattr(lanes, "_factor", counted)
     level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
-    attempts = _lockstep_attempts(monkeypatch, level,
-                                  n_lanes=lanes.TAIL_WIDTH,
-                                  width=lanes.TAIL_WIDTH, t_max=1.0)
-    assert attempts
+    attempts, errors = _lockstep_attempts(monkeypatch, level,
+                                          n_lanes=lanes.TAIL_WIDTH,
+                                          width=lanes.TAIL_WIDTH, t_max=1.0)
+    assert attempts and errors == [None] * lanes.TAIL_WIDTH
     assert calls == [(err, err <= 1.0) for at in attempts
                      for err in at.out[0].tolist()]
 
@@ -686,10 +852,12 @@ def test_step_stages_are_the_vector_field_at_the_step_ends():
 
 
 def test_event_location_reads_step_end_rates_from_the_stages():
-    """The event gets the field at a step's ends from the step's own rates
-    and at its midpoint from the rate of the dense output, so no field
-    call lands on a y0, a midpoint or a y1; each other event value costs
-    one call.  A chart-switch boundary is read in both charts."""
+    """The event gets the field at a step's ends from the step's own rates;
+    where the ends show no crossing, at the midpoint of the cubic Hermite
+    through them; and where the ends or that screen show one, at the
+    midpoint of the dense output from its rate.  So no field call lands
+    on a y0, a midpoint or a y1, and each other event value costs one
+    call.  A chart-switch boundary is read in both charts."""
     traj, switches = _switching_run()
     rhs = traj.rhs
     field_args = []
@@ -704,12 +872,46 @@ def test_event_location_reads_step_end_rates_from_the_stages():
         calls.append((t, chart))
         return y[1]
     assert locate_event(traj, event)
+    reads = screened = 0
+    for st in traj.steps:
+        v0, v1 = st.y0[1], st.y1[1]
+        ends = integrator._crosses(0, v0, v1)
+        vm = integrator._hermite_midpoint(st.y0, st.y1, st.f0, st.f1,
+                                          st.h)[0][1]
+        mid = integrator._crosses(0, v0, vm) or integrator._crosses(0, vm, v1)
+        screened += not ends
+        reads += 2 + (not ends) + (ends or mid)
+    assert 0 < screened < len(traj.steps)
     probes = ({st.y0 for st in traj.steps} | {st.y1 for st in traj.steps}
-              | {st.eval(st.t0 + 0.5 * st.h) for st in traj.steps})
+              | {st.eval(st.t0 + 0.5 * st.h) for st in traj.steps}
+              | {integrator._hermite_midpoint(st.y0, st.y1, st.f0, st.f1,
+                                              st.h)[0]
+                 for st in traj.steps})
     assert not probes.intersection(field_args)
-    assert len(field_args) == len(calls) - 3 * len(traj.steps)
+    assert len(field_args) == len(calls) - reads
     for t, before, after in switches:
         assert (t, before) in calls and (t, after) in calls
+
+
+def test_the_screen_is_the_cubic_hermite_through_the_step_ends():
+    """The screen's midpoint state and rate are those of the cubic through
+    a step's end states and rates: exact on cubics."""
+    t0, h = 0.25, 0.5
+    cubics = [(1.0, -2.0, 0.5, 3.0), (0.0, 0.0, 0.0, 1.0),
+              (-0.3, 1.5, -4.0, 0.0), (2.0, 0.0, 0.0, 0.0)]
+
+    def value(c, t):
+        return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+
+    def rate(c, t):
+        return c[1] + t * (2.0 * c[2] + t * 3.0 * c[3])
+    ym, fm = integrator._hermite_midpoint(
+        *[tuple(fn(c, t) for c in cubics)
+          for fn, t in ((value, t0), (value, t0 + h), (rate, t0),
+                        (rate, t0 + h))], h)
+    tm = t0 + 0.5 * h
+    assert ym == pytest.approx([value(c, tm) for c in cubics], abs=1e-14)
+    assert fm == pytest.approx([rate(c, tm) for c in cubics], abs=1e-14)
 
 
 def test_step_roots_splits_two_roots_at_the_midpoint(monkeypatch):

@@ -255,6 +255,69 @@ def test_no_two_passes_merge_within_a_step():
     assert (shots, passes) == (8, 24)
 
 
+def _unscreened_roots(st, rhs, event, direction):
+    """``step_roots`` without its Hermite screen: the start, the midpoint
+    on the dense output and the end bracket the roots of every step."""
+    chart, crosses = st.chart, integrator._crosses
+
+    def value(t):
+        y = st.eval(t)
+        return event(t, chart, y, rhs(chart, y))
+    tm = st.t0 + 0.5 * st.h
+    ts = (st.t0, tm, st.t0 + st.h)
+    vs = (event(ts[0], chart, st.y0, st.f0),
+          event(tm, chart, st.eval(tm), st.rate(tm)),
+          event(ts[2], chart, st.y1, st.f1))
+    hits = []
+    for j in range(2):
+        if crosses(direction, vs[j], vs[j + 1]):
+            lo, _, hi, _ = solve_bracket(value, ts[j], vs[j], ts[j + 1],
+                                         vs[j + 1], integrator.EVENT_TOL)
+            t = 0.5 * (lo + hi)
+            hits.append(EventHit(t=t, chart=chart, y=st.eval(t)))
+    return hits
+
+
+@pytest.mark.parametrize("tolerances", [GRID_TOL, (1e-11, 1e-13)])
+def test_the_hermite_screen_keeps_every_pass(tolerances, monkeypatch):
+    """On 12 reference-level shots, both sides and both branches, at
+    GRID_TOL and at the default tolerances, ``step_roots`` finds at every
+    step the passes of the unscreened start, midpoint and end test, bit
+    for bit; and the lockstep lanes, whose own screen picks the steps they
+    hand over, find every such pass of each shot."""
+    params, level = _reference_level()
+    settings = IntegrationSettings(rel_tol=tolerances[0],
+                                   abs_tol=tolerances[1])
+    specs = [ShotSpec(s=lo + (hi - lo) * i / 39, branch=branch,
+                      params=params, level=level)
+             for lo, hi, _ in _scan_ranges(None, params, level)
+             for branch in Branch for i in (3, 20, 36)]
+    monkeypatch.setattr(lanes, "TAIL_WIDTH", 4)
+    batch = shooting._shoot_lanes(specs, settings, 3, settings)
+    steps = screened = passes = 0
+    for spec, (lane_passes, error) in zip(specs, batch):
+        traj, _ = _shoot(spec, settings, 3)
+        want = []
+        for st in traj.steps:
+            ends = integrator._crosses(
+                +1, shooting._pericenter_rate(st.t0, st.chart, st.y0, st.f0),
+                shooting._pericenter_rate(st.t0 + st.h, st.chart, st.y1,
+                                          st.f1))
+            hits = _unscreened_roots(st, traj.rhs, shooting._pericenter_rate,
+                                     +1)
+            assert integrator.step_roots(
+                st, traj.rhs, shooting._pericenter_rate, +1) == hits
+            want += hits
+            steps += 1
+            screened += not ends
+        assert error is None
+        assert lane_passes == [
+            (h.t, shooting._radius_sq(h.chart, h.y), _miss(h)) for h in want]
+        passes += len(want)
+    assert len(specs) == 12 and passes >= 36
+    assert steps > screened > steps // 2
+
+
 def test_miss_changes_sign_across_the_root(kepler_params, kepler_level,
                                            tight_settings):
     lo = miss_function(ShotSpec(s=0.40, branch=Branch.MINUS,
