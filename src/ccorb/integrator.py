@@ -26,11 +26,12 @@ Characteristics
   starts from the 0.0 of a plain loop over the rows of ``_A``, ``_E5`` or
   ``_D``, so the results are bit-identical to those loops; only the zero
   weights are left out.  The regularized attempt forms the six rates
-  inline and takes no stage input for the two clocks, which the field
-  never reads.  The same text writes the attempt of the lockstep lanes
-  (:mod:`ccorb.lanes`), whose one state component is the (6, n) block
-  of all their states; a lane's dense rows come from the flow's own
-  dense-output function on its columns
+  inline from the kernel's G, gradient and |q|, and takes no stage input
+  for the two clocks, which the field never reads.  The same text writes
+  the attempt of the lockstep lanes (:mod:`ccorb.lanes`), whose one
+  state component is the (6, n) block of all their states; their field
+  is the flow's own ``rhs`` on each chart slice, and a lane's dense rows
+  come from the flow's own dense-output function on its columns
 
 The regularized state vector is (a1, a2, b1, b2, t_phys, tau): alongside
 the chart coordinates the physical clock dt_phys/ds = G r and the contact
@@ -427,14 +428,13 @@ def _factor(err: float, accepted: bool, rejected: bool) -> float:
 _FIELDS = {
     "physical": (4, (), (
         "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = field(x0, x1, x2, x3, mu)",), ()),
-    "regularized": (6, ("north = chart is NORTH",), (
-        "g, ga1, ga2, gb1, gb2 = field(chart, x0, x1, x2, x3, mu, f)",
+    "regularized": (6, (), (
+        "g, ga1, ga2, gb1, gb2, r = field(chart, x0, x1, x2, x3, mu, f)",
         "k{s}_0 = -g * gb1",
         "k{s}_1 = -g * gb2",
         "k{s}_2 = g * ga1",
         "k{s}_3 = g * ga2"), (
-        "beta = sqrt(x2 * x2 + x3 * x3)",
-        "k{s}_4 = g * (beta if north else (x0 * x0 + x1 * x1) * beta)",
+        "k{s}_4 = g * r",
         "k{s}_5 = -(x2 * k{s}_0 + x3 * k{s}_1)")),
     "lanes": (1, ("n_north, bad = chart",), (
         "k{s}_0 = field(x0, n_north, mu, f, bad)",), ()),
@@ -468,8 +468,8 @@ def _flow_source(name: str) -> str:
     f)``, which returns the vector field ``rhs(chart, y)``, and
     ``dense_of(field, mu, f)``, which returns ``dense(chart, y, y1, h, ks)
     -> rows``: stages 13-15 and the seven dense-output rows of a step from
-    its ``ks``.  A lane's rows come from the flow's ``dense`` on its
-    columns.
+    its ``ks``.  The lanes' field is the flow's ``rhs`` on each chart
+    slice, and a lane's rows come from the flow's ``dense`` on its columns.
     """
     n, setup, rates, clocks = _FIELDS[name]
     lanes = name == "lanes"
@@ -549,7 +549,7 @@ def _flow_code(name: str) -> dict:
     filename = f"<ccorb.integrator: DOP853, {name}>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
-    scope = {"NORTH": Chart.NORTH, "sqrt": math.sqrt}
+    scope: dict = {}
     exec(compile(source, filename, "exec"), scope)
     return scope
 
@@ -565,8 +565,8 @@ def _rhs_regularized(mu: float, f: float):
 
     With canonical pairs (a, -b), da/ds = -G dG/db and db/ds = G dG/da,
     smooth across a = 0 in the South chart; then dt_phys/ds = G r, with
-    r = |b| in the North chart and |a|^2 |b| in the South chart, and
-    dtau/ds = -b . da/ds.
+    the kernel's r = |q| (|b| in the North chart, |a|^2 |b| in the South
+    chart), and dtau/ds = -b . da/ds.
     """
     return _flow_code("regularized")["field_of"](
         regularization.g_and_gradient, mu, f)
@@ -694,6 +694,16 @@ def first_step(rhs, chart: Chart | None, y: tuple[float, ...],
                          settings.rel_tol)
 
 
+def _guard_step(t: float, h: float, taken: int) -> None:
+    """Refuse an attempt at ``t`` with clamped step ``h`` after ``taken``
+    steps: a spent step budget, or ``h`` below the resolution of ``t``."""
+    if taken >= MAX_STEPS:
+        raise NumericalError(f"step budget {MAX_STEPS} exhausted at t={t}")
+    if h < 1e-15 * max(1.0, abs(t)):
+        raise StepUnderflowError(
+            f"step size underflow ({h:.3e}) at t={t}", t=t)
+
+
 def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
             y: tuple[float, ...], f_now: tuple[float, ...], rejected: bool,
             until=None, taken: int = 0) -> Trajectory:
@@ -720,13 +730,8 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
                            settings.fixed_step is not None, _error_norm)
     dense = code["dense_of"](field, mu, f)
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
-        if taken >= MAX_STEPS:
-            raise NumericalError(
-                f"step budget {MAX_STEPS} exhausted at t={t}")
         h = min(h, MAX_STEP, t_max - t)
-        if h < 1e-15 * max(1.0, abs(t)):
-            raise StepUnderflowError(
-                f"step size underflow ({h:.3e}) at t={t}", t=t)
+        _guard_step(t, h, taken)
         try:
             err, y1, f1, ks = attempt(chart, y, f_now, h)
         except SingularInputError as exc:

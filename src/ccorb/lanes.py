@@ -11,11 +11,12 @@ Every lane takes the steps of the scalar loop
 * the attempt is the scalar one: :func:`~ccorb.integrator._flow_source`
   writes both from one text, here with the whole (6, n) block as the one
   state component and ``_error_norms`` summing its six rows in order;
+* so is the vector field: ``_field`` runs the flow's generated ``rhs``
+  on each chart slice, North lanes first, with the scalar chart kernels
+  (:func:`~ccorb.regularization.north_field`,
+  :func:`~ccorb.regularization.south_field`), which also return |q|;
 * arrays see only + - * /, sqrt, abs, where and comparisons, which IEEE
-  754 rounds correctly on every machine; the chart kernels are the same
-  text as the scalar ones (:func:`~ccorb.regularization.north_field`,
-  :func:`~ccorb.regularization.south_field`), with North lanes kept first
-  so each chart runs on one slice;
+  754 rounds correctly on every machine;
 * what differs per lane stays scalar: the starting step, the step-size
   factor (:func:`~ccorb.integrator._factor` on Python floats, never
   ``np.power``), the chart switch and the root solve;
@@ -48,13 +49,7 @@ import numpy as np
 
 from . import regularization
 from .dynamics import SINGULAR_DISTANCE
-from .errors import (
-    CcorbError,
-    NumericalError,
-    SingularInputError,
-    StepUnderflowError,
-    UsageError,
-)
+from .errors import CcorbError, NumericalError, SingularInputError, UsageError
 from .integrator import (
     MAX_STEP,
     MAX_STEPS,
@@ -65,6 +60,7 @@ from .integrator import (
     Trajectory,
     _factor,
     _flow_code,
+    _guard_step,
     _hermite_midpoint,
     _rhs_regularized,
     _transition_state,
@@ -80,41 +76,35 @@ TAIL_WIDTH = 20
 #: |a|^2 above which a lane may leave its chart; the exact test is scalar
 _SWITCH_CANDIDATE = 0.96 * SWITCH_UPPER * SWITCH_UPPER
 #: the kernels' singular thresholds, as 0-d arrays (faster to compare)
-_TINY_B = np.array(1e-300)
+_TINY_B = np.array(regularization.SINGULAR_FIBER)
 _TINY_D = np.array(SINGULAR_DISTANCE)
 
 
+def _lane_kernel(bad):
+    """``g_and_gradient`` on lanes: the chart kernels with ``np.sqrt``,
+    setting the lanes that meet b = 0 or q = E in ``bad``."""
+    def seen(beta, d=None):
+        np.logical_or(bad, beta < _TINY_B, out=bad)
+        if d is not None:
+            np.logical_or(bad, d < _TINY_D, out=bad)
+
+    def kernel(chart, a1, a2, b1, b2, mu, f):
+        field = north_field if chart is Chart.NORTH else south_field
+        return field(a1, a2, b1, b2, mu, f, np.sqrt, seen)
+    return kernel
+
+
 def _field(ys, n_north: int, mu: float, f: float, bad):
-    """The regularized vector field on every lane, North lanes first.
-
-    Mirrors ``integrator._rhs_regularized`` term for term; lanes where a
-    kernel meets a singular point are set in ``bad``.
-    """
+    """The regularized vector field on every lane, North lanes first: the
+    flow's own ``rhs`` (``integrator._rhs_regularized``) on the rows of
+    each chart slice, fed the kernel of :func:`_lane_kernel`."""
     out = np.empty_like(ys)
-    width = ys.shape[1]
-    for lo, hi, field in ((0, n_north, north_field),
-                          (n_north, width, south_field)):
-        if lo == hi:
-            continue
-
-        radius = []
-
-        def seen(beta, r, d=None, lo=lo, hi=hi):
-            hit = beta < _TINY_B
-            if d is not None:
-                hit |= d < _TINY_D
-            bad[lo:hi] |= hit
-            radius.append(r)
-        b1, b2 = ys[2, lo:hi], ys[3, lo:hi]
-        g, ga1, ga2, gb1, gb2 = field(ys[0, lo:hi], ys[1, lo:hi], b1, b2,
-                                      mu, f, np.sqrt, seen)
-        ng = -g
-        da1 = np.multiply(ng, gb1, out=out[0, lo:hi])
-        da2 = np.multiply(ng, gb2, out=out[1, lo:hi])
-        np.multiply(g, ga1, out=out[2, lo:hi])
-        np.multiply(g, ga2, out=out[3, lo:hi])
-        np.multiply(g, radius[0], out=out[4, lo:hi])
-        np.negative(b1 * da1 + b2 * da2, out=out[5, lo:hi])
+    for lo, hi, chart in ((0, n_north, Chart.NORTH),
+                          (n_north, ys.shape[1], Chart.SOUTH)):
+        if lo < hi:
+            rhs = _flow_code("regularized")["field_of"](
+                _lane_kernel(bad[lo:hi]), mu, f)
+            out[:, lo:hi] = rhs(chart, ys[:, lo:hi])
     return out
 
 
@@ -227,13 +217,10 @@ def integrate_lanes(starts, level: RegularizedLevel,
             tiny = h < 1e-15 * np.maximum(1.0, np.abs(t))
             if spent.any() or tiny.any():
                 for j in np.flatnonzero(spent | tiny).tolist():
-                    tj, hj = float(t[j]), float(h[j])
-                    errors[ids[j]] = (
-                        NumericalError(
-                            f"step budget {MAX_STEPS} exhausted at t={tj}")
-                        if spent[j] else StepUnderflowError(
-                            f"step size underflow ({hj:.3e}) at t={tj}",
-                            t=tj))
+                    try:
+                        _guard_step(float(t[j]), float(h[j]), int(taken[j]))
+                    except NumericalError as exc:
+                        errors[ids[j]] = exc
                 keep = ~(spent | tiny)
                 ids = [i for i, k in zip(ids, keep.tolist()) if k]
                 t, h, taken, rejected, north = (

@@ -43,6 +43,10 @@ from .dynamics import SINGULAR_DISTANCE, PhaseState, SystemParams
 from .errors import AtCollisionError, SingularInputError, UsageError
 
 
+#: |b| below which the chart kernels treat the fiber coordinate as b = 0
+SINGULAR_FIBER = 1e-300
+
+
 class Chart(Enum):
     """Stereographic chart tag; South contains the collision locus a = 0."""
 
@@ -158,10 +162,9 @@ def g_value(chart: Chart, a1: float, a2: float, b1: float, b2: float,
             + (f - 0.5) * r - e_term)
 
 
-def _refuse_singular(beta: float, r: float, d: float | None = None) -> None:
-    """The ``seen`` of the scalar kernels: raise at b = 0 and at q = E
-    (``r`` is not needed here)."""
-    if beta < 1e-300:
+def _refuse_singular(beta: float, d: float | None = None) -> None:
+    """The ``seen`` of the scalar kernels: raise at b = 0 and at q = E."""
+    if beta < SINGULAR_FIBER:
         raise SingularInputError("fiber coordinate b = 0 is singular")
     if d is not None and d < SINGULAR_DISTANCE:
         raise SingularInputError(
@@ -169,15 +172,15 @@ def _refuse_singular(beta: float, r: float, d: float | None = None) -> None:
 
 
 def north_field(a1, a2, b1, b2, mu: float, f: float, sqrt, seen):
-    """North-chart G and its chart gradient (G, dG/da1, dG/da2, dG/db1,
-    dG/db2).
+    """North-chart G, its chart gradient and r = |q| = |b|: (G, dG/da1,
+    dG/da2, dG/db1, dG/db2, r).
 
     G = |b| c0 with c0 = |a|^2/2 + s + mu a2 and s = a1 b2 - a2 b1 + f
     - mu/|b - E|.  One text serves floats (``sqrt`` = ``math.sqrt``) and
     numpy lanes (``np.sqrt``): it uses only + - * /, sqrt and no branch on
-    the lane data, so the two agree bit for bit.  ``seen(beta, r)`` or
-    ``seen(beta, r, d)`` gets |b|, r = |q| and the distance to E before
-    they divide anything.
+    the lane data, so the two agree bit for bit.  ``seen(beta)`` or
+    ``seen(beta, d)`` gets |b| and the distance to E before they divide
+    anything.
     """
     beta = sqrt(b1 * b1 + b2 * b2)
     alpha = a1 * a1 + a2 * a2
@@ -185,21 +188,21 @@ def north_field(a1, a2, b1, b2, mu: float, f: float, sqrt, seen):
     if mu != 0.0:
         e1 = b1 - 1.0
         d = sqrt(e1 * e1 + b2 * b2)
-        seen(beta, beta, d)
+        seen(beta, d)
         inv_d = 1.0 / d
         mi = mu * inv_d
         k = mi * beta * inv_d * inv_d
     else:
-        seen(beta, beta)
+        seen(beta)
         e1 = mi = k = 0.0  # mu-weighted terms vanish identically
     c0 = 0.5 * alpha + (cross + f - mi) + mu * a2
     cb = c0 / beta
     return (beta * c0, beta * (a1 + b2), beta * (a2 - b1 + mu),
-            cb * b1 - beta * a2 + k * e1, cb * b2 + beta * a1 + k * b2)
+            cb * b1 - beta * a2 + k * e1, cb * b2 + beta * a1 + k * b2, beta)
 
 
 def south_field(a1, a2, b1, b2, mu: float, f: float, sqrt, seen):
-    """South-chart G and its chart gradient; here r = |q| = |a|^2 |b|.
+    """South-chart G, its chart gradient and r = |q| = |a|^2 |b|.
 
     G = |b| p with p = 1/2 + |a|^2 s + mu a2 and
     s = a1 b2 - a2 b1 + f - mu/|q - E|, q = |a|^2 b - 2 (a.b) a.
@@ -218,12 +221,12 @@ def south_field(a1, a2, b1, b2, mu: float, f: float, sqrt, seen):
         e1 = alpha * b1 - tw * a1 - 1.0
         e2 = alpha * b2 - tw * a2
         d = sqrt(e1 * e1 + e2 * e2)
-        seen(beta, r, d)
+        seen(beta, d)
         inv_d = 1.0 / d
         mi = mu * inv_d
         k = mi * r * inv_d * inv_d
     else:
-        seen(beta, r)
+        seen(beta)
         e1 = e2 = mi = k = 0.0  # mu-weighted terms vanish identically
     s = cross + f - mi
     p = 0.5 + alpha * s + mu * a2
@@ -236,19 +239,20 @@ def south_field(a1, a2, b1, b2, mu: float, f: float, sqrt, seen):
             bs * a1 + r * b2 + k2 * (cross * e2 - w * e1),
             bs * a2 + mu * beta - r * b1 - k2 * (cross * e1 + w * e2),
             pb * b1 - r * a2 + (ka * e1 - kea * a1),
-            pb * b2 + r * a1 + (ka * e2 - kea * a2))
+            pb * b2 + r * a1 + (ka * e2 - kea * a2), r)
 
 
 def g_and_gradient(chart: Chart, a1: float, a2: float, b1: float, b2: float,
                    mu: float, f: float
-                   ) -> tuple[float, float, float, float, float]:
-    """G together with its hand-differentiated chart gradient.
+                   ) -> tuple[float, float, float, float, float, float]:
+    """G together with its hand-differentiated chart gradient and |q|.
 
     Returns
     -------
     tuple of float
-        (G, dG/da1, dG/da2, dG/db1, dG/db2), from :func:`north_field` or
-        :func:`south_field`.  The integration hot path; plain floats.
+        (G, dG/da1, dG/da2, dG/db1, dG/db2, r), from :func:`north_field`
+        or :func:`south_field`, with r = |q| the rate dt_phys/ds / G of
+        the physical clock.  The integration hot path; plain floats.
 
     Raises
     ------

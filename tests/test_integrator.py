@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import math
+import random
 import traceback
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ccorb import (
@@ -14,6 +16,7 @@ from ccorb import (
     Flow,
     IntegrationSettings,
     MoserChartPoint,
+    NumericalError,
     PhaseState,
     RegularizedLevel,
     SingularInputError,
@@ -317,7 +320,7 @@ def test_tracebacks_show_the_generated_attempt(monkeypatch):
     frame = traceback.extract_tb(info.value.__traceback__)[-2]
     assert frame.filename.startswith("<ccorb.integrator: DOP853")
     assert frame.line == (
-        "g, ga1, ga2, gb1, gb2 = field(chart, x0, x1, x2, x3, mu, f)")
+        "g, ga1, ga2, gb1, gb2, r = field(chart, x0, x1, x2, x3, mu, f)")
 
 
 def test_a_run_forms_dense_rows_only_when_read(monkeypatch):
@@ -584,6 +587,64 @@ def test_a_singular_dense_stage_ends_only_its_lane(monkeypatch):
     assert [step for step in tampered if step[0] == 0] == lane0[:1]
     assert [step for step in tampered if step[0] != 0] == [
         step for step in plain if step[0] != 0]
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.0])
+def test_the_lanes_field_is_the_scalar_field_in_each_column(mu):
+    """``lanes._field`` on a mixed North/South block gives, in each
+    column, the scalar field's floats, and marks exactly the columns where
+    the scalar field raises: b = 0, and the pull-backs of E when mu > 0.
+    The kernel's r is |q|."""
+    f = 1.8
+    rng = random.Random(7)
+    columns = {chart: [tuple(rng.uniform(-1.2, 1.2) for _ in range(2))
+                       + tuple(rng.uniform(-3.0, 3.0) for _ in range(4))
+                       for _ in range(60)] for chart in Chart}
+    columns[Chart.NORTH] += [(0.3, -0.2, 0.0, 0.0, 0.5, 0.1),
+                             (0.2, 0.4, 1.0, 0.0, 0.0, 0.0)]
+    columns[Chart.SOUTH] += [(0.3, -0.2, 0.0, 0.0, 0.5, 0.1),
+                             (1.0, 0.0, -1.0, 0.0, 0.0, 0.0),
+                             (0.0, 0.0, -1.8, 0.0, 0.0, 0.0)]
+    charts = ([Chart.NORTH] * len(columns[Chart.NORTH])
+              + [Chart.SOUTH] * len(columns[Chart.SOUTH]))
+    ys = np.array(columns[Chart.NORTH] + columns[Chart.SOUTH]).T.copy()
+    bad = np.zeros(ys.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):
+        got = lanes._field(ys, len(columns[Chart.NORTH]), np.array(mu),
+                           np.array(f), bad)
+    rhs = integrator._rhs_regularized(mu, f)
+    raised = []
+    for j, chart in enumerate(charts):
+        col = tuple(ys[:, j].tolist())
+        try:
+            want = rhs(chart, col)
+        except SingularInputError:
+            raised.append(j)
+            continue
+        assert _bits(want) == _bits(got[:, j].tolist())
+        r = regularization.g_and_gradient(chart, *col[:4], mu, f)[5]
+        assert r == pytest.approx(math.hypot(
+            *regularization.chart_position(chart, *col[:4])), rel=1e-15)
+    assert np.flatnonzero(bad).tolist() == raised
+    assert len(raised) == (4 if mu else 2)
+
+
+def test_a_lockstep_lane_spends_the_scalar_step_budget(monkeypatch):
+    """A lane that spends the step budget inside the lockstep loop ends
+    with the error of its own scalar run, message and all."""
+    monkeypatch.setattr(lanes, "MAX_STEPS", 40)
+    monkeypatch.setattr(integrator, "MAX_STEPS", 40)
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+    _, errors = _lockstep_attempts(monkeypatch, level, n_lanes=3, width=1)
+    for i, error in enumerate(errors):
+        a = 2.0 * math.pi * i / 3
+        with pytest.raises(NumericalError) as scalar:
+            integrate(Flow.REGULARIZED,
+                      collision_point((math.cos(a), math.sin(a)), level),
+                      level, IntegrationSettings(t_max=6.0))
+        assert type(error) is type(scalar.value)
+        assert str(error) == str(scalar.value)
+        assert "step budget 40 exhausted" in str(error)
 
 
 def test_step_factor():

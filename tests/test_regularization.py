@@ -184,7 +184,7 @@ def test_g_gradient_matches_finite_differences(chart):
         a = (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
         b = (rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
         args = (*a, *b, LEVEL.params.mu, LEVEL.f)
-        g0, da1, da2, db1, db2 = g_and_gradient(chart, *args)
+        g0, da1, da2, db1, db2, _ = g_and_gradient(chart, *args)
         assert g0 == pytest.approx(g_value(chart, *args), abs=1e-14)
 
         def g_at(i: int, delta: float) -> float:
@@ -223,7 +223,7 @@ def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(chart, mu):
             singular.append(True)
     flags = np.zeros(len(points), dtype=bool)
 
-    def seen(beta, r, d=None):
+    def seen(beta, d=None):
         flags[:] |= beta < 1e-300
         if d is not None:
             flags[:] |= d < SINGULAR_DISTANCE
@@ -232,6 +232,7 @@ def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(chart, mu):
         got = field(*np.array(points).T, mu, f, np.sqrt, seen)
     assert flags.tolist() == singular
     assert sum(singular) == (4 if mu else 2)
+    assert len(got) == 6  # G, its gradient and r = |q|
     for j, value in enumerate(want):
         if value is not None:
             assert [x.hex() for x in value] == [
@@ -241,8 +242,8 @@ def test_lane_kernel_is_the_scalar_kernel_bit_for_bit(chart, mu):
 def test_vector_field_is_scaled_skew_gradient():
     """da/ds = -G dG/db, db/ds = +G dG/da (the (a, -b) pairing)."""
     pt = MoserChartPoint(chart=Chart.NORTH, a=(0.2, -0.4), b=(1.1, 0.6))
-    g0, da1, da2, db1, db2 = g_and_gradient(pt.chart, *pt.a, *pt.b,
-                                            LEVEL.params.mu, LEVEL.f)
+    g0, da1, da2, db1, db2, _ = g_and_gradient(pt.chart, *pt.a, *pt.b,
+                                               LEVEL.params.mu, LEVEL.f)
     field = _rhs_regularized(LEVEL.params.mu, LEVEL.f)(
         pt.chart, (*pt.a, *pt.b, 0.0, 0.0))
     assert field[0] == pytest.approx(-g0 * db1, rel=1e-13)
