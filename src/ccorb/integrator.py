@@ -5,8 +5,11 @@ Characteristics
 * DOP853: the explicit Runge-Kutta pair of order 8 with error estimates
   of orders 5 and 3 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10),
   FSAL
-* proportional step control with exponent 1/8, safety factor and growth
-  clamps, in one function, ``_factor``, for this loop and the lanes
+* one step loop, always adaptive: proportional step control with
+  exponent 1/8, safety factor and growth clamps, in one function,
+  ``_factor``, for this loop and the lanes, from the starting step of
+  ``_initial_step``; the method's order is measured by the tests, which
+  drive the generated attempt at constant steps
 * seventh-order dense output: three more stages, kept as seven rows of a
   nested polynomial, plus the rates at both ends, formed only when a
   step's rows are first read, as Hairer's code forms them only when
@@ -209,24 +212,22 @@ class Flow(Enum):
 
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Error control and horizon knobs.
+    """The error tolerances of the adaptive step control and the horizon.
 
-    ``fixed_step`` disables the adaptive controller and forces a constant
-    step (used by the convergence-order study).
+    Each must be a finite positive number (a bool is refused), and both
+    tolerances must be below 1.
     """
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     t_max: float = 50.0
-    fixed_step: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "t_max", "fixed_step"):
+        for name in ("rel_tol", "abs_tol", "t_max"):
             value = getattr(self, name)
-            if value is None and name == "fixed_step":
-                continue
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
+            if not (isinstance(value, (int, float))
+                    and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
                 raise UsageError(
                     f"{name} must be finite and positive, got {value!r}")
             # an error of order one leaves the energy level, and the steps
@@ -458,7 +459,7 @@ def _names(prefix: str, n: int) -> str:
 def _flow_source(name: str) -> str:
     """The text of the factories of the flow or the lanes ``name``.
 
-    ``bind(field, mu, f, atol, rtol, fixed, error_norm)`` returns one
+    ``bind(field, mu, f, atol, rtol, error_norm)`` returns one
     DOP853 attempt ``attempt(chart, y, k0, h) -> (err, y1, f1, ks)``: stages
     1-12, the eighth-order solution and the error norm, where ``ks`` holds
     the rates of the stages in :data:`_DENSE_READS`, stage by stage and
@@ -512,7 +513,7 @@ def _flow_source(name: str) -> str:
         body("return (", *[f"    ({_names(f'r{j}_', n)})," for j in range(7)],
              ")")
         lines += ["    return dense", "", ""]
-    lines += ["def bind(field, mu, f, atol, rtol, fixed, error_norm):",
+    lines += ["def bind(field, mu, f, atol, rtol, error_norm):",
               "    def attempt(chart, y, k0, h):"]
     body(*setup, f"{_names('y_', n)} = y", f"{_names('k0_', n)} = k0")
     for s in range(1, 12):
@@ -522,11 +523,10 @@ def _flow_source(name: str) -> str:
     body(f"y1 = ({_names('z_', n)})",
          f"{_names('x', inputs)} = {_names('z_', inputs)}")
     field(12)
-    body("if fixed:", "    err = 0.0", "else:")
-    body(*[f"    e5_{m} = {_dot(_E5, m)}" for m in range(n)])
-    body(*[f"    e3_{m} = d_{m} - {_BHH[0]!r} * k0_{m} - {_BHH[1]!r} * k8_{m}"
+    body(*[f"e5_{m} = {_dot(_E5, m)}" for m in range(n)])
+    body(*[f"e3_{m} = d_{m} - {_BHH[0]!r} * k0_{m} - {_BHH[1]!r} * k8_{m}"
            f" - {_BHH[2]!r} * k11_{m}" for m in range(n)])
-    body(f"    err = error_norm(({_names('e5_', n)}), ({_names('e3_', n)}), "
+    body(f"err = error_norm(({_names('e5_', n)}), ({_names('e3_', n)}), "
          "y, y1, h, atol, rtol)")
     if not lanes:
         body("if not err <= 1.0:", "    return err, y1, None, None")
@@ -680,18 +680,9 @@ def integrate(flow: Flow, initial, level: RegularizedLevel,
         f_now = traj.rhs(chart, y)
     except SingularInputError as exc:
         raise UsageError(f"singular initial condition: {exc}") from exc
-    return advance(traj, 0.0, first_step(traj.rhs, chart, y, f_now, settings),
-                   chart, y, f_now, False, until)
-
-
-def first_step(rhs, chart: Chart | None, y: tuple[float, ...],
-               f_now: tuple[float, ...], settings: IntegrationSettings
-               ) -> float:
-    """The step size a run starts with: ``fixed_step``, or the heuristic."""
-    if settings.fixed_step is not None:
-        return settings.fixed_step
-    return _initial_step(rhs, chart, y, f_now, settings.abs_tol,
-                         settings.rel_tol)
+    h = _initial_step(traj.rhs, chart, y, f_now, settings.abs_tol,
+                      settings.rel_tol)
+    return advance(traj, 0.0, h, chart, y, f_now, False, until)
 
 
 def _guard_step(t: float, h: float, taken: int) -> None:
@@ -727,7 +718,7 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
     code = _flow_code(flow.value)
     mu, f = traj.level.params.mu, traj.level.f
     attempt = code["bind"](field, mu, f, settings.abs_tol, settings.rel_tol,
-                           settings.fixed_step is not None, _error_norm)
+                           _error_norm)
     dense = code["dense_of"](field, mu, f)
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
         h = min(h, MAX_STEP, t_max - t)
@@ -762,8 +753,7 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
             if math.hypot(y[0], y[1]) > SWITCH_UPPER:
                 chart, y = _transition_state(chart, y)
                 f_now = rhs(chart, y)
-        if settings.fixed_step is None:
-            h *= _factor(err, True, rejected)
+        h *= _factor(err, True, rejected)
         rejected = False
         if until is not None and until(traj):
             break

@@ -34,11 +34,15 @@ stage-rate columns when they are read; a dense-output stage at a
 singular point then ends the lane with
 :class:`~ccorb.errors.SingularInputError`, as an event probe does.
 
-A lane leaves when the caller's ``on_step`` says it is done or when it
-reaches ``t_max``.  Once fewer than :data:`TAIL_WIDTH` lanes are left,
-each resumes the scalar loop from its exact state and keeps none of its
-steps: on a 2-vCPU VM one numpy iteration costs about 2 to 3 ms at 20 to
-160 lanes, as much as 25 to 40 scalar steps.
+A lane leaves when the caller's ``on_step`` says it is done, when it
+reaches ``t_max``, or when the scalar loop's step guard refuses its next
+attempt (a spent step budget or a step underflow) and so ends it with the
+guard's error; such a lane takes that attempt marked as a singular one,
+so it is never accepted, handed over or switched, and all leave through
+one compaction of the columns.  Once fewer than :data:`TAIL_WIDTH` lanes
+are left, each resumes the scalar loop from its exact state and keeps
+none of its steps: on a 2-vCPU VM one numpy iteration costs about 2 to
+3 ms at 20 to 160 lanes, as much as 25 to 40 scalar steps.
 """
 
 from __future__ import annotations
@@ -62,10 +66,10 @@ from .integrator import (
     _flow_code,
     _guard_step,
     _hermite_midpoint,
+    _initial_step,
     _rhs_regularized,
     _transition_state,
     advance,
-    first_step,
 )
 from .regularization import Chart, RegularizedLevel, north_field, south_field
 
@@ -174,7 +178,7 @@ def integrate_lanes(starts, level: RegularizedLevel,
     ------
     UsageError
         When the tolerances cannot start a step (see
-        :func:`~ccorb.integrator.first_step`).
+        :func:`~ccorb.integrator._initial_step`).
     """
     mu, f = level.params.mu, level.f
     rhs = _rhs_regularized(mu, f)
@@ -182,15 +186,16 @@ def integrate_lanes(starts, level: RegularizedLevel,
         regularization.g_and_gradient, mu, f)
     mu_, f_ = np.array(mu), np.array(f)  # the same values, as 0-d arrays
     errors: list[CcorbError | None] = [None] * len(starts)
+    atol, rtol = settings.abs_tol, settings.rel_tol
     lanes = []  # (lane, chart, y, f, h)
     for i, (chart, y) in enumerate(starts):
         try:
             f0 = rhs(chart, y)
         except SingularInputError as exc:
             errors[i] = UsageError(f"singular initial condition: {exc}")
-            continue
-        lanes.append((i, chart, y, f0, first_step(rhs, chart, y, f0,
-                                                  settings)))
+        else:
+            lanes.append((i, chart, y, f0,
+                          _initial_step(rhs, chart, y, f0, atol, rtol)))
     t_max = settings.t_max
     t_end = t_max - 1e-15 * max(1.0, abs(t_max))
     if not 0.0 < t_end:
@@ -204,34 +209,27 @@ def integrate_lanes(starts, level: RegularizedLevel,
     t = np.zeros(len(lanes))
     taken = np.zeros(len(lanes), dtype=np.int64)
     rejected = np.zeros(len(lanes), dtype=bool)
-    atol, rtol = settings.abs_tol, settings.rel_tol
-    lockstep = settings.fixed_step is None and len(ids) >= TAIL_WIDTH
-    if lockstep:  # a batch that starts on the scalar loop compiles nothing
+    if len(ids) >= TAIL_WIDTH:  # a batch on the scalar loop compiles nothing
         attempt = _flow_code("lanes")["bind"](_field, mu_, f_, atol, rtol,
-                                              False, _error_norms)
+                                              _error_norms)
     with np.errstate(all="ignore"):
-        while lockstep and len(ids) >= TAIL_WIDTH:
+        while len(ids) >= TAIL_WIDTH:
             n_north = int(np.count_nonzero(north))
             h = np.minimum(np.minimum(h, MAX_STEP), t_max - t)
-            spent = taken >= MAX_STEPS
-            tiny = h < 1e-15 * np.maximum(1.0, np.abs(t))
-            if spent.any() or tiny.any():
-                for j in np.flatnonzero(spent | tiny).tolist():
-                    try:
-                        _guard_step(float(t[j]), float(h[j]), int(taken[j]))
-                    except NumericalError as exc:
-                        errors[ids[j]] = exc
-                keep = ~(spent | tiny)
-                ids = [i for i, k in zip(ids, keep.tolist()) if k]
-                t, h, taken, rejected, north = (
-                    t[keep], h[keep], taken[keep], rejected[keep],
-                    north[keep])
-                y, fy = y[:, keep], fy[:, keep]
-                continue
+            # a lane the step guard refuses gets the scalar loop's error
+            # and leaves with the lanes that end this attempt, which it
+            # enters marked bad: never accepted, handed over or switched
+            refused = (taken >= MAX_STEPS) | (
+                h < 1e-15 * np.maximum(1.0, np.abs(t)))
+            for j in np.flatnonzero(refused).tolist():
+                try:
+                    _guard_step(float(t[j]), float(h[j]), int(taken[j]))
+                except NumericalError as exc:
+                    errors[ids[j]] = exc
 
             # one DOP853 attempt in every lane (see integrator.advance);
             # a lane that meets a singular stage retreats
-            bad = np.zeros(len(ids), dtype=bool)
+            bad = refused.copy()
             err, y1, f1, ks = attempt((n_north, bad), y, fy, h)
             accept = (err <= 1.0) & ~bad
 
@@ -252,25 +250,24 @@ def integrate_lanes(starts, level: RegularizedLevel,
             y_next = np.where(accept, y1, y)
             f_next = np.where(accept, f1, fy)
 
-            alive = t_next < t_end
+            alive = (t_next < t_end) & ~refused
             moved = False
             alpha = y_next[0] * y_next[0] + y_next[1] * y_next[1]
             for j in np.flatnonzero(accept & (alpha > _SWITCH_CANDIDATE)
                                     ).tolist():
                 col = tuple(y_next[:, j].tolist())
-                if not math.hypot(col[0], col[1]) > SWITCH_UPPER:
-                    continue
-                chart, col = _transition_state(
-                    Chart.NORTH if north[j] else Chart.SOUTH, col)
-                try:
-                    f_next[:, j] = rhs(chart, col)
-                except SingularInputError as exc:
-                    errors[ids[j]] = exc
-                    alive[j] = crossing[j] = False
-                    continue
-                y_next[:, j] = col
-                north[j] = chart is Chart.NORTH
-                moved = True
+                if math.hypot(col[0], col[1]) > SWITCH_UPPER:
+                    chart, col = _transition_state(
+                        Chart.NORTH if north[j] else Chart.SOUTH, col)
+                    try:
+                        f_next[:, j] = rhs(chart, col)
+                    except SingularInputError as exc:
+                        errors[ids[j]] = exc
+                        alive[j] = crossing[j] = False
+                    else:
+                        y_next[:, j] = col
+                        north[j] = chart is Chart.NORTH
+                        moved = True
             for j in np.flatnonzero(crossing).tolist():
                 st = Step(float(t[j]), float(h[j]),
                           Chart.NORTH if j < n_north else Chart.SOUTH,

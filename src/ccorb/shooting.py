@@ -44,8 +44,8 @@ from .integrator import (
     Flow,
     IntegrationSettings,
     Trajectory,
+    _initial_step,
     _rhs_regularized,
-    first_step,
     integrate,
     locate_event,
     prepare_initial,
@@ -293,7 +293,8 @@ def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
     if lane_settings != settings:  # refuse what the scalar shot refuses
         for chart, y in starts:
             try:
-                first_step(rhs, chart, y, rhs(chart, y), settings)
+                _initial_step(rhs, chart, y, rhs(chart, y),
+                              settings.abs_tol, settings.rel_tol)
             except SingularInputError:
                 continue
     passes = [[] for _ in starts]
@@ -415,20 +416,19 @@ def scan_grids(grids: list[list[ShotSpec]], settings: IntegrationSettings,
     """The brackets of each grid (:func:`bracket_grid`), from one batch.
 
     The grids share one level.  Signs are all a grid needs, so when both
-    tolerances of ``settings`` are tighter than :data:`GRID_TOL` (and no
-    ``fixed_step`` is set), its shots run at :data:`GRID_TOL`, to t_max
-    plus the certificate's time margin, so that a pass just past t_max is
-    seen.  Every shot at ``settings`` then goes through
-    :func:`shoot_grid`: first each lane whose pass count, signs or grazing
-    flags the sign certificate (:func:`_certain`) cannot vouch for, to
-    k_max; then, once, each other grid point at a bracket end, to the
-    largest k its ends there need.  The grids are then bracketed again:
-    the certificate vouches that the other lanes keep their pass counts,
-    signs and grazing flags, and no bracket ends at a pass beyond the one
-    a point was shot to, so the brackets are those of :func:`shoot_grid`
-    at ``settings``, and each end's miss, the point of a tangential one
-    included, is that shot's value.  Otherwise every shot runs at
-    ``settings``.
+    tolerances of ``settings`` are tighter than :data:`GRID_TOL`, its
+    shots run at :data:`GRID_TOL`, to t_max plus the certificate's time
+    margin, so that a pass just past t_max is seen.  Every shot at
+    ``settings`` then goes through :func:`shoot_grid`: first each lane
+    whose pass count, signs or grazing flags the sign certificate
+    (:func:`_certain`) cannot vouch for, to k_max; then, once, each other
+    grid point at a bracket end, to the largest k its ends there need.
+    The grids are then bracketed again: the certificate vouches that the
+    other lanes keep their pass counts, signs and grazing flags, and no
+    bracket ends at a pass beyond the one a point was shot to, so the
+    brackets are those of :func:`shoot_grid` at ``settings``, and each
+    end's miss, the point of a tangential one included, is that shot's
+    value.  Otherwise every shot runs at ``settings``.
     """
     specs = [spec for grid in grids for spec in grid]
 
@@ -445,7 +445,7 @@ def scan_grids(grids: list[list[ShotSpec]], settings: IntegrationSettings,
                                                  settings, k)):
                 misses[i] = shot
 
-    if not (settings.fixed_step is None and settings.rel_tol < GRID_TOL[0]
+    if not (settings.rel_tol < GRID_TOL[0]
             and settings.abs_tol < GRID_TOL[1]):
         misses = shoot_grid(specs, settings, k_max)
         return brackets()

@@ -13,9 +13,28 @@ from ccorb import (
     IntegrationSettings,
     RegularizedLevel,
     SystemParams,
+    dynamics,
+    integrator,
     refine_chord,
     scan_and_bracket,
 )
+
+
+@pytest.fixture(scope="session")
+def constant_step():
+    """``run(state, mu, h, horizon)``: the physical state after
+    round(horizon / h) DOP853 steps of constant size h, FSAL, taken by the
+    integrator's own generated attempt with no error control; the order
+    studies measure the method itself with it."""
+    def run(state, mu, h, horizon):
+        attempt = integrator._flow_code("physical")["bind"](
+            dynamics.vector_field_values, mu, 0.0, 1.0, 1.0, lambda *a: 0.0)
+        y = state.as_tuple()
+        f = dynamics.vector_field_values(*y, mu)
+        for _ in range(round(horizon / h)):
+            _, y, f, _ = attempt(None, y, f, h)
+        return y
+    return run
 
 
 @pytest.fixture(scope="session")

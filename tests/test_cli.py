@@ -721,6 +721,7 @@ def test_orbit_svg_rejects_a_malformed_catalog(edit, oracle_catalog,
     ("row", "s0", [0.5]),
     ("row", "tau_reeb", "long"),
     ("tolerances", "rel_tol", "tight"),
+    ("header", "t_max", True),  # not a horizon of 1
 ])
 def test_orbit_svg_rejects_a_wrong_typed_field(part, key, value,
                                                oracle_catalog, tmp_path,

@@ -21,6 +21,7 @@ from ccorb import (
     RegularizedLevel,
     SingularInputError,
     SingularityApproachError,
+    StepUnderflowError,
     SystemParams,
     UsageError,
     collision_point,
@@ -254,26 +255,6 @@ def test_every_attempt_is_bit_identical_to_the_tableau_loops(flow, mu,
         assert _bits(y1) == _bits(want_y1)
         assert _bits(e5) == _bits(err5)
         assert _bits(e3) == _bits(err3)
-
-
-@pytest.mark.parametrize("flow", [Flow.REGULARIZED, Flow.PHYSICAL])
-def test_fixed_step_run_takes_the_tableau_loops_steps(flow, monkeypatch):
-    """A fixed step estimates no error, and each of its steps, its dense
-    rows formed when first read, is the plain tableau loops' step, bit for
-    bit."""
-    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
-
-    def refused(*args):
-        raise AssertionError("a fixed step estimates no error")
-    monkeypatch.setattr(integrator, "_error_norm", refused)
-    traj = integrate(flow, _start(flow, level), level,
-                     IntegrationSettings(t_max=2.0, fixed_step=0.0625))
-    assert len(traj.steps) == 32
-    for st in traj.steps:
-        k, y1, _, _, rows = _tableau_step(traj.rhs, st.chart, st.y0, st.h)
-        assert _bits(y1) == _bits(st.y1)
-        assert _bits(k[12]) == _bits(st.f1)
-        assert [_bits(r) for r in rows] == [_bits(r) for r in st.rows]
 
 
 def _first_step_from(h, kernel=None, monkeypatch=None):
@@ -647,6 +628,40 @@ def test_a_lockstep_lane_spends_the_scalar_step_budget(monkeypatch):
         assert "step budget 40 exhausted" in str(error)
 
 
+def test_a_lockstep_lane_whose_step_underflows_ends_as_its_scalar_run(
+        monkeypatch):
+    """A controller that shrinks every accepted step a thousandfold drives
+    each lane into a step underflow inside the lockstep loop; the lane ends
+    with the error of its own scalar run, message and all, and no step it
+    would take from there reaches ``on_step``, though the event crosses on
+    it, as it does on every lane's first step."""
+    def shrinking(err, accepted, rejected):
+        return 1e-3 if accepted else 0.2
+    monkeypatch.setattr(integrator, "_factor", shrinking)
+    monkeypatch.setattr(lanes, "_factor", shrinking)
+    level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
+    scalar = []
+    for i in range(3):
+        a = 2.0 * math.pi * i / 3
+        with pytest.raises(StepUnderflowError) as info:
+            integrate(Flow.REGULARIZED,
+                      collision_point((math.cos(a), math.sin(a)), level),
+                      level, IntegrationSettings(t_max=6.0))
+        scalar.append(info.value)
+    times = np.array([0.0] + [error.t for error in scalar])
+
+    def event(t, chart, y, dy):  # upward from each lane's start and stop
+        return np.where(np.isin(t, times), -1.0, 1.0)
+    handed = []
+    _, errors = _lockstep_attempts(
+        monkeypatch, level, n_lanes=3, width=1, event=event,
+        on_step=lambda i, st, lockstep: handed.append((i, st.t0, lockstep)))
+    for error, want in zip(errors, scalar):
+        assert type(error) is StepUnderflowError
+        assert str(error) == str(want) and error.t == want.t
+    assert sorted(handed) == [(i, 0.0, True) for i in range(3)]
+
+
 def test_step_factor():
     """Growth 5 at a zero error, never above 1 right after a rejection;
     a rejection shrinks by the controller's factor, and by 0.2 when its
@@ -775,7 +790,7 @@ def test_tighter_tolerances_do_not_worsen_drift():
 # ------------------------------------------------------------ convergence
 
 
-def test_fixed_step_convergence_is_above_seventh_order():
+def test_constant_step_convergence_is_above_seventh_order(constant_step):
     """Halving the step must shrink the error by more than 2^7.  The steps
     are powers of two, so they land exactly on the horizon, and long
     enough that the error is not yet at roundoff."""
@@ -788,10 +803,8 @@ def test_fixed_step_convergence_is_above_seventh_order():
 
     errors = []
     for h in (0.125, 0.0625, 0.03125):
-        traj = integrate(Flow.PHYSICAL, state, KEPLER,
-                         IntegrationSettings(t_max=horizon, fixed_step=h))
-        _, y = traj.eval(horizon)
-        errors.append(max(abs(a - b) for a, b in zip(y[:4], y_ref[:4])))
+        y = constant_step(state, KEPLER.params.mu, h, horizon)
+        errors.append(max(abs(a - b) for a, b in zip(y, y_ref[:4])))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) > 7.0, f"observed orders {orders}"
 
@@ -1035,16 +1048,16 @@ def test_eval_outside_domain_is_an_error():
 
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": 0.0}, {"abs_tol": -1e-12}, {"t_max": 0.0},
-    {"fixed_step": 0.0}, {"rel_tol": 1.0}, {"abs_tol": 1e3},
+    {"rel_tol": 1.0}, {"abs_tol": 1e3},
 ])
 def test_settings_validation(kwargs):
     with pytest.raises(UsageError):
         IntegrationSettings(**kwargs)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "ten"])
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "t_max",
-                                  "fixed_step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "ten",
+                                   True])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "t_max"])
 def test_settings_must_be_finite(name, value):
     with pytest.raises(UsageError, match=name):
         IntegrationSettings(**{name: value})

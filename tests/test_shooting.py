@@ -672,9 +672,6 @@ def _batch_cases():
         "one shot": (coarse[5:6], IntegrationSettings(), 3),
         "across the tail width": (coarse[:lanes.TAIL_WIDTH + 1],
                                   IntegrationSettings(), 3),
-        # a fixed step runs every lane on the scalar loop
-        "fixed step": (coarse[:lanes.TAIL_WIDTH + 1],
-                       IntegrationSettings(fixed_step=0.05, t_max=8.0), 1),
         "no room for a step": (coarse[:lanes.TAIL_WIDTH + 1],
                                IntegrationSettings(t_max=1e-16), 1),
     }
