@@ -14,10 +14,11 @@ Characteristics
   nested polynomial, plus the rates at both ends, formed only when a
   step's rows are first read, as Hairer's code forms them only when
   dense output is asked for
-* event location step by step, by a bracket solve on the interpolant and
-  never by step clipping, so the step sequence is independent of event
-  queries; a step whose ends show no crossing is first screened at its
-  midpoint on the cubic Hermite through its ends
+* event location step by step, of upward crossings only, by a bracket
+  solve on the interpolant and never by step clipping, so the step
+  sequence is independent of event queries; a step whose ends show no
+  crossing is first screened at its midpoint on the cubic Hermite
+  through its ends
 * automatic stereographic chart switching for the regularized flow with a
   hysteresis band (switch out at |a| > 1.25, re-entry happens below 0.8)
 * bitwise-deterministic: no randomness, no wall-clock dependence
@@ -760,10 +761,11 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
     return traj
 
 
-def _crosses(direction: int, va: float, vb: float) -> bool:
-    """Whether va -> vb is a root crossing kept by ``direction``."""
-    return ((direction >= 0 and va < 0.0 <= vb)
-            or (direction <= 0 and va > 0.0 >= vb))
+def _upward(va, vb):
+    """Whether va -> vb crosses zero upward, the one crossing rule of both
+    step loops: on floats, or elementwise on the lanes' columns.  A NaN
+    end never crosses."""
+    return (va < 0.0) & (0.0 <= vb)
 
 
 def _hermite_midpoint(y0, y1, f0, f1, h):
@@ -781,17 +783,18 @@ def _hermite_midpoint(y0, y1, f0, f1, h):
     return tuple(ym), tuple(fm)
 
 
-def step_roots(st: Step, rhs, event, direction: int) -> list[EventHit]:
-    """Roots of ``event`` within one accepted step, in time order.
+def step_roots(st: Step, rhs, event) -> list[EventHit]:
+    """The upward root of ``event`` within one accepted step, if any.
 
     The event is read at the step's ends from its own ``f0`` and ``f1``.
-    When the ends show no crossing as ``direction`` asks, the midpoint is
-    screened on the cubic Hermite through the ends
+    When the ends show no upward crossing (:func:`_upward`), the midpoint
+    is screened on the cubic Hermite through the ends
     (:func:`_hermite_midpoint`), and a step that shows none there either
     has no hit: its dense rows are never formed.  Otherwise the brackets
     are the step's start, midpoint and end, the midpoint read on the dense
-    output and its rate (roots less than h/2 apart may merge); each that
-    crosses zero as ``direction`` asks is shrunk on the dense output by
+    output and its rate.  The two halves cannot both cross upward, so a
+    step has at most one hit, and roots less than h/2 apart may merge.
+    The first half that crosses is shrunk on the dense output by
     :func:`~ccorb.dynamics.solve_bracket` to :data:`EVENT_TOL` or to
     adjacent floats, and the hit is its midpoint.  ``rhs`` is called only
     at the solver's probes.  Reading the rows may raise
@@ -802,10 +805,10 @@ def step_roots(st: Step, rhs, event, direction: int) -> list[EventHit]:
     tm = t0 + 0.5 * h
     v0 = event(t0, chart, st.y0, st.f0)
     v1 = event(t1, chart, st.y1, st.f1)
-    if not _crosses(direction, v0, v1):
+    if not _upward(v0, v1):
         ym, fm = _hermite_midpoint(st.y0, st.y1, st.f0, st.f1, h)
         vm = event(tm, chart, ym, fm)
-        if not (_crosses(direction, v0, vm) or _crosses(direction, vm, v1)):
+        if not (_upward(v0, vm) or _upward(vm, v1)):
             return []
 
     def value(t: float) -> float:
@@ -814,20 +817,17 @@ def step_roots(st: Step, rhs, event, direction: int) -> list[EventHit]:
 
     ts = (t0, tm, t1)
     vs = (v0, event(tm, chart, st.eval(tm), st.rate(tm)), v1)
-    hits: list[EventHit] = []
     for j in range(2):
-        if not _crosses(direction, vs[j], vs[j + 1]):
-            continue
-        lo, _, hi, _ = dynamics.solve_bracket(
-            value, ts[j], vs[j], ts[j + 1], vs[j + 1], EVENT_TOL)
-        t_star = 0.5 * (lo + hi)
-        hits.append(EventHit(t=t_star, chart=chart, y=st.eval(t_star)))
-    return hits
+        if _upward(vs[j], vs[j + 1]):
+            lo, _, hi, _ = dynamics.solve_bracket(
+                value, ts[j], vs[j], ts[j + 1], vs[j + 1], EVENT_TOL)
+            t_star = 0.5 * (lo + hi)
+            return [EventHit(t=t_star, chart=chart, y=st.eval(t_star))]
+    return []
 
 
-def locate_event(traj: Trajectory, event, direction: int = 0
-                 ) -> list[EventHit]:
-    """All roots of a scalar event function along a trajectory.
+def locate_event(traj: Trajectory, event) -> list[EventHit]:
+    """All upward roots of a scalar event function along a trajectory.
 
     Parameters
     ----------
@@ -837,23 +837,22 @@ def locate_event(traj: Trajectory, event, direction: int = 0
         field ``traj.rhs(chart, y)`` (at a step's midpoint, the rate of
         the cubic Hermite screen or of the dense output, each of which
         matches it to its own order); piecewise smooth along the
-        trajectory.  For minimum-type events pass the time derivative of
-        the monitored quantity (e.g. the radial rate for pericenters) and
-        ``direction=+1`` to keep only minima.
-    direction : {-1, 0, +1}
-        +1 keeps only - to + crossings, -1 only + to -, 0 both.
+        trajectory.  Only - to + crossings count, so for minimum-type
+        events pass the time derivative of the monitored quantity (e.g.
+        the radial rate for pericenters).
 
-    Each step goes through :func:`step_roots`, so only the steps whose
-    ends or screened midpoint show a crossing form their dense rows.
+    Each step goes through :func:`step_roots`, so it gives at most one
+    hit, roots less than half a step apart may merge, and only the steps
+    whose ends or screened midpoint show a crossing form their dense rows.
 
     Returns
     -------
     list of EventHit
-        In increasing time order; empty when no crossing exists.
+        In increasing time order; empty when no upward crossing exists.
     """
     hits: list[EventHit] = []
     for st in traj.steps:
-        hits += step_roots(st, traj.rhs, event, direction)
+        hits += step_roots(st, traj.rhs, event)
     return hits
 
 
@@ -911,7 +910,7 @@ def export_csv(traj: Trajectory, stream, header_comments: dict | None = None
         def radial_rate(t, chart, y, dy):
             # d|a|^2/dt via the chart vector field
             return 2.0 * (y[0] * dy[0] + y[1] * dy[1])
-        for hit in locate_event(traj, radial_rate, direction=+1):
+        for hit in locate_event(traj, radial_rate):
             if (hit.chart is Chart.SOUTH
                     and math.hypot(hit.y[0], hit.y[1]) < COLLISION_RADIUS):
                 rows.append((hit.t, hit.chart, hit.y))

@@ -27,12 +27,14 @@ Events are read as :func:`~ccorb.integrator.step_roots` reads them, on
 whole columns: the caller's event function at each step's ends and at
 its midpoint on the cubic Hermite through them
 (:func:`~ccorb.integrator._hermite_midpoint`).  No dense output is formed
-for the block.  Each lane whose ends or screened midpoint show an upward
-crossing goes to the caller as a scalar :class:`~ccorb.integrator.Step`,
-whose rows the flow's own dense-output function forms from the lane's
-stage-rate columns when they are read; a dense-output stage at a
-singular point then ends the lane with
-:class:`~ccorb.errors.SingularInputError`, as an event probe does.
+for the block.  The crossing rule is the integrator's own
+(:func:`~ccorb.integrator._upward`), run on the columns: each lane whose
+ends or screened midpoint show an upward crossing goes to the caller as
+a scalar :class:`~ccorb.integrator.Step`, whose rows the flow's own
+dense-output function forms from the lane's stage-rate columns when
+they are read; a dense-output stage at a singular point then ends the
+lane with :class:`~ccorb.errors.SingularInputError`, as an event probe
+does.
 
 A lane leaves when the caller's ``on_step`` says it is done, when it
 reaches ``t_max``, or when the scalar loop's step guard refuses its next
@@ -69,6 +71,7 @@ from .integrator import (
     _initial_step,
     _rhs_regularized,
     _transition_state,
+    _upward,
     advance,
 )
 from .regularization import Chart, RegularizedLevel, north_field, south_field
@@ -136,11 +139,6 @@ def _event_values(event, t, ys, dys, n_north: int):
                                    (n_north, ys.shape[1], Chart.SOUTH))
              if lo < hi]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _upward(va, vb):
-    """Lanes where va -> vb crosses zero upward (``integrator._crosses``)."""
-    return (va < 0.0) & (0.0 <= vb)
 
 
 def integrate_lanes(starts, level: RegularizedLevel,

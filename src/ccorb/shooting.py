@@ -208,7 +208,7 @@ def _near_passes(hits):
 
 def _passes(st, rhs):
     """The near passes located in one accepted step."""
-    return _near_passes(step_roots(st, rhs, _pericenter_rate, +1))
+    return _near_passes(step_roots(st, rhs, _pericenter_rate))
 
 
 def pericenter_hits(traj: Trajectory):
@@ -217,7 +217,7 @@ def pericenter_hits(traj: Trajectory):
     Minima of the smooth |q|^2 surrogate located on the dense output;
     shallow minima with |q| >= :data:`R_NEAR` are ignored.
     """
-    return _near_passes(locate_event(traj, _pericenter_rate, direction=+1))
+    return _near_passes(locate_event(traj, _pericenter_rate))
 
 
 def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
@@ -301,7 +301,7 @@ def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
     near = [0] * len(starts)
 
     def on_step(lane: int, st) -> bool:
-        for hit in step_roots(st, rhs, _pericenter_rate, +1):
+        for hit in step_roots(st, rhs, _pericenter_rate):
             r2 = _radius_sq(hit.chart, hit.y)
             passes[lane].append((hit.t, r2, _miss(hit)))
             near[lane] += r2 < _R_NEAR_SQ

@@ -722,7 +722,10 @@ def test_orbit_svg_rejects_a_malformed_catalog(edit, oracle_catalog,
     ("row", "tau_reeb", "long"),
     ("tolerances", "rel_tol", "tight"),
     ("header", "t_max", True),  # not a horizon of 1
-])
+], ids=["row-branch-sideways", "header-t_max-ten", "row-pericenter_index-1.5",
+        "row-pericenter_index-True", "row-mu-0.1", "row-jacobi-None",
+        "row-s0-list", "row-tau_reeb-long", "tolerances-rel_tol-tight",
+        "header-t_max-True"])
 def test_orbit_svg_rejects_a_wrong_typed_field(part, key, value,
                                                oracle_catalog, tmp_path,
                                                capsys):

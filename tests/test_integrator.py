@@ -503,7 +503,7 @@ def test_the_lanes_hand_over_the_steps_the_scalar_screen_keeps(
         monkeypatch, level, event=event,
         on_step=lambda i, st, lockstep: lockstep and handed.append(st))
     assert errors == [None] * 6
-    crosses, want, screened = integrator._crosses, set(), 0
+    want, screened = set(), 0
     for at in attempts:
         err, y1, f1, _ = at.out
         for j in range(at.y.shape[1]):
@@ -516,8 +516,8 @@ def test_the_lanes_hand_over_the_steps_the_scalar_screen_keeps(
                                                   float(at.h[j]))
             v0, vm = event(0.0, chart, y0, f0), event(0.0, chart, ym, fm)
             v1 = event(0.0, chart, end, f_end)
-            ends = crosses(+1, v0, v1)
-            if ends or crosses(+1, v0, vm) or crosses(+1, vm, v1):
+            ends = v0 < 0.0 <= v1
+            if ends or v0 < 0.0 <= vm or vm < 0.0 <= v1:
                 want.add((float(at.h[j]), y0))
                 screened += not ends
     assert screened > 0
@@ -890,10 +890,6 @@ def test_event_location_finds_axis_crossings():
     assert all(b.t > a.t for a, b in zip(hits, hits[1:]))
     for hit in hits:
         assert abs(hit.y[1]) < 1e-9
-    ups = locate_event(traj, lambda t, chart, y, dy: y[1], direction=+1)
-    downs = locate_event(traj, lambda t, chart, y, dy: y[1], direction=-1)
-    assert len(ups) + len(downs) == len(hits)
-    for hit in ups:
         _, y = traj.eval(min(hit.t + 1e-5, traj.t_end))
         assert y[1] > 0.0
 
@@ -902,6 +898,20 @@ def test_event_on_signless_function_is_empty():
     traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
                      IntegrationSettings(t_max=2.0))
     assert locate_event(traj, lambda t, chart, y, dy: 1.0 + y[0] ** 2) == []
+
+
+def test_one_upward_crossing_rule_in_which_nan_never_crosses():
+    """Both step loops read crossings through ``integrator._upward``: the
+    lanes define no rule of their own.  It keeps - to + crossings only,
+    and a NaN at either end is no crossing, on floats and on columns."""
+    assert lanes._upward is integrator._upward
+    nan = math.nan
+    pairs = [(-1.0, 0.0), (-1.0, 2.0), (1.0, -1.0), (0.0, 1.0),
+             (-1.0, -0.5), (nan, 1.0), (-1.0, nan), (nan, nan)]
+    want = [True, True, False, False, False, False, False, False]
+    assert [bool(integrator._upward(va, vb)) for va, vb in pairs] == want
+    va, vb = np.array(pairs).T
+    assert integrator._upward(va, vb).tolist() == want
 
 
 def _switching_run():
@@ -949,10 +959,10 @@ def test_event_location_reads_step_end_rates_from_the_stages():
     reads = screened = 0
     for st in traj.steps:
         v0, v1 = st.y0[1], st.y1[1]
-        ends = integrator._crosses(0, v0, v1)
+        ends = v0 < 0.0 <= v1
         vm = integrator._hermite_midpoint(st.y0, st.y1, st.f0, st.f1,
                                           st.h)[0][1]
-        mid = integrator._crosses(0, v0, vm) or integrator._crosses(0, vm, v1)
+        mid = v0 < 0.0 <= vm or vm < 0.0 <= v1
         screened += not ends
         reads += 2 + (not ends) + (ends or mid)
     assert 0 < screened < len(traj.steps)
@@ -989,17 +999,19 @@ def test_the_screen_is_the_cubic_hermite_through_the_step_ends():
 
 
 def test_step_roots_splits_two_roots_at_the_midpoint(monkeypatch):
-    """Two roots in one step, one on each side of its midpoint, are both
-    found; the ends alone see no sign change."""
+    """Of two roots in one step, one on each side of its midpoint, the
+    event goes down through the first and up through the second, and
+    only the second is found, from the half right of the midpoint; the
+    ends alone see no sign change."""
     monkeypatch.setattr(integrator, "EVENT_TOL", 1e-14)
     traj = integrate(Flow.PHYSICAL, _loop_state(), KEPLER,
                      IntegrationSettings(t_max=2.0))
     for st in traj.steps[:10]:
         r1, r2 = st.t0 + 0.3 * st.h, st.t0 + 0.7 * st.h
         hits = integrator.step_roots(
-            st, traj.rhs, lambda t, chart, y, dy: (t - r1) * (t - r2), 0)
-        assert [h.t for h in hits] == [pytest.approx(r1, abs=1e-13),
-                                       pytest.approx(r2, abs=1e-13)]
+            st, traj.rhs, lambda t, chart, y, dy: (t - r1) * (t - r2))
+        assert [h.t for h in hits] == [pytest.approx(r2, abs=1e-13)]
+        assert hits[0].t > st.t0 + 0.5 * st.h
 
 
 def test_early_stop_predicate_truncates_the_run():
@@ -1049,7 +1061,8 @@ def test_eval_outside_domain_is_an_error():
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": 0.0}, {"abs_tol": -1e-12}, {"t_max": 0.0},
     {"rel_tol": 1.0}, {"abs_tol": 1e3},
-])
+], ids=["rel_tol-zero", "abs_tol-negative", "t_max-zero", "rel_tol-one",
+        "abs_tol-above-one"])
 def test_settings_validation(kwargs):
     with pytest.raises(UsageError):
         IntegrationSettings(**kwargs)

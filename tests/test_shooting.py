@@ -255,10 +255,11 @@ def test_no_two_passes_merge_within_a_step():
     assert (shots, passes) == (8, 24)
 
 
-def _unscreened_roots(st, rhs, event, direction):
+def _unscreened_roots(st, rhs, event):
     """``step_roots`` without its Hermite screen: the start, the midpoint
-    on the dense output and the end bracket the roots of every step."""
-    chart, crosses = st.chart, integrator._crosses
+    on the dense output and the end bracket the upward roots of every
+    step."""
+    chart = st.chart
 
     def value(t):
         y = st.eval(t)
@@ -270,7 +271,7 @@ def _unscreened_roots(st, rhs, event, direction):
           event(ts[2], chart, st.y1, st.f1))
     hits = []
     for j in range(2):
-        if crosses(direction, vs[j], vs[j + 1]):
+        if vs[j] < 0.0 <= vs[j + 1]:
             lo, _, hi, _ = solve_bracket(value, ts[j], vs[j], ts[j + 1],
                                          vs[j + 1], integrator.EVENT_TOL)
             t = 0.5 * (lo + hi)
@@ -278,7 +279,8 @@ def _unscreened_roots(st, rhs, event, direction):
     return hits
 
 
-@pytest.mark.parametrize("tolerances", [GRID_TOL, (1e-11, 1e-13)])
+@pytest.mark.parametrize("tolerances", [GRID_TOL, (1e-11, 1e-13)],
+                         ids=["grid", "default"])
 def test_the_hermite_screen_keeps_every_pass(tolerances, monkeypatch):
     """On 12 reference-level shots, both sides and both branches, at
     GRID_TOL and at the default tolerances, ``step_roots`` finds at every
@@ -299,14 +301,13 @@ def test_the_hermite_screen_keeps_every_pass(tolerances, monkeypatch):
         traj, _ = _shoot(spec, settings, 3)
         want = []
         for st in traj.steps:
-            ends = integrator._crosses(
-                +1, shooting._pericenter_rate(st.t0, st.chart, st.y0, st.f0),
-                shooting._pericenter_rate(st.t0 + st.h, st.chart, st.y1,
-                                          st.f1))
-            hits = _unscreened_roots(st, traj.rhs, shooting._pericenter_rate,
-                                     +1)
+            v0 = shooting._pericenter_rate(st.t0, st.chart, st.y0, st.f0)
+            v1 = shooting._pericenter_rate(st.t0 + st.h, st.chart, st.y1,
+                                           st.f1)
+            ends = v0 < 0.0 <= v1
+            hits = _unscreened_roots(st, traj.rhs, shooting._pericenter_rate)
             assert integrator.step_roots(
-                st, traj.rhs, shooting._pericenter_rate, +1) == hits
+                st, traj.rhs, shooting._pericenter_rate) == hits
             want += hits
             steps += 1
             screened += not ends
