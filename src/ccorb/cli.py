@@ -49,14 +49,14 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .integrator import Flow, IntegrationSettings, export_csv, integrate
-from .regularization import (
-    MoserChartPoint,
-    RegularizedLevel,
-    chart_position,
-    collision_point,
-    phase_to_chart,
+from .integrator import (
+    Flow,
+    IntegrationSettings,
+    _is_finite_number,
+    export_csv,
+    integrate,
 )
+from .regularization import RegularizedLevel, chart_position, collision_point
 # scan_and_bracket is not called here; perfbench/op.py wraps this name
 from .shooting import (  # noqa: F401
     Branch,
@@ -103,6 +103,8 @@ def _resolve_jacobi(spec: str | None, params: SystemParams) -> float | None:
     """Parse --jacobi: a float, or auto-X meaning first critical - X."""
     if spec is None:
         return None
+    if not spec.isprintable():  # headers record it as jacobi_spec
+        raise UsageError(f"--jacobi must be printable text, got {spec!r}")
     text = spec.strip()
     if text.startswith("auto-"):
         try:
@@ -176,14 +178,14 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
 # scan
 
 
-def _scan_ranges(args_range, params: SystemParams, level: RegularizedLevel
+def _scan_ranges(args_range, level: RegularizedLevel
                  ) -> list[tuple[float, float, str]]:
     """Explicit --s-range, or both Hill axis segments with 2% margins.
 
-    An explicit range must have both ends inside the Hill axis interval,
-    where every start exists.
+    An explicit range must have both ends inside the Hill axis interval of
+    ``level`` at its own mass ratio, where every start exists.
     """
-    hill = hill_component_interval(params, level)
+    hill = hill_component_interval(level.params, level)
     if args_range is not None:
         lo, hi = args_range
         if not (hill.contains(lo) and hill.contains(hi)):
@@ -232,14 +234,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
               file=sys.stderr)
     branches = ([Branch.PLUS, Branch.MINUS] if args.branch == "both"
                 else [Branch(args.branch)])
-    ranges = _scan_ranges(s_range, params, level)
+    ranges = _scan_ranges(s_range, level)
 
     catalog = ChordCatalog(run_config=_config(
         "scan", settings, mu=args.mu, jacobi=c, jacobi_spec=args.jacobi,
         branch=args.branch, s_range=s_range, grid=args.grid,
         k_max=args.kmax))
-    grids = [(side, branch, grid_specs((lo, hi), args.grid, branch, params,
-                                       level))
+    grids = [(side, branch, grid_specs((lo, hi), args.grid, branch, level))
              for lo, hi, side in ranges for branch in branches]
     found = scan_grids([specs for *_, specs in grids], settings, args.kmax)
     rows = []
@@ -260,7 +261,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     f"{bracket.s_hi!r}] (k="
                     f"{bracket.pericenter_index}): {exc}")
                 continue
-            if catalog_insert(catalog, chord, settings):
+            if catalog_insert(catalog, chord):
                 rows.append((side, branch.value, chord.pericenter_index,
                              chord.spec.s, chord.tau_reeb,
                              chord.flight_time, chord.conditioning))
@@ -290,18 +291,15 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     params = SystemParams(args.mu)
     jacobi = _resolve_jacobi(args.jacobi, params)
     state = _parse_state(args.state) if args.state else None
-    eject, regularized = args.eject, args.regularized
+    eject = args.eject
+    regularized = args.regularized or eject is not None
     if eject is not None:
         if not math.isfinite(eject):
             raise UsageError(f"--eject must be finite, got {eject!r}")
-        if not regularized:
-            raise UsageError("--eject starts at collision: needs "
-                             "--regularized")
         if jacobi is None:
             raise UsageError("--eject needs --jacobi")
         level = RegularizedLevel(params, f=-jacobi)
-        initial: PhaseState | MoserChartPoint = collision_point(
-            (math.cos(eject), math.sin(eject)), level)
+        initial = collision_point((math.cos(eject), math.sin(eject)), level)
     elif state is not None:
         h = hamiltonian(state, params)
         if jacobi is not None and abs(jacobi - h) > 1e-9:
@@ -314,7 +312,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"start radius {r:.3e} is near collision: use the "
                 "regularized flow (--regularized)")
-        initial = phase_to_chart(state) if regularized else state
+        initial = state
     else:
         raise UsageError("give --state q1,q2,p1,p2 or --eject ANGLE")
 
@@ -414,12 +412,6 @@ def _zvc_polyline(mu: float, f: float) -> list[tuple[float, float]]:
         if not math.isnan(r):
             pts.append((r * math.cos(th), r * math.sin(th)))
     return pts
-
-
-def _is_finite_number(value) -> bool:
-    """A finite JSON number; JSON true and false do not count."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 #: each row field orbit-svg reads, and the test its JSON value must pass
@@ -580,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     start.add_argument("--state", default=None, help="q1,q2,p1,p2")
     start.add_argument("--eject", type=float, default=None,
                        help="start at collision, ejecting at this angle "
-                            "(radians; needs --regularized)")
+                            "(radians; implies --regularized)")
     p.add_argument("--regularized", action="store_true")
 
     p = sub.add_parser("starshape", help="fiberwise star-shape certificate")

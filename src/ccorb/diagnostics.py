@@ -28,7 +28,6 @@ from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
 from .integrator import (
     EVENT_TOL,
     Flow,
-    IntegrationSettings,
     _transition_state,
     integrate,
 )
@@ -106,23 +105,23 @@ def chord_action(chord: Chord, refinement: int = 2) -> float:
     return value
 
 
-def symmetry_defect(chord: Chord, settings: IntegrationSettings) -> float:
+def symmetry_defect(chord: Chord) -> float:
     """Largest mirror-symmetry violation of a chord, by re-integration.
 
     The reflection (a1, a2, b1, b2) -> (-a1, a2, b1, -b2) conjugates the
     regularized flow to its time reversal, so a chord of flow length
     S = 2 ``t_reg_collision`` has mirror states at flow times s and S - s.
     Integrates the chord independently from its reconstructed start on the
-    collision fiber to S and compares those pairs, aligning charts where
-    the two sides disagree.  Sampling runs over interior times (5..95
-    percent of S) where neither endpoint fiber blow-up nor the terminal
-    event tolerance contributes.
+    collision fiber to S, at the tolerances of the chord's own run, and
+    compares those pairs, aligning charts where the two sides disagree.
+    Sampling runs over interior times (5..95 percent of S) where neither
+    endpoint fiber blow-up nor the terminal event tolerance contributes.
     """
     total = 2.0 * chord.t_reg_collision
     start = MoserChartPoint(chart=Chart.SOUTH, a=(0.0, 0.0),
                             b=chord.endpoint_start_b)
     traj = integrate(Flow.REGULARIZED, start, chord.spec.level,
-                     replace(settings, t_max=total))
+                     replace(chord.samples.settings, t_max=total))
     worst = 0.0
     for j in range(1, SYMMETRY_SAMPLES + 1):
         s = total * (0.05 + 0.9 * j / (SYMMETRY_SAMPLES + 1))
@@ -352,13 +351,14 @@ def _dumps(obj) -> str:
         raise IntegrityError(f"non-finite float in output: {exc}") from exc
 
 
-def entry_from_chord(chord: Chord, settings: IntegrationSettings) -> dict:
+def entry_from_chord(chord: Chord) -> dict:
     """Catalog row for a refined chord (field order is the file order).
 
+    The row records the tolerances of the chord's own run.
     ``periodic_candidate`` starts False; :func:`_mark_chains` sets it once
     the row is in a catalog.
     """
-    spec = chord.spec
+    spec, settings = chord.spec, chord.samples.settings
     return {
         "mu": spec.params.mu,
         "jacobi": spec.level.c,
@@ -421,8 +421,7 @@ class ChordCatalog:
         return cls(run_config=rows[0]["run_config"], entries=rows[1:])
 
 
-def catalog_insert(catalog: ChordCatalog, chord: Chord,
-                   settings: IntegrationSettings) -> bool:
+def catalog_insert(catalog: ChordCatalog, chord: Chord) -> bool:
     """Verify a chord's invariants and insert it unless it is a duplicate.
 
     Checks: positive Reeb time, collision-grade pericenter distance,
@@ -430,7 +429,7 @@ def catalog_insert(catalog: ChordCatalog, chord: Chord,
     and agreement of the quadrature action with the Reeb clock.
     Near-duplicates (both Reeb time and collision endpoint within 1e-6)
     are skipped; returns True iff the chord was added.  Entries stay
-    sorted by Reeb time.
+    sorted by Reeb time, and record the tolerances of the chord's own run.
     """
     if chord.action is None:
         chord.action = chord_action(chord)
@@ -452,7 +451,7 @@ def catalog_insert(catalog: ChordCatalog, chord: Chord,
         raise IntegrityError(
             f"collision endpoint radius {radius!r} is off the Legendrian "
             f"({target!r})")
-    entry = entry_from_chord(chord, settings)
+    entry = entry_from_chord(chord)
     for other in catalog.entries:
         if (abs(other["tau_reeb"] - entry["tau_reeb"]) < DEDUPE_TAU_TOL
                 and math.hypot(other["endpoint_end_b"][0] - be[0],

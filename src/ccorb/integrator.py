@@ -211,6 +211,12 @@ class Flow(Enum):
     REGULARIZED = "regularized"
 
 
+def _is_finite_number(value) -> bool:
+    """A finite int or float; a bool (JSON true or false) does not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class IntegrationSettings:
     """The error tolerances of the adaptive step control and the horizon.
@@ -226,9 +232,7 @@ class IntegrationSettings:
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "t_max"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0):
+            if not (_is_finite_number(value) and value > 0):
                 raise UsageError(
                     f"{name} must be finite and positive, got {value!r}")
             # an error of order one leaves the energy level, and the steps

@@ -52,7 +52,7 @@ from .integrator import (
     step_roots,
 )
 from .lanes import integrate_lanes
-from .regularization import Chart, RegularizedLevel, phase_to_chart
+from .regularization import Chart, RegularizedLevel
 
 #: pericenter minima with |q| above this radius are not near passes (D12)
 R_NEAR = 0.2
@@ -228,14 +228,13 @@ def _shoot(spec: ShotSpec, settings: IntegrationSettings, k: int):
     """
     if k < 1:
         raise UsageError(f"pericenter index must be at least 1, got {k}")
-    state = axis_initial_state(spec)
     hits = []
 
     def until(traj: Trajectory) -> bool:
         hits.extend(_passes(traj.steps[-1], traj.rhs))
         return len(hits) >= k
 
-    traj = integrate(Flow.REGULARIZED, phase_to_chart(state), spec.level,
+    traj = integrate(Flow.REGULARIZED, axis_initial_state(spec), spec.level,
                      settings, until=until)
     return traj, hits
 
@@ -284,8 +283,7 @@ def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
     for i, spec in enumerate(specs):
         try:
             starts.append(prepare_initial(
-                Flow.REGULARIZED, phase_to_chart(axis_initial_state(spec)),
-                level))
+                Flow.REGULARIZED, axis_initial_state(spec), level))
         except UsageError:
             continue
         spec_of.append(i)
@@ -342,16 +340,16 @@ def shoot_grid(specs: list[ShotSpec], settings: IntegrationSettings,
 
 
 def grid_specs(s_range: tuple[float, float], n: int, branch: Branch,
-               params: SystemParams, level: RegularizedLevel
-               ) -> list[ShotSpec]:
-    """The shots of a uniform n-point s-grid over ``s_range``."""
+               level: RegularizedLevel) -> list[ShotSpec]:
+    """The shots of a uniform n-point s-grid over ``s_range``, at the mass
+    ratio of ``level``."""
     lo, hi = s_range
     if not (lo < hi) or n < 2:
         raise UsageError("need s_lo < s_hi and a grid of at least 2 points")
     if lo <= 0.0 <= hi:
         raise UsageError("s-range must not contain the primary at s = 0")
     return [ShotSpec(s=lo + (hi - lo) * i / (n - 1), branch=branch,
-                     params=params, level=level) for i in range(n)]
+                     params=level.params, level=level) for i in range(n)]
 
 
 def bracket_grid(specs: list[ShotSpec], misses: list[list[float]],
@@ -479,11 +477,12 @@ def scan_and_bracket(s_range: tuple[float, float], n: int, branch: Branch,
 
     The one-grid case of :func:`scan_grids`, on the grid of
     :func:`grid_specs`; every bracket end's miss is the shot's at
-    ``settings``.  ``jobs`` is accepted for callers that pass it and has
-    no effect: the grid runs as one lockstep batch.
+    ``settings``.  ``params`` and ``jobs`` are accepted for callers that
+    pass them and have no effect: the shots take mu from ``level``, and the
+    grid runs as one lockstep batch.
     """
-    return scan_grids([grid_specs(s_range, n, branch, params, level)],
-                      settings, k_max)[0]
+    return scan_grids([grid_specs(s_range, n, branch, level)], settings,
+                      k_max)[0]
 
 
 def _slope_across(probes, negative_lo: bool) -> float:

@@ -129,7 +129,7 @@ def multiplicity_catalog():
                 if bracket.kind != "sign_change":
                     continue
                 chord = refine_chord(bracket, level, settings)
-                if catalog_insert(catalog, chord, settings):
+                if catalog_insert(catalog, chord):
                     chords.append(chord)
     return {"catalog": catalog, "chords": chords, "level": level,
             "settings": settings, "elapsed": time.perf_counter() - tic}
@@ -206,7 +206,7 @@ def test_criterion_3_multiplicity_below_critical(multiplicity_catalog):
         for ch in chords
         for b in (ch.endpoint_start_b, ch.endpoint_end_b))
     drift_max = max(ch.samples.conserved_drift() for ch in chords)
-    defect_max = max(symmetry_defect(ch, settings) for ch in chords)
+    defect_max = max(symmetry_defect(ch) for ch in chords)
 
     ok = (len(catalog.entries) >= 5 and min_sep > 1e-4 and legendrian_ok
           and drift_max < 1e-9 and defect_max < 1e-7 and elapsed < 300.0)

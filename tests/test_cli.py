@@ -393,6 +393,18 @@ def test_integrate_ejection_through_the_collision(tmp_path):
     assert float(rows[-1][6]) == pytest.approx(-2.0, abs=1e-9)
 
 
+def test_eject_implies_the_regularized_flow(tmp_path):
+    """A collision start exists only in the regularized flow, so --eject
+    without --regularized writes the same bytes as with it."""
+    paths = []
+    for flag in (["--regularized"], []):
+        paths.append(tmp_path / f"eject{len(paths)}.csv")
+        assert main(["integrate", "--mu", "0.1", "--jacobi", "auto-0.1",
+                     *flag, "--eject", "0.39", "--tmax", "1",
+                     "--out", str(paths[-1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_integrate_csv_holds_the_trajectory_values_exactly(tmp_path):
     """Every float of a regularized CSV parses back, with ==, to the value
     the trajectory itself holds or derives at that sample."""
@@ -455,6 +467,21 @@ def test_integrate_rejects_a_non_finite_start(start, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("jacobi", ["auto-\n0.1", "-1.9\n"],
+                         ids=["auto", "number"])
+def test_a_line_break_in_jacobi_is_refused(jacobi, tmp_path, capsys):
+    """The --jacobi text is recorded as jacobi_spec in the CSV preamble, where
+    a line break would end the comment line and leave a bare line above the
+    header; it is refused before any file is written."""
+    out = tmp_path / "x.csv"
+    rc = main(["integrate", "--mu", "0.1", "--jacobi", jacobi,
+               "--regularized", "--eject", "0.39", "--tmax", "0.2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "printable" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integrate_takes_state_or_eject_not_both(tmp_path, capsys):
@@ -523,7 +550,7 @@ def test_the_loose_grid_leaves_every_scan_byte_unchanged(tmp_path, capsys,
     run's own settings, which is the exact path."""
     params = SystemParams(0.1)
     level = RegularizedLevel(params, f=-(first_critical_value(params) - 0.1))
-    lo, hi, _ = cli._scan_ranges(None, params, level)[0]
+    lo, hi, _ = cli._scan_ranges(None, level)[0]
     argv = ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
             "both", "--kmax", "3", "--grid", "8", f"--s-range={lo!r}:{hi!r}"]
     runs = []

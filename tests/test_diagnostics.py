@@ -22,6 +22,7 @@ from ccorb import (
 )
 from ccorb import diagnostics
 from ccorb.diagnostics import StarshapeReport, _dumps
+from ccorb.integrator import EVENT_TOL
 from ccorb.regularization import Chart
 
 ENTRY_FIELDS = [
@@ -113,8 +114,8 @@ def test_degenerate_chord_action_is_rejected(oracle_chord):
 # --------------------------------------------------------------- symmetry
 
 
-def test_certified_chord_is_pointwise_symmetric(oracle_chord, tight_settings):
-    assert symmetry_defect(oracle_chord, tight_settings) < 1e-7
+def test_certified_chord_is_pointwise_symmetric(oracle_chord):
+    assert symmetry_defect(oracle_chord) < 1e-7
 
 
 # --------------------------------------------------------- star-shapedness
@@ -170,7 +171,7 @@ def _fresh_catalog() -> ChordCatalog:
 
 
 def test_entry_schema_and_field_order(oracle_chord, tight_settings):
-    entry = entry_from_chord(oracle_chord, tight_settings)
+    entry = entry_from_chord(oracle_chord)
     assert list(entry) == ENTRY_FIELDS
     assert entry["mu"] == 0.0
     assert entry["jacobi"] == -2.0
@@ -185,23 +186,42 @@ def test_entry_schema_and_field_order(oracle_chord, tight_settings):
     }
 
 
-def test_insert_verifies_and_deduplicates(oracle_chord, tight_settings):
+def test_a_row_records_the_tolerances_of_the_chords_own_run(oracle_chord):
+    """The oracle chord was refined at tight_settings, and its catalog row
+    says so, without being told."""
     catalog = _fresh_catalog()
-    assert catalog_insert(catalog, oracle_chord, tight_settings)
+    assert catalog_insert(catalog, oracle_chord)
+    assert catalog.entries[0]["integrator_tolerances"] == {
+        "rel_tol": 1e-10, "abs_tol": 1e-12, "event_tol": EVENT_TOL}
+
+
+@pytest.mark.parametrize("call", [
+    lambda chord, settings: catalog_insert(_fresh_catalog(), chord, settings),
+    lambda chord, settings: entry_from_chord(chord, settings),
+    lambda chord, settings: symmetry_defect(chord, settings),
+], ids=["catalog_insert", "entry_from_chord", "symmetry_defect"])
+def test_the_tolerances_are_not_passed_beside_a_chord(call, oracle_chord,
+                                                      tight_settings):
+    with pytest.raises(TypeError):
+        call(oracle_chord, tight_settings)
+
+
+def test_insert_verifies_and_deduplicates(oracle_chord):
+    catalog = _fresh_catalog()
+    assert catalog_insert(catalog, oracle_chord)
     assert len(catalog.entries) == 1
     # The same certified chord again: a duplicate, silently skipped.
-    assert not catalog_insert(catalog, oracle_chord, tight_settings)
+    assert not catalog_insert(catalog, oracle_chord)
     assert len(catalog.entries) == 1
 
 
-def test_nearby_but_distinct_chords_both_survive(oracle_chord,
-                                                 tight_settings):
+def test_nearby_but_distinct_chords_both_survive(oracle_chord):
     catalog = _fresh_catalog()
-    catalog_insert(catalog, oracle_chord, tight_settings)
+    catalog_insert(catalog, oracle_chord)
     shifted = replace(oracle_chord,
                       tau_reeb=oracle_chord.tau_reeb + 1e-5,
                       action=oracle_chord.action + 1e-5)
-    assert catalog_insert(catalog, shifted, tight_settings)
+    assert catalog_insert(catalog, shifted)
     taus = [e["tau_reeb"] for e in catalog.entries]
     assert taus == sorted(taus)
     assert len(catalog.entries) == 2
@@ -212,46 +232,43 @@ def test_nearby_but_distinct_chords_both_survive(oracle_chord,
     {"tau_reeb": -1.0},
     {"endpoint_start_b": (1.0, 1.0)},
 ])
-def test_insert_rejects_broken_chords(patch, oracle_chord, tight_settings):
+def test_insert_rejects_broken_chords(patch, oracle_chord):
     broken = replace(oracle_chord, **patch)
     with pytest.raises(IntegrityError):
-        catalog_insert(_fresh_catalog(), broken, tight_settings)
+        catalog_insert(_fresh_catalog(), broken)
 
 
-def test_chained_endpoints_flag_periodicity(oracle_chord, tight_settings):
+def test_chained_endpoints_flag_periodicity(oracle_chord):
     """end of one chord == start of the next => possible closed orbit."""
     catalog = _fresh_catalog()
-    catalog_insert(catalog, oracle_chord, tight_settings)
+    catalog_insert(catalog, oracle_chord)
     successor = replace(oracle_chord,
                         endpoint_start_b=oracle_chord.endpoint_end_b,
                         endpoint_end_b=oracle_chord.endpoint_start_b,
                         tau_reeb=oracle_chord.tau_reeb + 1e-3,
                         action=oracle_chord.action + 1e-3)
-    catalog_insert(catalog, successor, tight_settings)
+    catalog_insert(catalog, successor)
     assert all(e["periodic_candidate"] for e in catalog.entries)
 
 
-def test_solo_symmetric_chord_is_not_flagged_periodic(oracle_chord,
-                                                      tight_settings):
+def test_solo_symmetric_chord_is_not_flagged_periodic(oracle_chord):
     catalog = _fresh_catalog()
-    catalog_insert(catalog, oracle_chord, tight_settings)
+    catalog_insert(catalog, oracle_chord)
     assert not catalog.entries[0]["periodic_candidate"]
 
 
-def test_chord_closing_on_itself_is_flagged_periodic(oracle_chord,
-                                                     tight_settings):
+def test_chord_closing_on_itself_is_flagged_periodic(oracle_chord):
     """A chord whose end fiber is its own start fiber closes up alone."""
     closing = replace(oracle_chord, endpoint_start_b=(2.0, 0.0),
                       endpoint_end_b=(2.0, 0.0))
     catalog = _fresh_catalog()
-    assert catalog_insert(catalog, closing, tight_settings)
+    assert catalog_insert(catalog, closing)
     assert catalog.entries[0]["periodic_candidate"] is True
 
 
-def test_catalog_round_trip_is_lossless(tmp_path, oracle_chord,
-                                        tight_settings):
+def test_catalog_round_trip_is_lossless(tmp_path, oracle_chord):
     catalog = _fresh_catalog()
-    catalog_insert(catalog, oracle_chord, tight_settings)
+    catalog_insert(catalog, oracle_chord)
     path = tmp_path / "catalog.jsonl"
     catalog.save(path)
     text = path.read_text()

@@ -239,7 +239,7 @@ def test_no_two_passes_merge_within_a_step():
     params, level = _reference_level()
     settings = IntegrationSettings()
     shots = passes = 0
-    for lo, hi, _ in _scan_ranges(None, params, level):
+    for lo, hi, _ in _scan_ranges(None, level):
         for branch in Branch:
             for i in (3, 36):
                 spec = ShotSpec(s=lo + (hi - lo) * i / 39, branch=branch,
@@ -292,7 +292,7 @@ def test_the_hermite_screen_keeps_every_pass(tolerances, monkeypatch):
                                    abs_tol=tolerances[1])
     specs = [ShotSpec(s=lo + (hi - lo) * i / 39, branch=branch,
                       params=params, level=level)
-             for lo, hi, _ in _scan_ranges(None, params, level)
+             for lo, hi, _ in _scan_ranges(None, level)
              for branch in Branch for i in (3, 20, 36)]
     monkeypatch.setattr(lanes, "TAIL_WIDTH", 4)
     batch = shooting._shoot_lanes(specs, settings, 3, settings)
@@ -426,8 +426,8 @@ def test_grid_refinement_keeps_every_bracket(kepler_params, kepler_level,
 def _reference_grids(n: int):
     """Every (side, branch) grid of the reference scan at n points."""
     params, level = _reference_level()
-    return [((side, branch), grid_specs((lo, hi), n, branch, params, level))
-            for lo, hi, side in _scan_ranges(None, params, level)
+    return [((side, branch), grid_specs((lo, hi), n, branch, level))
+            for lo, hi, side in _scan_ranges(None, level)
             for branch in Branch]
 
 
@@ -479,7 +479,7 @@ def _scan_case(n):
     if n == "oracle":
         kepler = SystemParams(mu=0.0)
         level = RegularizedLevel(params=kepler, f=2.0)
-        grids = [grid_specs((0.40, 0.53), 8, Branch.MINUS, kepler, level)]
+        grids = [grid_specs((0.40, 0.53), 8, Branch.MINUS, level)]
         settings = IntegrationSettings(rel_tol=1e-10, abs_tol=1e-12,
                                        t_max=10.0)
         return grids, settings, 2, _full_brackets(grids, settings, 2)
@@ -664,11 +664,11 @@ def _batch_cases():
     return {
         "refine-coarse grids": (coarse, IntegrationSettings(), 3),
         "mu = 0 oracle grid": (
-            grid_specs((0.40, 0.53), 8, Branch.MINUS, kepler, kepler_level),
+            grid_specs((0.40, 0.53), 8, Branch.MINUS, kepler_level),
             tight, 2),
         # s > 1/2 lies outside the Hill region at mu = 0, c = -2
         "unstartable specs": (
-            grid_specs((0.45, 0.62), 6, Branch.MINUS, kepler, kepler_level),
+            grid_specs((0.45, 0.62), 6, Branch.MINUS, kepler_level),
             tight, 1),
         "one shot": (coarse[5:6], IntegrationSettings(), 3),
         "across the tail width": (coarse[:lanes.TAIL_WIDTH + 1],
@@ -698,7 +698,7 @@ def test_a_lane_handed_over_mid_way_spends_the_same_step_budget(
     monkeypatch.setattr(lanes, "MAX_STEPS", 60)
     monkeypatch.setattr(integrator, "MAX_STEPS", 60)
     params, level = _reference_level()
-    specs = grid_specs((0.1, 0.6), 4, Branch.MINUS, params, level)[1:3]
+    specs = grid_specs((0.1, 0.6), 4, Branch.MINUS, level)[1:3]
     starts = [prepare_initial(Flow.REGULARIZED,
                               phase_to_chart(axis_initial_state(spec)), level)
               for spec in specs]
