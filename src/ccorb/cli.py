@@ -94,7 +94,10 @@ def _settings(args: argparse.Namespace) -> IntegrationSettings:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Refuse an ``--out`` whose directory does not exist, before any work."""
+    """Refuse an ``--out`` that is a directory, or whose directory does not
+    exist, before any work."""
+    if out is not None and os.path.isdir(out):
+        raise UsageError(f"--out {out!r} is a directory")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise UsageError(f"directory of --out {out!r} does not exist")
 
@@ -165,8 +168,7 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
         if json_out or not out:
             print(text)
         return 0
-    for label in ("L1", "L2", "L3", "L4", "L5"):
-        x, y = cfg.points[label]
+    for label, (x, y) in cfg.points.items():  # L1 to L5
         print(f"{label}: ({x!r}, {y!r})  U = {cfg.values[label]!r}")
     print(f"first critical value: {cfg.first_critical_value!r}")
     if cfg.degenerate:
@@ -394,15 +396,13 @@ def _chord_path_points(entry: dict, settings: IntegrationSettings
         sigma = sigma_end * j / SVG_CHORD_SAMPLES
         chart, y = traj.eval(sigma)
         fwd.append(chart_position(chart, y[0], y[1], y[2], y[3]))
-    back = [(q1, -q2) for q1, q2 in reversed(fwd)]
-    return back + fwd
+    return [(q1, -q2) for q1, q2 in reversed(fwd)] + fwd
 
 
 def _zvc_polyline(mu: float, f: float) -> list[tuple[float, float]]:
     pts = []
-    params = SystemParams(mu)
     try:
-        if first_critical_value(params) <= -f:
+        if first_critical_value(SystemParams(mu)) <= -f:
             return []
     except CcorbError:
         return []
@@ -506,9 +506,8 @@ def cmd_orbit_svg(args: argparse.Namespace) -> int:
         f'M {ox-7:.2f} {oy+7:.2f} L {ox+7:.2f} {oy-7:.2f}" '
         'stroke="#c21807" stroke-width="1.5"/>')
     lines.append("</svg>")
-    data = "\n".join(lines) + "\n"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
+        fh.write("\n".join(lines) + "\n")
     print(f"chord {index} (tau={entry['tau_reeb']!r}) -> {out}")
     return 0
 

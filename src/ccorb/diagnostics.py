@@ -148,8 +148,10 @@ class StarshapeReport:
     ``margin`` for a ray is the directional derivative of the squared
     level function along the fiber-scaling field b d/db at the crossing,
     i.e. t* G(t*) G'(t*): positive iff the ray exits the level outward.
-    ``ok`` requires every sampled ray to cross exactly once with positive
-    margin, i.e. no violation.
+    A ray whose cap sits below the level has as margin the cap's signed
+    shortfall G(t_cap) - target, finite and negative, so a failing report
+    is still valid JSON.  ``ok`` requires every sampled ray to cross
+    exactly once with positive margin, i.e. no violation.
     """
 
     mu: float
@@ -276,7 +278,7 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
     if g_grid[-1] < target:
         # cap value below the level contradicts the zero-velocity bound;
         # report as a violation rather than trusting the parity argument.
-        report.record(chart, a0, angle, -math.inf, crossings)
+        report.record(chart, a0, angle, g(t_cap) - target, crossings)
         return
 
     margin = math.inf

@@ -24,7 +24,7 @@ Characteristics
 * bitwise-deterministic: no randomness, no wall-clock dependence
 * one straight-line attempt (stages 1-12) and one dense-output function
   (stages 13-15 and the rows) per flow, generated with the flow's vector
-  field from one text at the field's first use: each state component is
+  field from one text at the flow's first run: each state component is
   a local float, each stage input, error estimate and dense row is one
   expression per component, and every sum keeps the tableau order and
   starts from the 0.0 of a plain loop over the rows of ``_A``, ``_E5`` or
@@ -324,9 +324,12 @@ class Trajectory:
     every step through :meth:`eval`.  The conserved quantity (H for the
     physical flow, KCheck for the regularized flow) is read at all samples
     by :meth:`conserved_drift`, the energy certificate.  ``settings`` are
-    the ones the run used, and ``rhs(chart, y)`` is the vector field it
-    integrated; a step's ``f0`` and ``f1`` are that field at its ``y0``
-    and ``y1``.
+    the ones the run used.  A run binds its flow once, here, from the
+    generated factories of :func:`_flow_code` and the flow's kernel as it
+    is when the run is made: ``rhs(chart, y)`` is the vector field it
+    integrated, ``attempt`` its DOP853 attempt at the run's tolerances and
+    ``dense`` the dense-output function its steps form their rows with; a
+    step's ``f0`` and ``f1`` are ``rhs`` at its ``y0`` and ``y1``.
     """
 
     def __init__(self, flow: Flow, level: RegularizedLevel,
@@ -335,10 +338,13 @@ class Trajectory:
         self.flow = flow
         self.level = level
         self.settings = settings
-        if flow is Flow.PHYSICAL:
-            self.rhs = _rhs_physical(level.params.mu)
-        else:
-            self.rhs = _rhs_regularized(level.params.mu, level.f)
+        field = (dynamics.vector_field_values if flow is Flow.PHYSICAL
+                 else regularization.g_and_gradient)
+        code, mu, f = _flow_code(flow.value), level.params.mu, level.f
+        self.rhs = code["field_of"](field, mu, f)
+        self.attempt = code["bind"](field, mu, f, settings.abs_tol,
+                                    settings.rel_tol, _error_norm)
+        self.dense = code["dense_of"](field, mu, f)
         self._chart0 = chart0
         self._y0 = y0
         self.steps: list[Step] = []
@@ -434,6 +440,8 @@ def _factor(err: float, accepted: bool, rejected: bool) -> float:
 _FIELDS = {
     "physical": (4, (), (
         "k{s}_0, k{s}_1, k{s}_2, k{s}_3 = field(x0, x1, x2, x3, mu)",), ()),
+    # KCheck = G^2/2 with pairs (a, -b): da/ds = -G dG/db, db/ds = G dG/da;
+    # dt_phys/ds = G r with the kernel's r = |q|, and dtau/ds = -b . da/ds
     "regularized": (6, (), (
         "g, ga1, ga2, gb1, gb2, r = field(chart, x0, x1, x2, x3, mu, f)",
         "k{s}_0 = -g * gb1",
@@ -542,13 +550,13 @@ def _flow_source(name: str) -> str:
 
 @functools.cache
 def _flow_code(name: str) -> dict:
-    """The factories of :func:`_flow_source`, compiled at the first use of
-    the flow's field, which comes before a run holds steps or lanes, or
-    when a lockstep loop first runs.
+    """The factories of :func:`_flow_source`, compiled when the first run
+    of the flow is made, or when a lockstep loop first runs.
 
     The text is registered with :mod:`linecache`, so tracebacks show its
-    lines.  Each factory takes the kernel, so that a kernel replaced at
-    run time (say, by a call counter) is the one that every rate calls.
+    lines.  Each factory takes the kernel, which :class:`Trajectory` hands
+    it, so a kernel replaced before a run is made (say, by a call counter)
+    is the one that every rate of that run calls.
     """
     source = _flow_source(name)
     filename = f"<ccorb.integrator: DOP853, {name}>"
@@ -557,24 +565,6 @@ def _flow_code(name: str) -> dict:
     scope: dict = {}
     exec(compile(source, filename, "exec"), scope)
     return scope
-
-
-def _rhs_physical(mu: float):
-    """The Hamiltonian vector field X_H of ``dynamics.vector_field_values``."""
-    return _flow_code("physical")["field_of"](
-        dynamics.vector_field_values, mu, 0.0)
-
-
-def _rhs_regularized(mu: float, f: float):
-    """Vector field of KCheck = G^2/2 with both clocks appended.
-
-    With canonical pairs (a, -b), da/ds = -G dG/db and db/ds = G dG/da,
-    smooth across a = 0 in the South chart; then dt_phys/ds = G r, with
-    the kernel's r = |q| (|b| in the North chart, |a|^2 |b| in the South
-    chart), and dtau/ds = -b . da/ds.
-    """
-    return _flow_code("regularized")["field_of"](
-        regularization.g_and_gradient, mu, f)
 
 
 def _initial_step(rhs, chart, y0, f0, atol, rtol) -> float:
@@ -716,15 +706,8 @@ def advance(traj: Trajectory, t: float, h: float, chart: Chart | None,
     singular one raises :class:`~ccorb.errors.SingularInputError` there,
     out of ``until`` and this loop.
     """
-    flow, settings, rhs = traj.flow, traj.settings, traj.rhs
-    t_max = settings.t_max
-    field = (dynamics.vector_field_values if flow is Flow.PHYSICAL
-             else regularization.g_and_gradient)
-    code = _flow_code(flow.value)
-    mu, f = traj.level.params.mu, traj.level.f
-    attempt = code["bind"](field, mu, f, settings.abs_tol, settings.rel_tol,
-                           _error_norm)
-    dense = code["dense_of"](field, mu, f)
+    flow, t_max = traj.flow, traj.settings.t_max
+    rhs, attempt, dense = traj.rhs, traj.attempt, traj.dense
     while t < t_max - 1e-15 * max(1.0, abs(t_max)):
         h = min(h, MAX_STEP, t_max - t)
         _guard_step(t, h, taken)

@@ -69,7 +69,6 @@ from .integrator import (
     _guard_step,
     _hermite_midpoint,
     _initial_step,
-    _rhs_regularized,
     _transition_state,
     _upward,
     advance,
@@ -103,8 +102,8 @@ def _lane_kernel(bad):
 
 def _field(ys, n_north: int, mu: float, f: float, bad):
     """The regularized vector field on every lane, North lanes first: the
-    flow's own ``rhs`` (``integrator._rhs_regularized``) on the rows of
-    each chart slice, fed the kernel of :func:`_lane_kernel`."""
+    flow's own generated ``rhs`` on the rows of each chart slice, fed the
+    kernel of :func:`_lane_kernel`."""
     out = np.empty_like(ys)
     for lo, hi, chart in ((0, n_north, Chart.NORTH),
                           (n_north, ys.shape[1], Chart.SOUTH)):
@@ -178,11 +177,10 @@ def integrate_lanes(starts, level: RegularizedLevel,
         When the tolerances cannot start a step (see
         :func:`~ccorb.integrator._initial_step`).
     """
-    mu, f = level.params.mu, level.f
-    rhs = _rhs_regularized(mu, f)
-    dense = _flow_code("regularized")["dense_of"](
-        regularization.g_and_gradient, mu, f)
-    mu_, f_ = np.array(mu), np.array(f)  # the same values, as 0-d arrays
+    # the field and dense output of a scalar run, which also runs the tail
+    run = Trajectory(Flow.REGULARIZED, level, settings, None, ())
+    rhs, dense = run.rhs, run.dense
+    mu, f = np.array(level.params.mu), np.array(level.f)  # as 0-d arrays
     errors: list[CcorbError | None] = [None] * len(starts)
     atol, rtol = settings.abs_tol, settings.rel_tol
     lanes = []  # (lane, chart, y, f, h)
@@ -208,7 +206,7 @@ def integrate_lanes(starts, level: RegularizedLevel,
     taken = np.zeros(len(lanes), dtype=np.int64)
     rejected = np.zeros(len(lanes), dtype=bool)
     if len(ids) >= TAIL_WIDTH:  # a batch on the scalar loop compiles nothing
-        attempt = _flow_code("lanes")["bind"](_field, mu_, f_, atol, rtol,
+        attempt = _flow_code("lanes")["bind"](_field, mu, f, atol, rtol,
                                               _error_norms)
     with np.errstate(all="ignore"):
         while len(ids) >= TAIL_WIDTH:
@@ -292,10 +290,9 @@ def integrate_lanes(starts, level: RegularizedLevel,
                     north[keep])
                 y, fy = y[:, keep], fy[:, keep]
 
-    for j, i in enumerate(ids):  # on_step takes each step off the run
-        traj = Trajectory(Flow.REGULARIZED, level, settings, None, ())
+    for j, i in enumerate(ids):  # one run for all: on_step pops each step
         try:
-            advance(traj, float(t[j]), float(h[j]),
+            advance(run, float(t[j]), float(h[j]),
                     Chart.NORTH if north[j] else Chart.SOUTH,
                     tuple(y[:, j].tolist()), tuple(fy[:, j].tolist()),
                     bool(rejected[j]),

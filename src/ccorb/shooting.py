@@ -45,7 +45,6 @@ from .integrator import (
     IntegrationSettings,
     Trajectory,
     _initial_step,
-    _rhs_regularized,
     integrate,
     locate_event,
     prepare_initial,
@@ -287,7 +286,7 @@ def _shoot_lanes(specs: list[ShotSpec], settings: IntegrationSettings,
         except UsageError:
             continue
         spec_of.append(i)
-    rhs = _rhs_regularized(level.params.mu, level.f)
+    rhs = Trajectory(Flow.REGULARIZED, level, settings, None, ()).rhs
     if lane_settings != settings:  # refuse what the scalar shot refuses
         for chart, y in starts:
             try:

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from ccorb import (
+    Bracket,
+    Branch,
     Flow,
     IntegrationSettings,
     MoserChartPoint,
@@ -25,8 +28,9 @@ from ccorb import (
     integrate,
     physical_state,
 )
-from ccorb import cli, shooting
+from ccorb import cli, diagnostics, shooting
 from ccorb.cli import main
+from ccorb.errors import BisectionStagnationError
 
 ORACLE_SCAN = ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
                "--s-range", "0.4:0.53", "--grid", "8", "--kmax", "1",
@@ -184,6 +188,48 @@ def test_scan_without_chords_exits_three(tmp_path, capsys):
     assert "no chords" in capsys.readouterr().out.lower()
 
 
+#: the README mu = 0 oracle scan
+README_ORACLE = GOLDEN_SCANS["oracle.jsonl"][0]
+
+
+def test_scan_reports_every_bracket_it_cannot_refine(tmp_path, capsys,
+                                                     monkeypatch):
+    """A refinement that fails is a warning per bracket, never dropped in
+    silence; with no chord left the scan exits 3 and writes a header-only
+    catalog."""
+    tried = []
+
+    def stagnates(bracket, level, settings):
+        tried.append(bracket)
+        raise BisectionStagnationError("stagnated")
+    monkeypatch.setattr(cli, "refine_chord", stagnates)
+    out = tmp_path / "oracle.jsonl"
+    assert main(README_ORACLE + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "no chords found" in captured.out
+    assert tried
+    assert captured.err.splitlines() == [
+        f"warning: refinement failed on [{b.s_lo!r}, {b.s_hi!r}] "
+        f"(k={b.pericenter_index}): stagnated" for b in tried]
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 and "run_config" in json.loads(lines[0])
+
+
+def test_scan_reports_a_tangential_candidate(tmp_path, capsys, monkeypatch):
+    """A tangential bracket has no sign change to refine: it is a warning,
+    and a scan that finds nothing else exits 3."""
+    def tangential(grids, settings, k_max):
+        return [[Bracket(s_lo=0.3, s_hi=0.3, m_lo=0.0, m_hi=0.0,
+                         pericenter_index=1, branch=Branch.MINUS,
+                         kind="tangential")] for _ in grids]
+    monkeypatch.setattr(cli, "scan_grids", tangential)
+    monkeypatch.setattr(cli, "refine_chord", _no_work)
+    assert main(README_ORACLE + ["--out", str(tmp_path / "o.jsonl")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: tangential candidate at s = 0.3 (k=1, pos/minus); no sign "
+        "change to refine"]
+
+
 def test_scan_above_critical_requires_force(tmp_path, capsys):
     base = ["scan", "--mu", "0", "--jacobi", "-1.4", "--branch", "minus",
             "--s-range", "0.5:0.9", "--grid", "10", "--kmax", "1",
@@ -283,6 +329,23 @@ def test_command_to_a_missing_directory_exits_two_before_its_work(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "does not exist" in err
+
+
+@pytest.mark.parametrize("work, argv", [
+    ("lagrange_points", ["lagrange", "--mu", "0.1"]),
+    ("scan_grids", ORACLE_SCAN),
+    ("integrate", ["integrate", "--mu", "0.0", "--jacobi", "-2.0",
+                   "--eject", "0.0"]),
+    ("starshape_scan", ["starshape", "--mu", "0.1", "--jacobi", "auto-0.1"]),
+    ("ChordCatalog.load", ["orbit-svg", "--catalog", "absent.jsonl",
+                           "--index", "0"]),
+])
+def test_an_out_that_is_a_directory_exits_two_before_any_work(
+        work, argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(f"ccorb.cli.{work}", _no_work)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is a directory" in err
 
 
 def test_orbit_svg_to_a_missing_directory_exits_two_before_reshooting(
@@ -575,6 +638,53 @@ def test_starshape_passes_on_the_kepler_level(capsys):
     assert payload["ok"] is True
     assert payload["min_margin"] > 0.0
     assert payload["violations"] == []
+
+
+SMALL_STARSHAPE = ["starshape", "--mu", "0.1", "--jacobi", "auto-0.1",
+                   "--base-grid", "4", "--ray-grid", "4"]
+
+
+def test_starshape_text_report_reads_as_the_benchmark_parses_it(capsys):
+    """The verdict, ray count and min margin the benchmark's regexes read
+    from the text report, the margin equal to the JSON one."""
+    assert main(SMALL_STARSHAPE) == 0
+    text = capsys.readouterr().out
+    assert main(SMALL_STARSHAPE + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert re.search(r"star-shapedness (PASS|FAIL)", text).group(1) == "PASS"
+    assert re.search(r"rays checked: (\d+)", text).group(1) == "32"
+    margin = float(re.search(r"min margin: (\S+)", text).group(1))
+    assert margin == payload["min_margin"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [["lagrange", "--mu", "0.1"],
+                                  SMALL_STARSHAPE])
+def test_the_out_file_holds_the_json_stdout(argv, tmp_path, capsys):
+    assert main(argv + ["--json"]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == stdout
+
+
+def test_a_failing_starshape_certificate_is_still_json(tmp_path, capsys,
+                                                       monkeypatch):
+    """With the zero-velocity caps pulled in to 0.3 of their radius, rays
+    are capped below the level: the report fails, exits 0, and records
+    each such ray's margin as the cap's finite, negative shortfall, so the
+    --json and --out reports are written."""
+    radius = diagnostics._zvc_radius_along
+    monkeypatch.setattr(diagnostics, "_zvc_radius_along",
+                        lambda *args: 0.3 * radius(*args))
+    out = tmp_path / "fail.json"
+    assert main(SMALL_STARSHAPE + ["--json", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == stdout
+    payload = json.loads(stdout)
+    assert payload["ok"] is False and payload["violations"]
+    margins = [v["margin"] for v in payload["violations"]]
+    assert all(math.isfinite(m) and m < 0.0 for m in margins)
+    assert payload["min_margin"] == min(margins)
 
 
 def test_starshape_resolves_auto_energy(capsys):

@@ -259,15 +259,19 @@ def test_every_attempt_is_bit_identical_to_the_tableau_loops(flow, mu,
 
 def _first_step_from(h, kernel=None, monkeypatch=None):
     """The first step of a regularized run on the mu = 0.1 level that
-    starts with step ``h``, its kernel replaced by ``kernel``."""
+    starts with step ``h``, its kernel replaced by ``kernel`` before the
+    run is made; the start rate comes from the real kernel."""
     level = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
     chart, y = integrator.prepare_initial(
         Flow.REGULARIZED, collision_point((1.0, 0.0), level), level)
-    traj = integrator.Trajectory(Flow.REGULARIZED, level,
-                                 IntegrationSettings(), chart, y)
-    f0 = traj.rhs(chart, y)
+
+    def run():
+        return integrator.Trajectory(Flow.REGULARIZED, level,
+                                     IntegrationSettings(), chart, y)
+    f0 = run().rhs(chart, y)
     if kernel is not None:
         monkeypatch.setattr(regularization, "g_and_gradient", kernel)
+    traj = run()
     integrator.advance(traj, 0.0, h, chart, y, f0, False,
                        until=lambda tr: True)
     return traj.steps[0]
@@ -454,7 +458,8 @@ def test_every_lockstep_attempt_is_the_tableau_loops_in_each_lane(
     mu = 0.1 and 0; so are the ends and the dense rows of every step the
     lockstep loop hands over, formed from the lane's columns."""
     level = RegularizedLevel(params=SystemParams(mu=mu), f=1.8)
-    rhs = integrator._rhs_regularized(mu, 1.8)
+    rhs = integrator.Trajectory(Flow.REGULARIZED, level,
+                                IntegrationSettings(), None, ()).rhs
     handed = []
     attempts, errors = _lockstep_attempts(
         monkeypatch, level, event=lambda t, chart, y, dy: y[1],
@@ -593,7 +598,9 @@ def test_the_lanes_field_is_the_scalar_field_in_each_column(mu):
     with np.errstate(all="ignore"):
         got = lanes._field(ys, len(columns[Chart.NORTH]), np.array(mu),
                            np.array(f), bad)
-    rhs = integrator._rhs_regularized(mu, f)
+    rhs = integrator.Trajectory(
+        Flow.REGULARIZED, RegularizedLevel(params=SystemParams(mu=mu), f=f),
+        IntegrationSettings(), None, ()).rhs
     raised = []
     for j, chart in enumerate(charts):
         col = tuple(ys[:, j].tolist())

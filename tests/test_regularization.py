@@ -10,6 +10,8 @@ import pytest
 
 from ccorb import (
     Chart,
+    Flow,
+    IntegrationSettings,
     MoserChartPoint,
     PhaseState,
     RegularizedLevel,
@@ -26,7 +28,7 @@ from ccorb import (
 from ccorb import hamiltonian
 from ccorb.dynamics import SINGULAR_DISTANCE
 from ccorb.errors import AtCollisionError, SingularInputError, UsageError
-from ccorb.integrator import _rhs_regularized
+from ccorb.integrator import Trajectory
 from ccorb.regularization import g_and_gradient, north_field, south_field
 
 LEVEL = RegularizedLevel(params=SystemParams(mu=0.1), f=1.8)
@@ -244,8 +246,8 @@ def test_vector_field_is_scaled_skew_gradient():
     pt = MoserChartPoint(chart=Chart.NORTH, a=(0.2, -0.4), b=(1.1, 0.6))
     g0, da1, da2, db1, db2, _ = g_and_gradient(pt.chart, *pt.a, *pt.b,
                                                LEVEL.params.mu, LEVEL.f)
-    field = _rhs_regularized(LEVEL.params.mu, LEVEL.f)(
-        pt.chart, (*pt.a, *pt.b, 0.0, 0.0))
+    field = Trajectory(Flow.REGULARIZED, LEVEL, IntegrationSettings(), None,
+                       ()).rhs(pt.chart, (*pt.a, *pt.b, 0.0, 0.0))
     assert field[0] == pytest.approx(-g0 * db1, rel=1e-13)
     assert field[1] == pytest.approx(-g0 * db2, rel=1e-13)
     assert field[2] == pytest.approx(g0 * da1, rel=1e-13)
@@ -257,7 +259,8 @@ def test_vector_field_at_the_pole_is_explicit():
     mu = LEVEL.params.mu
     b = (-2.0 * (1.0 - mu), 0.0)
     pt = MoserChartPoint(chart=Chart.SOUTH, a=(0.0, 0.0), b=b)
-    field = _rhs_regularized(mu, LEVEL.f)(pt.chart, (*pt.a, *pt.b, 0.0, 0.0))
+    field = Trajectory(Flow.REGULARIZED, LEVEL, IntegrationSettings(), None,
+                       ()).rhs(pt.chart, (*pt.a, *pt.b, 0.0, 0.0))
     nb = math.hypot(*b)
     assert field[0] == pytest.approx(-b[0] / 4.0, rel=1e-13)
     assert field[1] == pytest.approx(-b[1] / 4.0, abs=1e-13)

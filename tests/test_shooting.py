@@ -40,6 +40,7 @@ from ccorb.integrator import EventHit, Flow, integrate, prepare_initial
 from ccorb.regularization import phase_to_chart
 from ccorb.shooting import (
     CERT_MARGIN,
+    Bracket,
     GRAZING_TOL,
     GRID_TOL,
     R_NEAR,
@@ -399,6 +400,21 @@ def test_same_sign_window_produces_no_brackets(kepler_params, kepler_level,
     brackets = scan_and_bracket((0.30, 0.45), 2, Branch.MINUS, kepler_params,
                                 kepler_level, tight_settings, k_max=1)
     assert brackets == []
+
+
+def test_an_isolated_grazing_miss_is_a_tangential_bracket(kepler_level):
+    """A grid point with |m| < GRAZING_TOL and no sign change beside it is
+    one tangential bracket; inside a sign-change cell it adds none."""
+    specs = grid_specs((0.1, 0.5), 5, Branch.PLUS, kepler_level)
+    s = [spec.s for spec in specs]
+    graze = 0.5 * GRAZING_TOL
+    lone = bracket_grid(specs, [[1.0], [0.5], [graze], [0.5], [1.0]], 1)
+    assert lone == [Bracket(s_lo=s[2], s_hi=s[2], m_lo=graze, m_hi=graze,
+                            pericenter_index=1, branch=Branch.PLUS,
+                            kind="tangential")]
+    inside = bracket_grid(specs, [[1.0], [0.5], [graze], [-0.5], [-1.0]], 1)
+    assert inside == [Bracket(s_lo=s[2], s_hi=s[3], m_lo=graze, m_hi=-0.5,
+                              pericenter_index=1, branch=Branch.PLUS)]
 
 
 def test_window_outside_the_hill_region_is_empty(kepler_params, kepler_level,
