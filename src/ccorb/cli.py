@@ -400,18 +400,16 @@ def _chord_path_points(entry: dict, settings: IntegrationSettings
 
 
 def _zvc_polyline(mu: float, f: float) -> list[tuple[float, float]]:
-    pts = []
     try:
         if first_critical_value(SystemParams(mu)) <= -f:
             return []
     except CcorbError:
         return []
-    for i in range(SVG_ZVC_ANGLES + 1):
-        th = 2.0 * math.pi * i / SVG_ZVC_ANGLES
-        r = _zvc_radius_along(math.cos(th), math.sin(th), mu, f)
-        if not math.isnan(r):
-            pts.append((r * math.cos(th), r * math.sin(th)))
-    return pts
+    ths = [2.0 * math.pi * i / SVG_ZVC_ANGLES
+           for i in range(SVG_ZVC_ANGLES + 1)]
+    radii = _zvc_radius_along(list(map(math.cos, ths)), mu, f)
+    return [(r * math.cos(th), r * math.sin(th))
+            for r, th in zip(radii, ths) if not math.isnan(r)]
 
 
 #: each row field orbit-svg reads, and the test its JSON value must pass

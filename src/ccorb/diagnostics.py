@@ -49,10 +49,12 @@ PERIODIC_CANDIDATE_TOL = 1e-8
 #: interior times at which ``symmetry_defect`` compares the mirror halves
 SYMMETRY_SAMPLES = 100
 #: star-shape scan: base-disk radius in either chart, grid points per
-#: fiber ray, radial samples locating the zero-velocity curve
+#: fiber ray, radial samples locating the zero-velocity curve, and rays
+#: per numpy pass, few so that the block grids stay small
 STAR_CHART_RADIUS = 1.25
 RAY_SAMPLES = 256
 ZVC_SAMPLES = 1024
+RAY_BLOCK = 8
 _ZVC_GRID = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
 
 
@@ -173,7 +175,7 @@ class StarshapeReport:
     def record(self, chart: Chart, base, angle: float, margin: float,
                crossings: int) -> None:
         self.rays_checked += 1
-        if crossings != 1 or margin <= 0.0:
+        if crossings != 1 or not margin > 0.0:
             self.violations.append({
                 "chart": chart.value, "base": (base[0], base[1]),
                 "angle": angle, "crossings": crossings, "margin": margin,
@@ -195,64 +197,72 @@ def _base_disk(n: int, radius: float) -> list[tuple[float, float]]:
     return pts
 
 
-def _zvc_radius_along(wh1: float, wh2: float, mu: float, f: float) -> float:
-    """First zero-velocity radius along the unit position direction.
+def _zvc_radius_along(wh1, mu: float, f: float) -> np.ndarray:
+    """First zero-velocity radius along each unit position direction.
 
-    One u(r) = U(r w) + f serves the numpy grid that finds the first sign
-    change (``sqrt`` = ``np.sqrt``) and the float solve that refines it.
+    A direction enters u only through ``wh1``, its component along the
+    primaries' axis.  One u(r) = U(r w) + f serves the numpy grid, with
+    ``w1`` a column of directions that holds as many samples as a block
+    of rays (``sqrt`` = ``np.sqrt``), and the float solve that refines a
+    row's first sign change, with ``w1`` that row's float.  NaN where a
+    row has none.
     """
     def u(r, sqrt=math.sqrt):
-        de = sqrt(r * r - 2.0 * r * wh1 + 1.0)
-        return (-0.5 * (r * r - 2.0 * r * mu * wh1 + mu * mu)
+        de = sqrt(r * r - 2.0 * r * w1 + 1.0)
+        return (-0.5 * (r * r - 2.0 * r * mu * w1 + mu * mu)
                 - (1.0 - mu) / r - mu / de + f)
 
-    rd = _ZVC_GRID
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sign = u(rd, np.sqrt) > 0.0
-    idx = np.flatnonzero(sign[1:] != sign[:-1])
-    if idx.size == 0:
-        return math.nan
-    i = int(idx[0])
-    return _root_in(u, float(rd[i]), float(rd[i + 1]), width=1e-12)
+    rd, wh1 = _ZVC_GRID, np.asarray(wh1)
+    n = RAY_BLOCK * RAY_SAMPLES // ZVC_SAMPLES  # directions per pass
+    radii = np.full(len(wh1), math.nan)
+    for k0 in range(0, len(wh1), n):
+        w1 = wh1[k0:k0 + n, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sign = u(rd, np.sqrt) > 0.0
+        for k, row in enumerate(sign[:, 1:] != sign[:, :-1], start=k0):
+            idx = row.nonzero()[0]
+            if idx.size:
+                i, w1 = idx[0], float(wh1[k])
+                radii[k] = _root_in(u, float(rd[i]), float(rd[i + 1]),
+                                    width=1e-12)
+    return radii
 
 
-def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
-               mu: float, f: float, target: float, north_cap: float) -> None:
-    """Certify one fiber ray b = t v, t > 0.
+def _check_rays(report: StarshapeReport, chart: Chart, a0, v, north_caps,
+                mu: float, f: float) -> None:
+    """Certify a block of fiber rays b = t v, t > 0, of one base point.
 
-    Along the ray G(t) = c1 t + c2 t^2 - mu rho t / d(t) with d the
+    Along a ray G(t) = c1 t + c2 t^2 - mu rho t / d(t) with d the
     distance of the pulled-back position t w to the primary E.  The ray is
     capped where the position meets the zero-velocity curve (in the North
-    chart at ``north_cap``, the radius along v); there G >= target, so an
+    chart at ``north_caps``, the radii along v); there G >= target, so an
     even crossing count on (0, cap] is impossible and a miscount would be
-    detected.  G and G' are written once each, for the numpy grid
-    (``sqrt`` = ``np.sqrt``) and for the float root solves.
+    detected.  G and G' are written once each and read c2 and w1: columns
+    for the numpy grids (``sqrt`` = ``np.sqrt``), then each ray's floats
+    for its root solves, ray by ray.
     """
     a1, a2 = a0
     v1, v2 = v
-    alpha = a1 * a1 + a2 * a2
-    if chart is Chart.NORTH:
-        rho = 1.0
-        w1, w2 = v1, v2
-    else:
-        rho = alpha
-        w1, w2 = fiber_image(a1, a2, v1, v2)
+    alpha, target = a1 * a1 + a2 * a2, 1.0 - mu
+    rho = 1.0 if chart is Chart.NORTH else alpha
+    c1 = 0.5 * (1.0 + alpha) + mu * a2 + (f - 0.5) * rho
+    w1 = v1 if chart is Chart.NORTH else fiber_image(a1, a2, v1, v2)[0]
     c2 = rho * (a1 * v2 - a2 * v1)
+    rays = np.array([v1, v2, c2, w1]).T.tolist()
 
     if rho < 1e-9:
         # collision fiber (and its immediate neighbours): the position ray
         # degenerates, G is essentially linear; a fixed cap covers the
         # crossing near t = 2 target with room to spare.
-        t_cap = 6.0
+        t_caps = np.full(len(c2), 6.0)
     else:
-        rd = (north_cap if chart is Chart.NORTH
-              else _zvc_radius_along(w1 / rho, w2 / rho, mu, f))
-        if math.isnan(rd):
-            report.notes.append(
-                f"no zero-velocity cap on chart {chart.value} ray; "
+        rd = (north_caps if chart is Chart.NORTH
+              else _zvc_radius_along(w1 / rho, mu, f))
+        note = (f"no zero-velocity cap on chart {chart.value} ray; "
                 "capping at |q| = 2")
-            rd = 2.0
-        t_cap = (rd / rho) * (1.0 + 1e-6)
+        if np.isnan(rd).any() and note not in report.notes:
+            report.notes.append(note)
+        t_caps = (np.where(np.isnan(rd), 2.0, rd) / rho) * (1.0 + 1e-6)
 
     def g(t, sqrt=math.sqrt):
         if mu == 0.0:
@@ -266,42 +276,44 @@ def _check_ray(report: StarshapeReport, chart: Chart, a0, v, c1: float,
         d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
         return c1 + 2.0 * c2 * t - mu * rho * (1.0 - t * w1) / d ** 3
 
-    t_grid = np.linspace(0.0, t_cap, RAY_SAMPLES + 1)
-    g_grid = g(t_grid, np.sqrt)
-    below = g_grid < target
-    if not below[0]:
+    c2, w1 = c2[:, None], w1[:, None]
+    t_grid = np.linspace(0.0, t_caps, RAY_SAMPLES + 1, axis=1)
+    below = g(t_grid, np.sqrt) < target
+    if not below[:, 0].all():
         raise IntegrityError("ray starts on or above the level at t = 0")
-    change = np.flatnonzero(below[1:] != below[:-1])
-    crossings = int(change.size)
-    angle = math.atan2(v2, v1)
+    guard = mu > 0.0 and rho >= 1e-9
+    sign_p = gp(t_grid, np.sqrt) > 0.0 if guard else below  # read if guard
 
-    if g_grid[-1] < target:
-        # cap value below the level contradicts the zero-velocity bound;
-        # report as a violation rather than trusting the parity argument.
-        report.record(chart, a0, angle, g(t_cap) - target, crossings)
-        return
+    for ts, t_cap, up, flips, (v1, v2, c2, w1) in zip(
+            t_grid, t_caps.tolist(), below, sign_p, rays):
+        change = (up[1:] != up[:-1]).nonzero()[0]
+        crossings = change.size
+        angle = math.atan2(v2, v1)
+        if up[-1]:
+            # cap value below the level contradicts the zero-velocity
+            # bound; report as a violation rather than trusting parity.
+            report.record(chart, a0, angle, g(t_cap) - target, crossings)
+            continue
 
-    margin = math.inf
-    if crossings >= 1:
-        i = int(change[0])
-        t_star = _root_in(lambda t: g(t) - target,
-                          float(t_grid[i]), float(t_grid[i + 1]),
-                          width=1e-12 * max(1.0, t_cap))
-        margin = t_star * target * gp(t_star)
+        margin = math.inf
+        if crossings >= 1:
+            i = change[0]
+            t_star = _root_in(lambda t: g(t) - target,
+                              float(ts[i]), float(ts[i + 1]),
+                              width=1e-12 * max(1.0, t_cap))
+            margin = t_star * target * gp(t_star)
 
-    if crossings == 1 and mu > 0.0 and rho >= 1e-9:
-        # sub-grid dip guard: locate critical points of G and make sure no
-        # local extremum beyond the crossing sits below the level.
-        sign_p = gp(t_grid, np.sqrt) > 0.0
-        flips = np.flatnonzero(sign_p[1:] != sign_p[:-1])
-        for j in map(int, flips):
-            t_c = _root_in(gp, float(t_grid[j]), float(t_grid[j + 1]),
-                           width=1e-10 * max(1.0, t_cap))
-            if t_c > t_star and g(t_c) < target:
-                crossings = 3  # at least; the dip re-enters the level
-                break
+        if crossings == 1 and guard:
+            # sub-grid dip guard: locate critical points of G and make sure
+            # no local extremum beyond the crossing sits below the level.
+            for j in (flips[1:] != flips[:-1]).nonzero()[0]:
+                t_c = _root_in(gp, float(ts[j]), float(ts[j + 1]),
+                               width=1e-10 * max(1.0, t_cap))
+                if t_c > t_star and g(t_c) < target:
+                    crossings = 3  # at least; the dip re-enters the level
+                    break
 
-    report.record(chart, a0, angle, margin, crossings)
+        report.record(chart, a0, angle, margin, crossings)
 
 
 def starshape_scan(params: SystemParams, level: RegularizedLevel,
@@ -310,9 +322,9 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
 
     Scans both charts over a golden-angle disk of base points (the origin,
     i.e. the collision fiber of the South chart, is always included) and
-    ``ray_grid`` uniformly spread fiber rays per base point.  Requires the
-    energy to lie below the first critical value so that the component
-    around O is compact.
+    ``ray_grid`` uniformly spread fiber rays per base point, ``RAY_BLOCK``
+    rays to a numpy pass.  Requires the energy to lie below the first
+    critical value so that the component around O is compact.
     """
     if params.mu != level.params.mu:
         raise UsageError("params and level disagree about mu")
@@ -324,20 +336,17 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
         raise EnergyAboveCriticalError(
             f"star-shapedness scan needs c below the first critical value; "
             f"got c = {c}")
-    target = 1.0 - mu
     report = StarshapeReport(mu=mu, jacobi=c, base_grid=base_grid,
                              ray_grid=ray_grid)
     bases = _base_disk(base_grid, STAR_CHART_RADIUS)
     angles = [2.0 * math.pi * i / ray_grid for i in range(ray_grid)]
-    rays = [(math.cos(t), math.sin(t)) for t in angles]
-    north_caps = [_zvc_radius_along(v1, v2, mu, f) for v1, v2 in rays]
+    rays = np.array([(math.cos(t), math.sin(t)) for t in angles]).T
+    north_caps = _zvc_radius_along(rays[0], mu, f)
     for chart in (Chart.NORTH, Chart.SOUTH):
         for a0 in bases:
-            alpha = a0[0] * a0[0] + a0[1] * a0[1]
-            rho = 1.0 if chart is Chart.NORTH else alpha
-            c1 = 0.5 * (1.0 + alpha) + mu * a0[1] + (f - 0.5) * rho
-            for v, cap in zip(rays, north_caps):
-                _check_ray(report, chart, a0, v, c1, mu, f, target, cap)
+            for k in range(0, ray_grid, RAY_BLOCK):
+                _check_rays(report, chart, a0, rays[:, k:k + RAY_BLOCK],
+                            north_caps[k:k + RAY_BLOCK], mu, f)
     return report
 
 

@@ -180,6 +180,38 @@ def test_scan_bytes_are_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
+
+#: the SHA-256 of ``starshape --json`` stdout for two certificates: the
+#: benchmark's starshape-cert argv (60 x 60 at mu = 0.1), and a small
+#: one at mu = 0.5
+GOLDEN_STARSHAPES = {
+    "starshape-cert": (
+        ["starshape", "--mu", "0.1", "--jacobi", "auto-0.1"],
+        "23c0fa175297886592ac45f9ddb3972b25ab2f0b1033fa494862ea4be0db2240"),
+    "mu0.5": (
+        ["starshape", "--mu", "0.5", "--jacobi", "auto-0.1",
+         "--base-grid", "8", "--ray-grid", "12"],
+        "4a339466f76eaa6574be93e91c853614eb180f30dbaf3dc222517499b09744b9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STARSHAPES))
+def test_starshape_bytes_are_pinned(name, capsys):
+    """``starshape --json`` bytes of two certificates, pinned by SHA-256.
+
+    The pin holds where the platform's ``pow`` rounds as glibc's does,
+    which is where CI runs: G' takes ``d ** 3`` and every ITP root solve
+    ``** ITP_KAPPA2`` through it, and each margin, and so every byte,
+    follows.  A change that is meant to keep the outputs must keep these
+    digests.
+    """
+    argv, digest = GOLDEN_STARSHAPES[name]
+    capsys.readouterr()
+    assert main(argv + ["--json"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 def test_scan_without_chords_exits_three(tmp_path, capsys):
     rc = main(["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
                "--s-range", "0.15:0.3", "--grid", "4", "--kmax", "1",

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from ccorb import (
@@ -20,10 +21,11 @@ from ccorb import (
     starshape_scan,
     symmetry_defect,
 )
-from ccorb import diagnostics
+from ccorb import cli, diagnostics
 from ccorb.diagnostics import StarshapeReport, _dumps
+from ccorb.dynamics import _root_in
 from ccorb.integrator import EVENT_TOL
-from ccorb.regularization import Chart
+from ccorb.regularization import Chart, fiber_image
 
 ENTRY_FIELDS = [
     "mu", "jacobi", "branch", "side", "pericenter_index", "s0", "tau_reeb",
@@ -160,6 +162,161 @@ def test_starshape_refuses_supercritical_energy():
     with pytest.raises(EnergyAboveCriticalError):
         starshape_scan(params, RegularizedLevel(params=params, f=-c),
                        base_grid=4, ray_grid=4)
+
+
+
+def _per_ray_zvc_radius(wh1, wh2, mu, f):
+    """The zero-velocity search one direction at a time, as it stood
+    before ``_zvc_radius_along`` took blocks: the reference that the
+    blocked search must match bit for bit."""
+    def u(r, sqrt=math.sqrt):
+        de = sqrt(r * r - 2.0 * r * wh1 + 1.0)
+        return (-0.5 * (r * r - 2.0 * r * mu * wh1 + mu * mu)
+                - (1.0 - mu) / r - mu / de + f)
+
+    rd = diagnostics._ZVC_GRID
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sign = u(rd, np.sqrt) > 0.0
+    idx = np.flatnonzero(sign[1:] != sign[:-1])
+    if idx.size == 0:
+        return math.nan
+    i = int(idx[0])
+    return _root_in(u, float(rd[i]), float(rd[i + 1]), width=1e-12)
+
+
+def _per_ray_check(report, chart, a0, v, c1, mu, f, target, north_cap):
+    """The certificate of one fiber ray, as it stood before the rays went
+    in blocks: the reference for ``_check_rays``."""
+    a1, a2 = a0
+    v1, v2 = v
+    alpha = a1 * a1 + a2 * a2
+    if chart is Chart.NORTH:
+        rho = 1.0
+        w1, w2 = v1, v2
+    else:
+        rho = alpha
+        w1, w2 = fiber_image(a1, a2, v1, v2)
+    c2 = rho * (a1 * v2 - a2 * v1)
+
+    if rho < 1e-9:
+        t_cap = 6.0
+    else:
+        rd = (north_cap if chart is Chart.NORTH
+              else _per_ray_zvc_radius(w1 / rho, w2 / rho, mu, f))
+        if math.isnan(rd):
+            report.notes.append(
+                f"no zero-velocity cap on chart {chart.value} ray; "
+                "capping at |q| = 2")
+            rd = 2.0
+        t_cap = (rd / rho) * (1.0 + 1e-6)
+
+    def g(t, sqrt=math.sqrt):
+        if mu == 0.0:
+            return c1 * t + c2 * t * t
+        d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
+        return c1 * t + c2 * t * t - mu * rho * t / d
+
+    def gp(t, sqrt=math.sqrt):
+        if mu == 0.0:
+            return c1 + 2.0 * c2 * t
+        d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
+        return c1 + 2.0 * c2 * t - mu * rho * (1.0 - t * w1) / d ** 3
+
+    t_grid = np.linspace(0.0, t_cap, diagnostics.RAY_SAMPLES + 1)
+    g_grid = g(t_grid, np.sqrt)
+    below = g_grid < target
+    if not below[0]:
+        raise IntegrityError("ray starts on or above the level at t = 0")
+    change = np.flatnonzero(below[1:] != below[:-1])
+    crossings = int(change.size)
+    angle = math.atan2(v2, v1)
+
+    if g_grid[-1] < target:
+        report.record(chart, a0, angle, g(t_cap) - target, crossings)
+        return
+
+    margin = math.inf
+    if crossings >= 1:
+        i = int(change[0])
+        t_star = _root_in(lambda t: g(t) - target,
+                          float(t_grid[i]), float(t_grid[i + 1]),
+                          width=1e-12 * max(1.0, t_cap))
+        margin = t_star * target * gp(t_star)
+
+    if crossings == 1 and mu > 0.0 and rho >= 1e-9:
+        sign_p = gp(t_grid, np.sqrt) > 0.0
+        flips = np.flatnonzero(sign_p[1:] != sign_p[:-1])
+        for j in map(int, flips):
+            t_c = _root_in(gp, float(t_grid[j]), float(t_grid[j + 1]),
+                           width=1e-10 * max(1.0, t_cap))
+            if t_c > t_star and g(t_c) < target:
+                crossings = 3
+                break
+
+    report.record(chart, a0, angle, margin, crossings)
+
+
+def _per_ray_scan(params, level, base_grid, ray_grid):
+    """``starshape_scan`` one ray at a time, on the references above."""
+    mu, f = params.mu, level.f
+    report = StarshapeReport(mu=mu, jacobi=level.c, base_grid=base_grid,
+                             ray_grid=ray_grid)
+    angles = [2.0 * math.pi * i / ray_grid for i in range(ray_grid)]
+    rays = [(math.cos(t), math.sin(t)) for t in angles]
+    north_caps = [_per_ray_zvc_radius(v1, v2, mu, f) for v1, v2 in rays]
+    for chart in (Chart.NORTH, Chart.SOUTH):
+        for a0 in diagnostics._base_disk(base_grid,
+                                         diagnostics.STAR_CHART_RADIUS):
+            alpha = a0[0] * a0[0] + a0[1] * a0[1]
+            rho = 1.0 if chart is Chart.NORTH else alpha
+            c1 = 0.5 * (1.0 + alpha) + mu * a0[1] + (f - 0.5) * rho
+            for v, cap in zip(rays, north_caps):
+                _per_ray_check(report, chart, a0, v, c1, mu, f, 1.0 - mu,
+                               cap)
+    return report
+
+
+@pytest.mark.parametrize("mu, f", [(0.1, None), (0.5, None), (0.01, None),
+                                   (0.0, 2.0)],
+                         ids=["mu0.1", "mu0.5", "mu0.01", "kepler"])
+def test_blocked_starshape_scan_matches_the_per_ray_one(mu, f):
+    """Rays in blocks give the report of the ray-by-ray scan, bit for bit:
+    20 rays a base point make two full blocks and a partial one."""
+    params = SystemParams(mu=mu)
+    if f is None:
+        f = 0.1 - first_critical_value(params)
+    level = RegularizedLevel(params=params, f=f)
+    got = starshape_scan(params, level, base_grid=6, ray_grid=20)
+    want = _per_ray_scan(params, level, base_grid=6, ray_grid=20)
+    assert want.rays_checked == 240 and want.ok
+    assert repr(asdict(got)) == repr(asdict(want))
+
+
+def test_zvc_polyline_matches_the_per_angle_search():
+    mu = 0.1
+    f = 0.1 - first_critical_value(SystemParams(mu=mu))
+    want = []
+    for i in range(cli.SVG_ZVC_ANGLES + 1):
+        th = 2.0 * math.pi * i / cli.SVG_ZVC_ANGLES
+        r = _per_ray_zvc_radius(math.cos(th), math.sin(th), mu, f)
+        if not math.isnan(r):
+            want.append((r * math.cos(th), r * math.sin(th)))
+    assert len(want) == cli.SVG_ZVC_ANGLES + 1
+    assert cli._zvc_polyline(mu, f) == want
+
+
+def test_a_capless_chart_is_noted_once(monkeypatch):
+    """With the cap search stubbed to find no zero-velocity radius, every
+    capped ray of a chart writes the same note, kept once per chart."""
+    monkeypatch.setattr(diagnostics, "_zvc_radius_along",
+                        lambda wh1, *rest: np.full(np.shape(wh1), math.nan))
+    params = SystemParams(mu=0.1)
+    c = first_critical_value(params) - 0.1
+    report = starshape_scan(params, RegularizedLevel(params=params, f=-c),
+                            base_grid=4, ray_grid=12)
+    assert report.notes == [
+        f"no zero-velocity cap on chart {chart.value} ray; capping at |q| = 2"
+        for chart in (Chart.NORTH, Chart.SOUTH)]
 
 
 # ---------------------------------------------------------------- catalog
@@ -341,8 +498,14 @@ def test_json_writer_types_and_rejections():
 
 
 def test_starshape_report_is_ok_until_a_violation():
+    """A ray is a violation unless it crosses once with a margin > 0; a
+    NaN margin is one, and the report then refuses to become JSON."""
     report = StarshapeReport(mu=0.1, jacobi=-1.9, base_grid=1, ray_grid=3)
     report.record(Chart.NORTH, (0.0, 0.0), 0.0, 0.5, 1)
     assert report.ok and report.violations == []
     report.record(Chart.SOUTH, (0.0, 0.0), 1.0, 0.5, 3)
     assert not report.ok and len(report.violations) == 1
+    report.record(Chart.SOUTH, (0.0, 0.0), 2.0, math.nan, 1)
+    assert len(report.violations) == 2 and report.min_margin == 0.5
+    with pytest.raises(IntegrityError):
+        _dumps(asdict(report))
