@@ -95,11 +95,27 @@ def _settings(args: argparse.Namespace) -> IntegrationSettings:
 
 def _check_out_dir(out: str | None) -> None:
     """Refuse an ``--out`` that is a directory, or whose directory does not
-    exist, before any work."""
+    exist; :func:`main` calls it before any command's work."""
     if out is not None and os.path.isdir(out):
         raise UsageError(f"--out {out!r} is a directory")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise UsageError(f"directory of --out {out!r} does not exist")
+
+
+def _report(args: argparse.Namespace, payload: dict, lines: list[str]) -> int:
+    """Write the report of ``lagrange`` or ``starshape``.
+
+    ``--out`` gets the JSON of ``payload``; stdout gets it with ``--json``
+    and the text ``lines`` otherwise.  The JSON is formed before the file
+    is opened, so a report that cannot become JSON leaves ``--out`` as it
+    was.
+    """
+    text = _dumps(payload) if args.json or args.out else ""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text if args.json else "\n".join(lines))
+    return 0
 
 
 def _resolve_jacobi(spec: str | None, params: SystemParams) -> float | None:
@@ -155,25 +171,15 @@ def _parse_state(text: str) -> PhaseState:
 
 
 def cmd_lagrange(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
-    params = SystemParams(args.mu)
-    cfg = lagrange_points(params)
-    json_out, out = args.json, args.out
-    if json_out or out:
-        text = _dumps({**asdict(cfg),
-                       "run_config": _config("lagrange", mu=args.mu)})
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        if json_out or not out:
-            print(text)
-        return 0
-    for label, (x, y) in cfg.points.items():  # L1 to L5
-        print(f"{label}: ({x!r}, {y!r})  U = {cfg.values[label]!r}")
-    print(f"first critical value: {cfg.first_critical_value!r}")
+    cfg = lagrange_points(SystemParams(args.mu))
+    lines = [f"{label}: ({x!r}, {y!r})  U = {cfg.values[label]!r}"
+             for label, (x, y) in cfg.points.items()]  # L1 to L5
+    lines.append(f"first critical value: {cfg.first_critical_value!r}")
     if cfg.degenerate:
-        print("note: mu = 0 is degenerate (critical set is the unit circle)")
-    return 0
+        lines.append("note: mu = 0 is degenerate (critical set is the unit "
+                     "circle)")
+    payload = {**asdict(cfg), "run_config": _config("lagrange", mu=args.mu)}
+    return _report(args, payload, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +187,7 @@ def cmd_lagrange(args: argparse.Namespace) -> int:
 
 
 def _scan_ranges(args_range, level: RegularizedLevel
-                 ) -> list[tuple[float, float, str]]:
+                 ) -> list[tuple[float, float]]:
     """Explicit --s-range, or both Hill axis segments with 2% margins.
 
     An explicit range must have both ends inside the Hill axis interval of
@@ -194,22 +200,17 @@ def _scan_ranges(args_range, level: RegularizedLevel
             raise UsageError(
                 f"--s-range {lo!r}:{hi!r} is not inside the Hill axis "
                 f"interval ({hill.s_min!r}, {hill.s_max!r})")
-        side = "pos" if lo > 0 else "neg"
-        return [(lo, hi, side)]
+        return [(lo, hi)]
     if math.isinf(hill.s_min) or math.isinf(hill.s_max):
         raise UsageError(
             "unbounded Hill interval: give an explicit --s-range")
-    out = []
     pad_p = 0.02 * hill.s_max
     pad_n = 0.02 * abs(hill.s_min)
-    out.append((0.02 * hill.s_max, hill.s_max - pad_p, "pos"))
-    out.append((hill.s_min + pad_n, -0.02 * abs(hill.s_min), "neg"))
-    return out
+    return [(0.02 * hill.s_max, hill.s_max - pad_p),
+            (hill.s_min + pad_n, -0.02 * abs(hill.s_min))]
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    out = args.out or "catalog.jsonl"
-    _check_out_dir(out)
     params = SystemParams(args.mu)
     c = _resolve_jacobi(args.jacobi, params)
     s_range = _parse_srange(args.s_range) if args.s_range else None
@@ -236,18 +237,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
               file=sys.stderr)
     branches = ([Branch.PLUS, Branch.MINUS] if args.branch == "both"
                 else [Branch(args.branch)])
-    ranges = _scan_ranges(s_range, level)
 
     catalog = ChordCatalog(run_config=_config(
         "scan", settings, mu=args.mu, jacobi=c, jacobi_spec=args.jacobi,
         branch=args.branch, s_range=s_range, grid=args.grid,
         k_max=args.kmax))
-    grids = [(side, branch, grid_specs((lo, hi), args.grid, branch, level))
-             for lo, hi, side in ranges for branch in branches]
-    found = scan_grids([specs for *_, specs in grids], settings, args.kmax)
+    grids = [grid_specs(r, args.grid, branch, level)
+             for r in _scan_ranges(s_range, level) for branch in branches]
+    found = scan_grids(grids, settings, args.kmax)
     rows = []
     warnings = []
-    for (side, branch, _), brackets in zip(grids, found):
+    for specs, brackets in zip(grids, found):
+        side, branch = specs[0].side, specs[0].branch
         for bracket in brackets:
             if bracket.kind != "sign_change":
                 warnings.append(
@@ -270,12 +271,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    catalog.save(out)
+    catalog.save(args.out)
     if not rows:
         print("no chords found")
         return 3
     rows.sort(key=lambda r: r[4])
-    print(f"{len(rows)} chord(s) -> {out}")
+    print(f"{len(rows)} chord(s) -> {args.out}")
     print("side branch k  s*                       tau_reeb"
           "                 flight_time              |dm/ds|")
     for side, branch, k, s, tau, flight, cond in rows:
@@ -289,7 +290,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
     params = SystemParams(args.mu)
     jacobi = _resolve_jacobi(args.jacobi, params)
     state = _parse_state(args.state) if args.state else None
@@ -338,7 +338,6 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_starshape(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
     params = SystemParams(args.mu)
     c = _resolve_jacobi(args.jacobi, params)
     level = RegularizedLevel(params, f=-c)
@@ -348,26 +347,18 @@ def cmd_starshape(args: argparse.Namespace) -> int:
                                      jacobi_spec=args.jacobi,
                                      base_grid=args.base_grid,
                                      ray_grid=args.ray_grid)}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(payload) + "\n")
-    if args.json:
-        print(_dumps(payload))
-    else:
-        verdict = "PASS" if report.ok else "FAIL"
-        print(f"star-shapedness {verdict}: mu={report.mu!r} "
-              f"jacobi={report.jacobi!r}")
-        print(f"  rays checked: {report.rays_checked} "
-              f"({report.base_grid} bases x {report.ray_grid} rays x "
-              f"2 charts)")
-        print(f"  min margin: {report.min_margin!r} on chart "
-              f"{report.worst_chart} base ({report.worst_base[0]!r}, "
-              f"{report.worst_base[1]!r}) angle {report.worst_angle!r}")
-        for v in report.violations[:10]:
-            print(f"  violation: {v}")
-        for n in report.notes[:10]:
-            print(f"  note: {n}")
-    return 0
+    verdict = "PASS" if report.ok else "FAIL"
+    lines = [
+        f"star-shapedness {verdict}: mu={report.mu!r} "
+        f"jacobi={report.jacobi!r}",
+        f"  rays checked: {report.rays_checked} ({report.base_grid} bases "
+        f"x {report.ray_grid} rays x 2 charts)",
+        f"  min margin: {report.min_margin!r} on chart {report.worst_chart} "
+        f"base ({report.worst_base[0]!r}, {report.worst_base[1]!r}) angle "
+        f"{report.worst_angle!r}"]
+    lines += [f"  violation: {v}" for v in report.violations[:10]]
+    lines += [f"  note: {n}" for n in report.notes[:10]]
+    return _report(args, payload, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +416,6 @@ _ROW_FIELDS = {
 
 def cmd_orbit_svg(args: argparse.Namespace) -> int:
     catalog_path, index, out = args.catalog, args.index, args.out
-    _check_out_dir(out)
     try:
         catalog = ChordCatalog.load(catalog_path)
     except IntegrityError as exc:
@@ -522,13 +512,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jacobi_required=True):
+    def add_common(p, jacobi_required=True, out=None):
         p.add_argument("--mu", type=float, required=True,
                        help="mass ratio of the primary at (1,0)")
         p.add_argument("--jacobi", required=jacobi_required,
                        help="Jacobi energy, a number or auto-X "
                             "(first critical value minus X)")
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", default=out)
 
     def add_settings(p):
         p.add_argument("--rel-tol", type=float,
@@ -546,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="shooting sweep producing a catalog")
     p.set_defaults(run=cmd_scan)
-    add_common(p)
+    add_common(p, out="catalog.jsonl")
     add_settings(p)
     p.add_argument("--branch", choices=["plus", "minus", "both"],
                    default="both")
@@ -591,6 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args.out)
         return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

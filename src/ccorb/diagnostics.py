@@ -401,12 +401,13 @@ class ChordCatalog:
     entries: list[dict] = field(default_factory=list)
 
     def save(self, path) -> None:
+        """Write the catalog as JSON lines, header first; all the text is
+        formed first, so a non-finite float leaves ``path`` as it was."""
+        header = {"run_config": self.run_config,
+                  "artifact_version": __version__}
+        text = "".join(_dumps(row) + "\n" for row in [header, *self.entries])
         with open(path, "w", encoding="utf-8") as fh:
-            header = {"run_config": self.run_config,
-                      "artifact_version": __version__}
-            fh.write(_dumps(header) + "\n")
-            for entry in self.entries:
-                fh.write(_dumps(entry) + "\n")
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "ChordCatalog":
@@ -449,16 +450,16 @@ def catalog_insert(catalog: ChordCatalog, chord: Chord) -> bool:
     if not chord.r_peri < R_PERI_COLLISION:
         raise IntegrityError(
             f"pericenter distance {chord.r_peri:.3e} is not collision-grade")
-    if abs(chord.action - chord.tau_reeb) >= ACTION_AGREEMENT_TOL:
+    if not abs(chord.action - chord.tau_reeb) < ACTION_AGREEMENT_TOL:
         raise IntegrityError(
             f"action {chord.action!r} disagrees with Reeb time "
             f"{chord.tau_reeb!r}")
     bs, be = chord.endpoint_start_b, chord.endpoint_end_b
-    if abs(bs[0] - be[0]) > 1e-12 or abs(bs[1] + be[1]) > 1e-12:
+    if not (abs(bs[0] - be[0]) <= 1e-12 and abs(bs[1] + be[1]) <= 1e-12):
         raise IntegrityError("endpoints are not mirror images")
     radius = math.hypot(be[0], be[1])
     target = 2.0 * (1.0 - chord.spec.params.mu)
-    if abs(radius - target) > 1e-6:
+    if not abs(radius - target) <= 1e-6:
         raise IntegrityError(
             f"collision endpoint radius {radius!r} is off the Legendrian "
             f"({target!r})")

@@ -17,6 +17,8 @@ import pytest
 from ccorb import (
     Bracket,
     Branch,
+    Chart,
+    ChordCatalog,
     Flow,
     IntegrationSettings,
     MoserChartPoint,
@@ -349,6 +351,26 @@ def test_scan_to_a_missing_directory_exits_two_before_shooting(
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_scan_writes_catalog_jsonl_without_out(tmp_path, capsys,
+                                               monkeypatch):
+    """The catalog the benchmark reads: scan without --out writes it to
+    catalog.jsonl in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(ORACLE_SCAN) == 0
+    assert "1 chord(s) -> catalog.jsonl\n" in capsys.readouterr().out
+    assert len(ChordCatalog.load(tmp_path / "catalog.jsonl").entries) == 1
+
+
+def test_a_default_catalog_that_is_a_directory_exits_two_before_shooting(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "catalog.jsonl").mkdir()
+    monkeypatch.setattr(cli, "scan_grids", _no_work)
+    assert main(ORACLE_SCAN) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is a directory" in err
+
+
 @pytest.mark.parametrize("work, argv", [
     ("integrate", ["integrate", "--mu", "0.0", "--jacobi", "-2.0",
                    "--regularized", "--eject", "0.0"]),
@@ -645,7 +667,7 @@ def test_the_loose_grid_leaves_every_scan_byte_unchanged(tmp_path, capsys,
     run's own settings, which is the exact path."""
     params = SystemParams(0.1)
     level = RegularizedLevel(params, f=-(first_critical_value(params) - 0.1))
-    lo, hi, _ = cli._scan_ranges(None, level)[0]
+    lo, hi = cli._scan_ranges(None, level)[0]
     argv = ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch",
             "both", "--kmax", "3", "--grid", "8", f"--s-range={lo!r}:{hi!r}"]
     runs = []
@@ -697,6 +719,46 @@ def test_the_out_file_holds_the_json_stdout(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == stdout
+
+
+@pytest.mark.parametrize("argv", [["lagrange", "--mu", "0.1"],
+                                  SMALL_STARSHAPE])
+def test_out_without_json_prints_the_text_report(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out == text
+
+
+def _add_a_nan_ray(monkeypatch):
+    """Make every star-shape report fail on one ray of NaN margin."""
+    scan = cli.starshape_scan
+
+    def with_a_nan_ray(*args):
+        report = scan(*args)
+        report.record(Chart.NORTH, (0.0, 0.0), 0.0, math.nan, 1)
+        return report
+    monkeypatch.setattr(cli, "starshape_scan", with_a_nan_ray)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_report_that_cannot_become_json_leaves_the_out_file(
+        flags, tmp_path, capsys, monkeypatch):
+    _add_a_nan_ray(monkeypatch)
+    out = tmp_path / "report.json"
+    out.write_text("the previous report\n", encoding="utf-8")
+    assert main(SMALL_STARSHAPE + flags + ["--out", str(out)]) == 4
+    assert out.read_text(encoding="utf-8") == "the previous report\n"
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite float" in captured.err
+
+
+def test_a_report_that_cannot_become_json_still_prints_as_text(
+        capsys, monkeypatch):
+    _add_a_nan_ray(monkeypatch)
+    assert main(SMALL_STARSHAPE) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("star-shapedness FAIL") and "nan" in text
 
 
 def test_a_failing_starshape_certificate_is_still_json(tmp_path, capsys,

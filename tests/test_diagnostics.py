@@ -395,6 +395,19 @@ def test_insert_rejects_broken_chords(patch, oracle_chord):
         catalog_insert(_fresh_catalog(), broken)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("action", math.nan),
+    ("endpoint_start_b", (math.nan, math.nan)),
+    ("endpoint_end_b", (math.nan, math.nan)),
+], ids=["action", "start", "end"])
+def test_insert_rejects_a_nan_invariant(name, value, oracle_chord):
+    """A NaN fails the action, mirror and Legendrian-radius checks, rather
+    than being certified and then refused when the catalog is saved."""
+    broken = replace(oracle_chord, **{name: value})
+    with pytest.raises(IntegrityError):
+        catalog_insert(_fresh_catalog(), broken)
+
+
 def test_chained_endpoints_flag_periodicity(oracle_chord):
     """end of one chord == start of the next => possible closed orbit."""
     catalog = _fresh_catalog()
@@ -439,6 +452,19 @@ def test_catalog_round_trip_is_lossless(tmp_path, oracle_chord):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     assert len(lines) == 2
     assert "run_config" in lines[0]
+
+
+def test_a_catalog_that_cannot_be_saved_leaves_the_old_file(tmp_path,
+                                                           oracle_chord):
+    catalog = _fresh_catalog()
+    catalog_insert(catalog, oracle_chord)
+    path = tmp_path / "catalog.jsonl"
+    catalog.save(path)
+    before = path.read_bytes()
+    catalog.entries.insert(0, {**catalog.entries[0], "tau_reeb": math.nan})
+    with pytest.raises(IntegrityError):
+        catalog.save(path)
+    assert path.read_bytes() == before
 
 
 def test_catalog_load_requires_a_header(tmp_path):

@@ -240,7 +240,7 @@ def test_no_two_passes_merge_within_a_step():
     params, level = _reference_level()
     settings = IntegrationSettings()
     shots = passes = 0
-    for lo, hi, _ in _scan_ranges(None, level):
+    for lo, hi in _scan_ranges(None, level):
         for branch in Branch:
             for i in (3, 36):
                 spec = ShotSpec(s=lo + (hi - lo) * i / 39, branch=branch,
@@ -293,7 +293,7 @@ def test_the_hermite_screen_keeps_every_pass(tolerances, monkeypatch):
                                    abs_tol=tolerances[1])
     specs = [ShotSpec(s=lo + (hi - lo) * i / 39, branch=branch,
                       params=params, level=level)
-             for lo, hi, _ in _scan_ranges(None, level)
+             for lo, hi in _scan_ranges(None, level)
              for branch in Branch for i in (3, 20, 36)]
     monkeypatch.setattr(lanes, "TAIL_WIDTH", 4)
     batch = shooting._shoot_lanes(specs, settings, 3, settings)
@@ -442,8 +442,9 @@ def test_grid_refinement_keeps_every_bracket(kepler_params, kepler_level,
 def _reference_grids(n: int):
     """Every (side, branch) grid of the reference scan at n points."""
     params, level = _reference_level()
-    return [((side, branch), grid_specs((lo, hi), n, branch, level))
-            for lo, hi, side in _scan_ranges(None, level)
+    return [(("pos" if lo > 0 else "neg", branch),
+             grid_specs((lo, hi), n, branch, level))
+            for lo, hi in _scan_ranges(None, level)
             for branch in Branch]
 
 
