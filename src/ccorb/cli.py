@@ -94,8 +94,10 @@ def _settings(args: argparse.Namespace) -> IntegrationSettings:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Refuse an ``--out`` that is a directory, or whose directory does not
-    exist; :func:`main` calls it before any command's work."""
+    """Refuse an ``--out`` that is empty, is a directory, or whose directory
+    does not exist; :func:`main` calls it before any command's work."""
+    if out == "":
+        raise UsageError("--out is empty")
     if out is not None and os.path.isdir(out):
         raise UsageError(f"--out {out!r} is a directory")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):

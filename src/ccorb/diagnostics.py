@@ -23,7 +23,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import SystemParams, _root_in, first_critical_value
+from .dynamics import (
+    SystemParams,
+    _first_roots,
+    _root_in,
+    first_critical_value,
+)
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
 from .integrator import (
     EVENT_TOL,
@@ -49,8 +54,9 @@ PERIODIC_CANDIDATE_TOL = 1e-8
 #: interior times at which ``symmetry_defect`` compares the mirror halves
 SYMMETRY_SAMPLES = 100
 #: star-shape scan: base-disk radius in either chart, grid points per
-#: fiber ray, radial samples locating the zero-velocity curve, and rays
-#: per numpy pass, few so that the block grids stay small
+#: fiber ray, radial samples locating the zero-velocity curve (searched
+#: RAY_SAMPLES at a time), and rays per numpy pass, few so that the block
+#: grids stay small
 STAR_CHART_RADIUS = 1.25
 RAY_SAMPLES = 256
 ZVC_SAMPLES = 1024
@@ -200,55 +206,45 @@ def _base_disk(n: int, radius: float) -> list[tuple[float, float]]:
 def _zvc_radius_along(wh1, mu: float, f: float) -> np.ndarray:
     """First zero-velocity radius along each unit position direction.
 
-    A direction enters u only through ``wh1``, its component along the
-    primaries' axis.  One u(r) = U(r w) + f serves the numpy grid, with
-    ``w1`` a column of directions that holds as many samples as a block
-    of rays (``sqrt`` = ``np.sqrt``), and the float solve that refines a
-    row's first sign change, with ``w1`` that row's float.  NaN where a
-    row has none.
+    A direction enters u(r) = U(r w) + f only through ``wh1``, its
+    component along the primaries' axis.  The search runs on
+    ``_ZVC_GRID`` in chunks of ``RAY_SAMPLES`` radii for ``RAY_BLOCK``
+    directions a pass, the samples of a block of rays, and stops for a
+    direction at the chunk holding its first sign change
+    (:func:`~ccorb.dynamics._first_roots`).  NaN where a row has none.
     """
-    def u(r, sqrt=math.sqrt):
+    def u(r, w1, sqrt=math.sqrt):
         de = sqrt(r * r - 2.0 * r * w1 + 1.0)
         return (-0.5 * (r * r - 2.0 * r * mu * w1 + mu * mu)
                 - (1.0 - mu) / r - mu / de + f)
 
-    rd, wh1 = _ZVC_GRID, np.asarray(wh1)
-    n = RAY_BLOCK * RAY_SAMPLES // ZVC_SAMPLES  # directions per pass
-    radii = np.full(len(wh1), math.nan)
-    for k0 in range(0, len(wh1), n):
-        w1 = wh1[k0:k0 + n, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sign = u(rd, np.sqrt) > 0.0
-        for k, row in enumerate(sign[:, 1:] != sign[:, :-1], start=k0):
-            idx = row.nonzero()[0]
-            if idx.size:
-                i, w1 = idx[0], float(wh1[k])
-                radii[k] = _root_in(u, float(rd[i]), float(rd[i + 1]),
-                                    width=1e-12)
-    return radii
+    return _first_roots(u, _ZVC_GRID, wh1, 1e-12, RAY_BLOCK, RAY_SAMPLES)
 
 
-def _check_rays(report: StarshapeReport, chart: Chart, a0, v, north_caps,
-                mu: float, f: float) -> None:
-    """Certify a block of fiber rays b = t v, t > 0, of one base point.
+def _check_rays(report: StarshapeReport, chart: Chart, a0, rays,
+                north_caps, mu: float, f: float) -> None:
+    """Certify the fiber rays b = t v, t > 0, of one base point.
 
     Along a ray G(t) = c1 t + c2 t^2 - mu rho t / d(t) with d the
     distance of the pulled-back position t w to the primary E.  The ray is
     capped where the position meets the zero-velocity curve (in the North
-    chart at ``north_caps``, the radii along v); there G >= target, so an
-    even crossing count on (0, cap] is impossible and a miscount would be
-    detected.  G and G' are written once each and read c2 and w1: columns
-    for the numpy grids (``sqrt`` = ``np.sqrt``), then each ray's floats
-    for its root solves, ray by ray.
+    chart at ``north_caps``, the radii along v; in the South chart at the
+    radii that one :func:`_zvc_radius_along` call finds for all the rays);
+    there G >= target, so an even crossing count on (0, cap] is
+    impossible and a miscount would be detected.  G and G' are written
+    once each and read c2 and w1: columns of ``RAY_BLOCK`` rays for the
+    numpy grids (``sqrt`` = ``np.sqrt``), then each ray's floats for its
+    root solves, ray by ray.  The t* solve takes its end values from the
+    G grid, which holds the float values bit for bit.
     """
     a1, a2 = a0
-    v1, v2 = v
     alpha, target = a1 * a1 + a2 * a2, 1.0 - mu
     rho = 1.0 if chart is Chart.NORTH else alpha
     c1 = 0.5 * (1.0 + alpha) + mu * a2 + (f - 0.5) * rho
+    v1, v2 = rays
     w1 = v1 if chart is Chart.NORTH else fiber_image(a1, a2, v1, v2)[0]
     c2 = rho * (a1 * v2 - a2 * v1)
-    rays = np.array([v1, v2, c2, w1]).T.tolist()
+    floats = np.array([v1, v2, c2, w1]).T.tolist()
 
     if rho < 1e-9:
         # collision fiber (and its immediate neighbours): the position ray
@@ -276,44 +272,53 @@ def _check_rays(report: StarshapeReport, chart: Chart, a0, v, north_caps,
         d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
         return c1 + 2.0 * c2 * t - mu * rho * (1.0 - t * w1) / d ** 3
 
-    c2, w1 = c2[:, None], w1[:, None]
-    t_grid = np.linspace(0.0, t_caps, RAY_SAMPLES + 1, axis=1)
-    below = g(t_grid, np.sqrt) < target
-    if not below[:, 0].all():
-        raise IntegrityError("ray starts on or above the level at t = 0")
     guard = mu > 0.0 and rho >= 1e-9
-    sign_p = gp(t_grid, np.sqrt) > 0.0 if guard else below  # read if guard
+    cs2, ws1 = c2[:, None], w1[:, None]
+    for k in range(0, len(floats), RAY_BLOCK):
+        c2, w1 = cs2[k:k + RAY_BLOCK], ws1[k:k + RAY_BLOCK]
+        # np.linspace's arithmetic: i * (t_cap / RAY_SAMPLES), the last
+        # column t_cap
+        t_grid = np.arange(RAY_SAMPLES + 1.0) * (
+            t_caps[k:k + RAY_BLOCK, None] / RAY_SAMPLES)
+        t_grid[:, -1] = t_caps[k:k + RAY_BLOCK]
+        gs = g(t_grid, np.sqrt)
+        below = gs < target
+        if not below[:, 0].all():
+            raise IntegrityError("ray starts on or above the level at t = 0")
+        sign_p = gp(t_grid, np.sqrt) > 0.0 if guard else below  # if guard
 
-    for ts, t_cap, up, flips, (v1, v2, c2, w1) in zip(
-            t_grid, t_caps.tolist(), below, sign_p, rays):
-        change = (up[1:] != up[:-1]).nonzero()[0]
-        crossings = change.size
-        angle = math.atan2(v2, v1)
-        if up[-1]:
-            # cap value below the level contradicts the zero-velocity
-            # bound; report as a violation rather than trusting parity.
-            report.record(chart, a0, angle, g(t_cap) - target, crossings)
-            continue
+        for ts, gt, t_cap, up, flips, (v1, v2, c2, w1) in zip(
+                t_grid, gs, t_grid[:, -1].tolist(), below, sign_p,
+                floats[k:k + RAY_BLOCK]):
+            change = (up[1:] != up[:-1]).nonzero()[0]
+            crossings = change.size
+            angle = math.atan2(v2, v1)
+            if up[-1]:
+                # cap value below the level contradicts the zero-velocity
+                # bound; report as a violation rather than trusting parity.
+                report.record(chart, a0, angle, g(t_cap) - target,
+                              crossings)
+                continue
 
-        margin = math.inf
-        if crossings >= 1:
-            i = change[0]
-            t_star = _root_in(lambda t: g(t) - target,
-                              float(ts[i]), float(ts[i + 1]),
-                              width=1e-12 * max(1.0, t_cap))
+            i = change[0]  # G(0) < target <= G(t_cap): an odd count
+            t_star = _root_in(lambda t: g(t) - target, float(ts[i]),
+                              float(ts[i + 1]), 1e-12 * max(1.0, t_cap),
+                              float(gt[i]) - target,
+                              float(gt[i + 1]) - target)
             margin = t_star * target * gp(t_star)
 
-        if crossings == 1 and guard:
-            # sub-grid dip guard: locate critical points of G and make sure
-            # no local extremum beyond the crossing sits below the level.
-            for j in (flips[1:] != flips[:-1]).nonzero()[0]:
-                t_c = _root_in(gp, float(ts[j]), float(ts[j + 1]),
-                               width=1e-10 * max(1.0, t_cap))
-                if t_c > t_star and g(t_c) < target:
-                    crossings = 3  # at least; the dip re-enters the level
-                    break
+            if crossings == 1 and guard:
+                # sub-grid dip guard: locate critical points of G and make
+                # sure no local extremum beyond the crossing sits below the
+                # level.
+                for j in (flips[1:] != flips[:-1]).nonzero()[0]:
+                    t_c = _root_in(gp, float(ts[j]), float(ts[j + 1]),
+                                   width=1e-10 * max(1.0, t_cap))
+                    if t_c > t_star and g(t_c) < target:
+                        crossings = 3  # at least; the dip re-enters
+                        break
 
-        report.record(chart, a0, angle, margin, crossings)
+            report.record(chart, a0, angle, margin, crossings)
 
 
 def starshape_scan(params: SystemParams, level: RegularizedLevel,
@@ -323,8 +328,10 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
     Scans both charts over a golden-angle disk of base points (the origin,
     i.e. the collision fiber of the South chart, is always included) and
     ``ray_grid`` uniformly spread fiber rays per base point, ``RAY_BLOCK``
-    rays to a numpy pass.  Requires the energy to lie below the first
-    critical value so that the component around O is compact.
+    rays to a numpy pass.  The North caps are searched once for the whole
+    scan, the South ones once per base point.  Requires the energy to lie
+    below the first critical value so that the component around O is
+    compact.
     """
     if params.mu != level.params.mu:
         raise UsageError("params and level disagree about mu")
@@ -344,9 +351,7 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
     north_caps = _zvc_radius_along(rays[0], mu, f)
     for chart in (Chart.NORTH, Chart.SOUTH):
         for a0 in bases:
-            for k in range(0, ray_grid, RAY_BLOCK):
-                _check_rays(report, chart, a0, rays[:, k:k + RAY_BLOCK],
-                            north_caps[k:k + RAY_BLOCK], mu, f)
+            _check_rays(report, chart, a0, rays, north_caps, mu, f)
     return report
 
 

@@ -245,54 +245,76 @@ def solve_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
     adjacent floats, or at a probe where fn is exactly 0, which comes back
     as lo = hi.  Returns (lo, flo, hi, fhi) of the final bracket; fn is
     never called at its ends.
+
+    The loop keeps its invariants out of the iteration (two ulps, the
+    budget's span, the lo side's sign class) and writes ``max``, ``abs``
+    and the sign factor as comparisons, which pick the same floats, so
+    every probe is the one the plain form takes, bit for bit (the tests
+    keep that form as the reference).
     """
-    w0 = hi - lo
-    if not w0 > max(width, 0.0):
+    w = hi - lo
+    if not w > max(width, 0.0):
         return lo, flo, hi, fhi
     # A rounded midpoint adds up to an ulp to the halved width, so the
     # budget keeps two ulps aside at every level: a bracket within it stays
-    # within it under plain halving, down to `unit` after n_max calls.
-    tiny = math.ulp(max(abs(lo), abs(hi)))
-    unit = max(width, 4.0 * tiny)
-    n_max = max(0, math.ceil(math.log2(w0 / unit))) + ITP_N0
-    kappa1 = ITP_KAPPA1 / w0
-    j = 0
-    while hi - lo > width:
+    # within it under plain halving, down to `unit` after e + 1 calls.
+    tiny2 = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+    unit = max(width, 2.0 * tiny2)
+    span = unit - tiny2
+    # exponent of the widest bracket this call may leave and still keep
+    # the budget, (unit - 2 tiny) 2**e + 2 tiny, counted down per call
+    e = max(0, math.ceil(math.log2(w / unit))) + ITP_N0 - 1
+    kappa1 = ITP_KAPPA1 / w
+    negative = flo < 0.0  # the sign class every lo end keeps
+    while w > width:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # adjacent floats: the bracket cannot shrink
-        # widest bracket this call may leave and still keep the budget
-        bound = math.ldexp(unit - 2.0 * tiny, n_max - j - 1) + 2.0 * tiny
+        bound = math.ldexp(span, e) + tiny2
+        e -= 1
         x = mid
         xf = (fhi * lo - flo * hi) / (fhi - flo)
         if lo <= xf <= hi:
-            sigma = 1.0 if mid >= xf else -1.0
             # at least two ulps: a truncation that rounds away would leave
             # regula falsi creeping along one end of a noisy function
-            delta = max(kappa1 * (hi - lo) ** ITP_KAPPA2, 2.0 * tiny)
-            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-            r = max(0.0, bound - 0.5 * (hi - lo))
-            x = xt if abs(xt - mid) <= r else mid - sigma * r
+            delta = kappa1 * w ** ITP_KAPPA2
+            if delta < tiny2:
+                delta = tiny2
+            r = bound - 0.5 * w
+            if not r > 0.0:
+                r = 0.0
+            if mid >= xf:
+                xt = xf + delta if delta <= mid - xf else mid
+                x = xt if -r <= xt - mid <= r else mid - r
+            else:
+                xt = xf - delta if delta <= xf - mid else mid
+                x = xt if -r <= xt - mid <= r else mid + r
             if not (lo < x < hi and x - lo <= bound and hi - x <= bound):
                 x = mid
-        j += 1
         fx = fn(x)
         if fx == 0.0:
             return x, fx, x, fx
-        if (fx < 0.0) == (flo < 0.0):
+        if (fx < 0.0) == negative:
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
+        w = hi - lo
     return lo, flo, hi, fhi
 
 
-def _root_in(fn, lo: float, hi: float, width: float = 1e-13) -> float:
+def _root_in(fn, lo: float, hi: float, width: float = 1e-13,
+             flo: float | None = None, fhi: float | None = None) -> float:
     """A root of ``fn`` on [lo, hi], which must hold a sign change.
 
     The midpoint of the :func:`solve_bracket` bracket, or an end where
-    ``fn`` is exactly 0.
+    ``fn`` is exactly 0.  ``flo`` and ``fhi``, when given, must be fn(lo)
+    and fn(hi) bit for bit (a grid's values of the same float formula),
+    and spare the two calls at the ends.
     """
-    flo, fhi = fn(lo), fn(hi)
+    if flo is None:
+        flo = fn(lo)
+    if fhi is None:
+        fhi = fn(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -302,6 +324,42 @@ def _root_in(fn, lo: float, hi: float, width: float = 1e-13) -> float:
             f"no sign change on bracket [{lo}, {hi}]", interval=(lo, hi))
     lo, _, hi, _ = solve_bracket(fn, lo, flo, hi, fhi, width)
     return 0.5 * (lo + hi)
+
+
+def _first_roots(fn, xs, ps, width: float, rows: int, cols: int):
+    """First root of x -> fn(x, p) along the grid ``xs``, for each p in ``ps``.
+
+    ``fn(x, p, sqrt)`` is one float formula for an array of x against a
+    column of p (``sqrt`` = ``np.sqrt``) and for floats (``math.sqrt``),
+    using only + - * / and sqrt, so its grid values are its float values
+    bit for bit; zero counts as negative.  The grid is evaluated in chunks
+    of ``cols`` points, each sharing its first point with the last chunk,
+    for up to ``rows`` values of p a pass, and a p leaves the search at
+    the chunk that holds its first sign change, which :func:`_root_in`
+    refines to ``width`` from the cell's two grid values.  Returns the
+    roots as an ndarray, NaN where the grid shows no sign change.
+    """
+    import numpy as np  # here, so that importing this module stays light
+    ps = np.asarray(ps)
+    roots = np.full(len(ps), math.nan)
+    todo = np.arange(len(ps))
+    for c0 in range(0, len(xs) - 1, cols - 1):
+        x = xs[c0:c0 + cols]
+        for k0 in range(0, len(todo), rows):
+            ks = todo[k0:k0 + rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ys = fn(x, ps[ks, None], np.sqrt)
+            up = ys > 0.0
+            cells = (up[:, 1:] != up[:, :-1]).nonzero()  # in row order
+            for j, i in zip(*(c.tolist() for c in cells)):
+                k = int(ks[j])
+                if math.isnan(roots[k]):  # the row's first sign change
+                    p, y = float(ps[k]), ys[j]
+                    roots[k] = _root_in(lambda r: fn(r, p), float(x[i]),
+                                        float(x[i + 1]), width, float(y[i]),
+                                        float(y[i + 1]))
+        todo = todo[np.isnan(roots[todo])]
+    return roots
 
 
 #: bracket intervals for the three collinear points, split by O and E;

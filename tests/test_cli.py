@@ -402,6 +402,29 @@ def test_an_out_that_is_a_directory_exits_two_before_any_work(
     assert err.startswith("error:") and "is a directory" in err
 
 
+@pytest.mark.parametrize("work, argv", [
+    ("lagrange_points", ["lagrange", "--mu", "0.1", "--json"]),
+    ("scan_grids", ORACLE_SCAN),
+    ("integrate", ["integrate", "--mu", "0.0", "--jacobi", "-2.0",
+                   "--eject", "0.0"]),
+    ("starshape_scan", ["starshape", "--mu", "0.1", "--jacobi", "auto-0.1"]),
+    ("ChordCatalog.load", ["orbit-svg", "--catalog", "absent.jsonl",
+                           "--index", "0"]),
+])
+def test_an_empty_out_exits_two_before_any_work(work, argv, tmp_path, capsys,
+                                                 monkeypatch):
+    """An empty --out is refused by every command alike; before, scan and
+    orbit-svg ran their work and failed at open(""), and the others took
+    it as no --out."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(f"ccorb.cli.{work}", _no_work)
+    assert main(argv + ["--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_orbit_svg_to_a_missing_directory_exits_two_before_reshooting(
         oracle_catalog, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_chord_path_points", _no_work)

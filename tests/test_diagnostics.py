@@ -21,7 +21,7 @@ from ccorb import (
     starshape_scan,
     symmetry_defect,
 )
-from ccorb import cli, diagnostics
+from ccorb import cli, diagnostics, dynamics
 from ccorb.diagnostics import StarshapeReport, _dumps
 from ccorb.dynamics import _root_in
 from ccorb.integrator import EVENT_TOL
@@ -303,6 +303,80 @@ def test_zvc_polyline_matches_the_per_angle_search():
             want.append((r * math.cos(th), r * math.sin(th)))
     assert len(want) == cli.SVG_ZVC_ANGLES + 1
     assert cli._zvc_polyline(mu, f) == want
+
+
+@pytest.mark.parametrize("mu, f", [
+    (0.0, 1.4),  # below the Kepler threshold: no row crosses
+    (0.0, 2.14),
+    (0.1, 1.6),  # 6 rows with no crossing; crossings out to cell 510
+    (0.1, 2.05),  # first crossings in cells 250-261, across a chunk edge
+    (0.5, 1.6),  # 55 rows with no crossing
+    (0.5, 2.1),
+])
+def test_zvc_search_matches_the_per_direction_one(mu, f):
+    """The chunked search gives each direction the radius of the search
+    that evaluates all ``ZVC_SAMPLES`` radii, by ``float.hex``, and NaN
+    where that finds no sign change: 201 directions with w1 from -1 to 1."""
+    wh1 = np.linspace(-1.0, 1.0, 201)
+    want = [_per_ray_zvc_radius(w, 0.0, mu, f) for w in wh1]
+    got = diagnostics._zvc_radius_along(wh1, mu, f).tolist()
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
+def test_the_zvc_cases_cover_no_crossings_and_a_chunk_edge():
+    """Of the levels above, one has rows with and rows without a sign
+    change, and one has first crossings in the last cell of a chunk and
+    in the first cell of the next (chunks share their edge radius)."""
+    edge = diagnostics.RAY_SAMPLES - 1  # first cell of the second chunk
+    wh1 = np.linspace(-1.0, 1.0, 201)
+    radii = [_per_ray_zvc_radius(w, 0.0, 0.1, 1.6) for w in wh1]
+    assert 0 < sum(map(math.isnan, radii)) < len(radii)
+    cells = {int(np.searchsorted(diagnostics._ZVC_GRID, r)) - 1
+             for r in (_per_ray_zvc_radius(w, 0.0, 0.1, 2.05) for w in wh1)}
+    assert {edge - 1, edge} <= cells
+
+
+def test_the_root_solves_call_g_and_u_only_at_their_probes(monkeypatch):
+    """On a mu = 0.1 4x12 scan the cap and t* solves take their end values
+    from the grids: every call of u or G they make is an ITP probe, and
+    none is at a grid point."""
+    solves = []
+    root_in, solve_bracket = dynamics._root_in, dynamics.solve_bracket
+
+    def spied_root_in(fn, lo, hi, *args, **kwargs):
+        solve = {"ends": (lo, hi), "calls": [], "probes": 0}
+        solves.append(solve)
+
+        def counted(x):
+            solve["calls"].append(x)
+            return fn(x)
+        return root_in(counted, lo, hi, *args, **kwargs)
+
+    def spied_solve_bracket(fn, *args):
+        def probe(x):
+            solves[-1]["probes"] += 1
+            return fn(x)
+        return solve_bracket(probe, *args)
+
+    params = SystemParams(mu=0.1)
+    critical = first_critical_value(params)
+    c = critical - 0.1
+    # the scan's own Lagrange-point solves are not the certificate's
+    monkeypatch.setattr(diagnostics, "first_critical_value",
+                        lambda params: critical)
+    monkeypatch.setattr(dynamics, "_root_in", spied_root_in)
+    monkeypatch.setattr(diagnostics, "_root_in", spied_root_in)
+    monkeypatch.setattr(dynamics, "solve_bracket", spied_solve_bracket)
+    report = starshape_scan(params, RegularizedLevel(params=params, f=-c),
+                            base_grid=4, ray_grid=12)
+    assert report.rays_checked == 96 and report.ok
+    # 12 North caps, 12 South caps at each base point off the collision
+    # fiber, one t* per ray; G' has no sign change to solve at this level
+    assert len(solves) == 12 + 3 * 12 + 96
+    calls = [x for solve in solves for x in solve["calls"]]
+    assert len(calls) == sum(solve["probes"] for solve in solves) > 0
+    assert not [x for solve in solves for x in solve["calls"]
+                if x in solve["ends"]]
 
 
 def test_a_capless_chart_is_noted_once(monkeypatch):

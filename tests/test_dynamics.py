@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,91 @@ def test_solve_bracket_never_calls_fn_at_the_bracket_ends(fn):
     dynamics.solve_bracket(counted, a, fn(a), b, fn(b), 0.0)
     assert seen and all(a < x < b for x in seen)
     assert len(set(seen)) == len(seen)
+
+
+def _reference_solve_bracket(fn, lo, flo, hi, fhi, width):
+    """``solve_bracket`` as it stood before its loop was made lean, kept
+    frozen: the lean loop must take the same probes and return the same
+    bracket, bit for bit."""
+    w0 = hi - lo
+    if not w0 > max(width, 0.0):
+        return lo, flo, hi, fhi
+    tiny = math.ulp(max(abs(lo), abs(hi)))
+    unit = max(width, 4.0 * tiny)
+    n_max = max(0, math.ceil(math.log2(w0 / unit))) + dynamics.ITP_N0
+    kappa1 = dynamics.ITP_KAPPA1 / w0
+    j = 0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        bound = math.ldexp(unit - 2.0 * tiny, n_max - j - 1) + 2.0 * tiny
+        x = mid
+        xf = (fhi * lo - flo * hi) / (fhi - flo)
+        if lo <= xf <= hi:
+            sigma = 1.0 if mid >= xf else -1.0
+            delta = max(kappa1 * (hi - lo) ** dynamics.ITP_KAPPA2, 2.0 * tiny)
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            r = max(0.0, bound - 0.5 * (hi - lo))
+            x = xt if abs(xt - mid) <= r else mid - sigma * r
+            if not (lo < x < hi and x - lo <= bound and hi - x <= bound):
+                x = mid
+        j += 1
+        fx = fn(x)
+        if fx == 0.0:
+            return x, fx, x, fx
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+    return lo, flo, hi, fhi
+
+
+#: (name, fn, interval the random ends come from)
+_BRACKET_CASES = [
+    ("cos", lambda x: math.cos(x) - x, (-2.0, 3.0)),
+    ("exp", lambda x: math.exp(x) - 2.0, (-700.0, 700.0)),
+    ("step", lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, (-1.0, 2.0)),
+    ("jump", lambda x: -1.0 if x < 0.9 else 1e6, (0.0, 1.0)),
+    ("x15", lambda x: x ** 15 - 1e-3, (0.0, 100.0)),
+    # zero on a whole band, so probes land on exact zeros
+    ("band", lambda x: 0.0 if 0.25 <= x <= 0.75 else x - 0.5, (-1.0, 2.0)),
+]
+_WIDTHS = [0.0, 1e-13, 1e-12, 5e-324, 1e300, math.nan, -1.0]
+
+
+def test_the_lean_itp_loop_matches_the_reference_bit_for_bit():
+    """5000 random brackets over six functions and seven stop widths (and
+    random ones), plus adjacent-float brackets: the same probes and the
+    same (lo, flo, hi, fhi) by ``float.hex``."""
+    rng = random.Random(20211)
+    outcomes = {"zero": 0, "adjacent": 0, "unchanged": 0}
+    checked = 0
+    while checked < 5000:
+        name, fn, (a, b) = rng.choice(_BRACKET_CASES)
+        lo, hi = sorted((rng.uniform(a, b), rng.uniform(a, b)))
+        if rng.random() < 0.05:  # adjacent floats around the sign change
+            lo, _, hi, _ = _reference_solve_bracket(
+                fn, a, fn(a), b, fn(b), 0.0)
+        flo, fhi = fn(lo), fn(hi)
+        if (flo < 0.0) == (fhi < 0.0):
+            continue
+        width = rng.choice(_WIDTHS + [10.0 ** rng.uniform(-16.0, 0.0)])
+        got_fn, got_seen = _counted(fn)
+        want_fn, want_seen = _counted(fn)
+        got = dynamics.solve_bracket(got_fn, lo, flo, hi, fhi, width)
+        want = _reference_solve_bracket(want_fn, lo, flo, hi, fhi, width)
+        case = (name, lo.hex(), hi.hex(), width)
+        assert [v.hex() for v in got] == [v.hex() for v in want], case
+        assert [v.hex() for v in got_seen] == [v.hex() for v in want_seen]
+        if got[0] == got[2]:
+            outcomes["zero"] += 1
+        elif math.nextafter(got[0], math.inf) == got[2]:
+            outcomes["adjacent"] += 1
+        if not want_seen:
+            outcomes["unchanged"] += 1
+        checked += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # ----------------------------------------------------------- Hill regions
