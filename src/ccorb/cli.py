@@ -393,10 +393,7 @@ def _chord_path_points(entry: dict, settings: IntegrationSettings
 
 
 def _zvc_polyline(mu: float, f: float) -> list[tuple[float, float]]:
-    try:
-        if first_critical_value(SystemParams(mu)) <= -f:
-            return []
-    except CcorbError:
+    if first_critical_value(SystemParams(mu)) <= -f:
         return []
     ths = [2.0 * math.pi * i / SVG_ZVC_ANGLES
            for i in range(SVG_ZVC_ANGLES + 1)]

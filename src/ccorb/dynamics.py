@@ -211,16 +211,6 @@ def effective_potential_gradient(q: tuple[float, float], params: SystemParams
     )
 
 
-def _axis_gradient(s: float, mu: float) -> float:
-    """dU/ds on the axis; vanishes exactly at the collinear points.
-
-    Kept beside :func:`effective_potential_gradient`, whose form rounds
-    differently on the axis, so the collinear roots stay where they are.
-    """
-    e_term = mu * (s - 1.0) / abs(s - 1.0) ** 3 if mu != 0.0 else 0.0
-    return -(s - mu) + (1.0 - mu) * s / abs(s) ** 3 + e_term
-
-
 #: ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021): a probe
 #: is pushed from the regula falsi point towards the midpoint by
 #: ITP_KAPPA1 * w**ITP_KAPPA2 / w0 for a bracket of width w out of a start
@@ -375,10 +365,12 @@ def lagrange_points(params: SystemParams) -> LagrangeConfig:
     """Locate the five Lagrange points and the first critical value.
 
     The three collinear points are roots of dU/ds on the axis, one in each
-    interval cut out by the primaries, found by :func:`solve_bracket`.  The
-    two equilateral points sit at the equal-distance configuration
-    (1/2, +-sqrt(3)/2).  The first critical value is the minimum of the
-    three collinear energies (attained at L1, between the primaries).
+    interval cut out by the primaries, found by :func:`solve_bracket` on
+    the first component of :func:`effective_potential_gradient`, the
+    gradient that the final check reads.  The two equilateral points sit
+    at the equal-distance configuration (1/2, +-sqrt(3)/2).  The first
+    critical value is the minimum of the three collinear energies
+    (attained at L1, between the primaries).
 
     For small mu the L1 energy follows the Hill-limit law (Szebehely,
     *Theory of Orbits*, 1967, sec. 4.5, with U = -Omega):
@@ -403,7 +395,8 @@ def lagrange_points(params: SystemParams) -> LagrangeConfig:
     values: dict[str, float] = {}
     for label, (lo, hi) in _COLLINEAR_BRACKETS.items():
         try:
-            s = _root_in(lambda x: _axis_gradient(x, mu), lo, hi)
+            s = _root_in(lambda x: effective_potential_gradient(
+                (x, 0.0), params)[0], lo, hi)
         except RootFindingError as exc:
             raise RootFindingError(
                 f"collinear point {label} not bracketed in [{lo}, {hi}] "

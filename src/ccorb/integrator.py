@@ -246,10 +246,12 @@ class Step:
     """One accepted step: its ends, the rates there, and the seven rows of
     its seventh-order dense output (see ``_D``).
 
-    The rows are formed the first time :attr:`rows`, :meth:`eval` or
-    :meth:`rate` is read, by ``dense(chart, y0, y1, h, ks)`` from the
-    rates ``ks`` of the stages in :data:`_DENSE_READS`, which the step then
-    drops; a step nobody reads never runs the three dense-output stages.
+    The rows are formed the first time :attr:`rows` or :meth:`eval` is
+    read, by ``dense(chart, y0, y1, h, ks)`` from the rates ``ks`` of the
+    stages in :data:`_DENSE_READS`, which the step then drops; a step
+    nobody reads never runs the three dense-output stages.  Between its
+    ends a step gives states only: the rate at a dense state is the flow's
+    own field there, one ``rhs`` call.
     """
 
     t0: float
@@ -285,27 +287,6 @@ class Step:
             y + x * (d0 + u * (d1 + x * (d2 + u * (d3 + x * (d4 + u * (
                 d5 + x * d6))))))
             for y, d0, d1, d2, d3, d4, d5, d6 in zip(self.y0, *self.rows)])
-
-    def rate(self, t: float) -> tuple[float, ...]:
-        """Time derivative of the dense output at t0 <= t <= t0 + h.
-
-        Expanded, the nested form is y0 + sum_j d_j phi_j(x) with phi_j =
-        x, xu, x^2 u, x^2 u^2, x^3 u^2, x^3 u^3, x^4 u^3 and u = 1 - x; the
-        weights w_j are the derivatives phi_j'(x) (w_0 = 1).
-        """
-        x = (t - self.t0) / self.h
-        u = 1.0 - x
-        xu = x * u
-        w1 = u - x
-        w2 = x * (u + w1)
-        w3 = 2.0 * xu * w1
-        w4 = x * xu * (3.0 * u - 2.0 * x)
-        w5 = 3.0 * xu * xu * w1
-        w6 = x * xu * xu * (4.0 * u - 3.0 * x)
-        h = self.h
-        return tuple([
-            (d0 + w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4 + w5 * d5 + w6 * d6)
-            / h for d0, d1, d2, d3, d4, d5, d6 in zip(*self.rows)])
 
 
 @dataclass
@@ -778,14 +759,15 @@ def step_roots(st: Step, rhs, event) -> list[EventHit]:
     is screened on the cubic Hermite through the ends
     (:func:`_hermite_midpoint`), and a step that shows none there either
     has no hit: its dense rows are never formed.  Otherwise the brackets
-    are the step's start, midpoint and end, the midpoint read on the dense
-    output and its rate.  The two halves cannot both cross upward, so a
-    step has at most one hit, and roots less than h/2 apart may merge.
-    The first half that crosses is shrunk on the dense output by
-    :func:`~ccorb.dynamics.solve_bracket` to :data:`EVENT_TOL` or to
-    adjacent floats, and the hit is its midpoint.  ``rhs`` is called only
-    at the solver's probes.  Reading the rows may raise
-    :class:`~ccorb.errors.SingularInputError`, as a probe may.
+    are the step's start, midpoint and end, and every event value inside
+    the step, the midpoint's and each probe's, is read alike: on the dense
+    output, with ``rhs`` there (Hairer, Norsett & Wanner, Solving ODEs I,
+    sec. II.6).  The two halves cannot both cross upward, so a step has at
+    most one hit, and roots less than h/2 apart may merge.  The first half
+    that crosses is shrunk by :func:`~ccorb.dynamics.solve_bracket` to
+    :data:`EVENT_TOL` or to adjacent floats, and the hit is its midpoint.
+    Reading the rows may raise :class:`~ccorb.errors.SingularInputError`,
+    as an ``rhs`` call may.
     """
     chart, t0, h = st.chart, st.t0, st.h
     t1 = t0 + h
@@ -803,7 +785,7 @@ def step_roots(st: Step, rhs, event) -> list[EventHit]:
         return event(t, chart, y, rhs(chart, y))
 
     ts = (t0, tm, t1)
-    vs = (v0, event(tm, chart, st.eval(tm), st.rate(tm)), v1)
+    vs = (v0, value(tm), v1)
     for j in range(2):
         if _upward(vs[j], vs[j + 1]):
             lo, _, hi, _ = dynamics.solve_bracket(
@@ -821,16 +803,17 @@ def locate_event(traj: Trajectory, event) -> list[EventHit]:
     traj : Trajectory
     event : callable
         ``event(t, chart, y, dy) -> float``, where ``dy`` is the vector
-        field ``traj.rhs(chart, y)`` (at a step's midpoint, the rate of
-        the cubic Hermite screen or of the dense output, each of which
-        matches it to its own order); piecewise smooth along the
-        trajectory.  Only - to + crossings count, so for minimum-type
+        field ``traj.rhs(chart, y)`` (at a step's ends the step's own
+        rates; at a screened midpoint, the rate of the cubic Hermite
+        screen, which matches it to that order); piecewise smooth along
+        the trajectory.  Only - to + crossings count, so for minimum-type
         events pass the time derivative of the monitored quantity (e.g.
         the radial rate for pericenters).
 
     Each step goes through :func:`step_roots`, so it gives at most one
     hit, roots less than half a step apart may merge, and only the steps
-    whose ends or screened midpoint show a crossing form their dense rows.
+    whose ends or screened midpoint show a crossing form their dense rows
+    and call ``traj.rhs``, at their dense midpoint and at each probe.
 
     Returns
     -------

@@ -28,6 +28,7 @@ from functools import lru_cache
 from .dynamics import (
     PhaseState,
     SystemParams,
+    effective_potential,
     hamiltonian_values,
     hill_component_interval,
     solve_bracket,
@@ -140,20 +141,15 @@ class Chord:
 _hill_cached = lru_cache(maxsize=64)(hill_component_interval)
 
 
-def axis_discriminant(s: float, mu: float, c: float) -> float:
-    """Discriminant (s-mu)^2 + 2(c + (1-mu)/|s| + mu/|s-1|) of the p2 solve."""
-    if s == 0.0 or s == 1.0:
-        raise UsageError("axis shot cannot start on a primary")
-    return (s - mu) ** 2 + 2.0 * (c + (1.0 - mu) / abs(s) + mu / abs(s - 1.0))
-
-
 def axis_initial_state(spec: ShotSpec) -> PhaseState:
     """Perpendicular axis start with H = c.
 
-    q = (s, 0), p = (0, p2) with p2 = (s - mu) +- sqrt(discriminant); the
-    axis velocity component q1' = p1 + q2 vanishes identically.  Raises
-    when the discriminant is negative (outside the zero-velocity oval) or
-    when s leaves the admissible axis segment around O.
+    q = (s, 0), p = (0, p2) with p2 = (s - mu) +- sqrt(disc) and disc =
+    2 (c - U(s, 0)) from :func:`~ccorb.dynamics.effective_potential`, the
+    formula whose roots are the ends of the Hill interval; the axis
+    velocity component q1' = p1 + q2 vanishes identically.  Raises when
+    disc is negative (outside the zero-velocity oval) or when s leaves the
+    admissible axis segment around O.
     """
     s = spec.s
     mu = spec.params.mu
@@ -163,7 +159,7 @@ def axis_initial_state(spec: ShotSpec) -> PhaseState:
         raise UsageError(
             f"shot start s={s} outside the Hill axis interval "
             f"({hill.s_min:.6g}, {hill.s_max:.6g})")
-    disc = axis_discriminant(s, mu, c)
+    disc = 2.0 * (c - effective_potential((s, 0.0), spec.params))
     if disc < 0.0:
         raise EnergeticallyForbiddenError(
             f"axis shot at s={s} is energetically forbidden "

@@ -154,13 +154,13 @@ GOLDEN_SCANS = {
     "refine-coarse.jsonl": (
         ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch", "both",
          "--kmax", "3", "--grid", "8"],
-        "02ac8f8de990fabd5d5b0aa355c9962cd959771c5e0608efb240c8920674b69e",
-        "028294eb553940ef63a036c8cb6211af74c4a67039b19f35838298cf4bba7091"),
+        "cd5919d22bdf8ad4e3ddac446bda810fd57d88fd2b42bf60cb0ad12a4e9064f9",
+        "80c26a3a0d8b50fbd815cef881a81e5e31e15160f10bbccd1f2718bae7723e44"),
     "oracle.jsonl": (
         ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
          "--s-range", "0.1:0.53", "--grid", "50"],
-        "732801af1385945c21b18a598668d3e4e6ea8119ae715f3aaf526ac825d194f3",
-        "650f0c31e49099280947d22ff801807253881ccc4d5009be0ed26827814d3331"),
+        "e36cb04c217ba017af72c6d602eb4a89740769c1a536f226b6250e6dcec42553",
+        "4ecbd7fe85823c5e311ff944f49e535cff557c7065202730f89a838f2edce348"),
 }
 
 
@@ -172,6 +172,11 @@ def test_scan_bytes_are_pinned(name, tmp_path, capsys):
     which is where CI runs: the step-size controller takes ``err **
     -0.125`` through it, and every step size, and so every byte, follows.
     A change that is meant to keep the outputs must keep these digests.
+    The digests also follow the last bits of the three formulas under
+    every row: the collinear points, roots of
+    ``effective_potential_gradient`` on the axis; the axis start's
+    momentum, from ``effective_potential``; and each event value inside
+    a step, read on the dense output with the flow's field.
     """
     argv, catalog_digest, stdout_digest = GOLDEN_SCANS[name]
     out = tmp_path / name
@@ -181,6 +186,22 @@ def test_scan_bytes_are_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == catalog_digest
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
+
+def test_scan_flags_the_chord_that_closes_on_itself(tmp_path):
+    """At this level the (neg, plus, 4) chord starts on the axis of the
+    collision circle, b2 = 0, so its end, the rho-mirror of its start, is
+    its start: the scan flags that row a periodic candidate, and the
+    chords of k = 1 to 3 at the same level not."""
+    out = tmp_path / "periodic.jsonl"
+    assert main(["scan", "--mu", "0.1", "--jacobi",
+                 "auto-0.058373273585310616", "--branch", "plus", "--kmax",
+                 "4", "--grid", "40", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert {(r["side"], r["branch"], r["pericenter_index"]):
+            r["periodic_candidate"] for r in rows} == {
+        ("neg", "plus", k): k == 4 for k in (1, 2, 3, 4)}
+    closed = next(r for r in rows if r["periodic_candidate"])
+    assert abs(closed["endpoint_start_b"][1]) < 1e-11
 
 
 #: the SHA-256 of ``starshape --json`` stdout for two certificates: the

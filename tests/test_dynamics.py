@@ -150,6 +150,21 @@ def test_lagrange_points_are_critical_points(mu):
             effective_potential(point, params), abs=1e-13)
 
 
+@pytest.mark.parametrize("mu", [0.01, 0.1, 0.3, 0.45])
+def test_collinear_points_mirror_to_one_minus_mu(mu):
+    """q -> E - q, p -> -p keeps H and swaps the masses, so it carries the
+    collinear points at mu to those at 1 - mu: L1 to L1, L2 to L3 and L3
+    to L2, each with its energy, and the first critical value with them."""
+    cfg = lagrange_points(SystemParams(mu=mu))
+    mirror = lagrange_points(SystemParams(mu=1.0 - mu))
+    for name, image in (("L1", "L1"), ("L2", "L3"), ("L3", "L2")):
+        assert abs(mirror.points[image][0]
+                   - (1.0 - cfg.points[name][0])) < 1e-13
+        assert abs(mirror.values[image] - cfg.values[name]) < 1e-14
+    assert abs(mirror.first_critical_value
+               - cfg.first_critical_value) < 1e-14
+
+
 @pytest.mark.parametrize("mu", [0.05, 0.2, 0.4])
 def test_triangular_points_are_equidistant(mu):
     cfg = lagrange_points(SystemParams(mu=mu))
