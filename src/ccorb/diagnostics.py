@@ -55,12 +55,13 @@ PERIODIC_CANDIDATE_TOL = 1e-8
 SYMMETRY_SAMPLES = 100
 #: star-shape scan: base-disk radius in either chart, grid points per
 #: fiber ray, radial samples locating the zero-velocity curve (searched
-#: RAY_SAMPLES at a time), and rays per numpy pass, few so that the block
-#: grids stay small
+#: RAY_SAMPLES at a time), and rays per numpy pass: 32, as at 64 or 128
+#: a block's grids pass glibc's 128 kB heap-trim threshold and each pass
+#: faults the freed pages in again (BENCH_roots.json)
 STAR_CHART_RADIUS = 1.25
 RAY_SAMPLES = 256
 ZVC_SAMPLES = 1024
-RAY_BLOCK = 8
+RAY_BLOCK = 32
 _ZVC_GRID = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
 
 
@@ -209,7 +210,7 @@ def _zvc_radius_along(wh1, mu: float, f: float) -> np.ndarray:
     A direction enters u(r) = U(r w) + f only through ``wh1``, its
     component along the primaries' axis.  The search runs on
     ``_ZVC_GRID`` in chunks of ``RAY_SAMPLES`` radii for ``RAY_BLOCK``
-    directions a pass, the samples of a block of rays, and stops for a
+    directions a pass (two passes for the CLI's 60 rays), and stops for a
     direction at the chunk holding its first sign change
     (:func:`~ccorb.dynamics._first_roots`).  NaN where a row has none.
     """
@@ -233,9 +234,9 @@ def _check_rays(report: StarshapeReport, chart: Chart, a0, rays,
     there G >= target, so an even crossing count on (0, cap] is
     impossible and a miscount would be detected.  G and G' are written
     once each and read c2 and w1: columns of ``RAY_BLOCK`` rays for the
-    numpy grids (``sqrt`` = ``np.sqrt``), then each ray's floats for its
-    root solves, ray by ray.  The t* solve takes its end values from the
-    G grid, which holds the float values bit for bit.
+    numpy grids (``sqrt`` = ``np.sqrt``), compared cell to cell once a
+    block, then each ray's floats for its root solves.  The t* solve
+    takes its end values from the G grid, bit for bit its float values.
     """
     a1, a2 = a0
     alpha, target = a1 * a1 + a2 * a2, 1.0 - mu
@@ -285,12 +286,13 @@ def _check_rays(report: StarshapeReport, chart: Chart, a0, rays,
         below = gs < target
         if not below[:, 0].all():
             raise IntegrityError("ray starts on or above the level at t = 0")
-        sign_p = gp(t_grid, np.sqrt) > 0.0 if guard else below  # if guard
+        rising = gp(t_grid, np.sqrt) > 0.0 if guard else below  # if guard
+        cells, turns = (x[:, 1:] != x[:, :-1] for x in (below, rising))
 
-        for ts, gt, t_cap, up, flips, (v1, v2, c2, w1) in zip(
-                t_grid, gs, t_grid[:, -1].tolist(), below, sign_p,
+        for ts, gt, t_cap, up, cell, turn, (v1, v2, c2, w1) in zip(
+                t_grid, gs, t_grid[:, -1].tolist(), below, cells, turns,
                 floats[k:k + RAY_BLOCK]):
-            change = (up[1:] != up[:-1]).nonzero()[0]
+            change = cell.nonzero()[0]
             crossings = change.size
             angle = math.atan2(v2, v1)
             if up[-1]:
@@ -311,7 +313,7 @@ def _check_rays(report: StarshapeReport, chart: Chart, a0, rays,
                 # sub-grid dip guard: locate critical points of G and make
                 # sure no local extremum beyond the crossing sits below the
                 # level.
-                for j in (flips[1:] != flips[:-1]).nonzero()[0]:
+                for j in turn.nonzero()[0]:
                     t_c = _root_in(gp, float(ts[j]), float(ts[j + 1]),
                                    width=1e-10 * max(1.0, t_cap))
                     if t_c > t_star and g(t_c) < target:
@@ -328,10 +330,10 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
     Scans both charts over a golden-angle disk of base points (the origin,
     i.e. the collision fiber of the South chart, is always included) and
     ``ray_grid`` uniformly spread fiber rays per base point, ``RAY_BLOCK``
-    rays to a numpy pass.  The North caps are searched once for the whole
-    scan, the South ones once per base point.  Requires the energy to lie
-    below the first critical value so that the component around O is
-    compact.
+    rays to a numpy pass (the CLI's 60 take two).  The North caps are
+    searched once for the whole scan, the South ones once per base point.
+    Requires the energy to lie below the first critical value so that the
+    component around O is compact.
     """
     if params.mu != level.params.mu:
         raise UsageError("params and level disagree about mu")

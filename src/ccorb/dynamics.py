@@ -214,10 +214,12 @@ def effective_potential_gradient(q: tuple[float, float], params: SystemParams
 #: ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021): a probe
 #: is pushed from the regula falsi point towards the midpoint by
 #: ITP_KAPPA1 * w**ITP_KAPPA2 / w0 for a bracket of width w out of a start
-#: width w0, and may take ITP_N0 calls more than plain bisection would
-ITP_KAPPA1 = 0.2
+#: width w0, and may take ITP_N0 calls more than plain bisection would.
+#: Swept on the three benchmark workloads (BENCH_roots.json): kappa1 = 0.05
+#: cuts refine shots 17% from 0.2; n0 = 2 spares the wide Lagrange solves
+ITP_KAPPA1 = 0.05
 ITP_KAPPA2 = 2.0
-ITP_N0 = 1
+ITP_N0 = 2
 
 
 def solve_bracket(fn, lo: float, flo: float, hi: float, fhi: float,

@@ -175,17 +175,17 @@ def axis_initial_state(spec: ShotSpec) -> PhaseState:
 
 
 def _pericenter_rate(t, chart, y, dy) -> float:
-    """Event function d|q|^2/dt evaluated chart-smoothly.
-
-    Also runs on the rows of a chart slice of lanes (numpy arrays).
-    """
+    """Event function with the sign of d|q|^2/dt, evaluated chart-smoothly:
+    in the South chart, where |q|^2 = |a|^4 |b|^2, that rate over |a|^2 > 0,
+    so a pass through a = 0 (collision) is a simple zero, not a near-triple
+    one.  Also runs on the rows of a chart slice of lanes (numpy arrays)."""
     bdot = y[2] * dy[2] + y[3] * dy[3]
     if chart is Chart.NORTH:
         return 2.0 * bdot
     alpha = y[0] * y[0] + y[1] * y[1]
     beta2 = y[2] * y[2] + y[3] * y[3]
     adot = y[0] * dy[0] + y[1] * dy[1]
-    return 2.0 * alpha * (2.0 * beta2 * adot + alpha * bdot)
+    return 2.0 * (2.0 * beta2 * adot + alpha * bdot)
 
 
 def _radius_sq(chart: Chart, y) -> float:

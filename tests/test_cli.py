@@ -154,13 +154,13 @@ GOLDEN_SCANS = {
     "refine-coarse.jsonl": (
         ["scan", "--mu", "0.1", "--jacobi", "auto-0.1", "--branch", "both",
          "--kmax", "3", "--grid", "8"],
-        "cd5919d22bdf8ad4e3ddac446bda810fd57d88fd2b42bf60cb0ad12a4e9064f9",
-        "80c26a3a0d8b50fbd815cef881a81e5e31e15160f10bbccd1f2718bae7723e44"),
+        "16df88875e536ff9ca6446c68d5ded1db640933e7b7fbfb2f0f9acd7254770b9",
+        "a14a957f1e497df8dff6411ae52c01254d96814d4b2f8ac884f93db7a41ba8fe"),
     "oracle.jsonl": (
         ["scan", "--mu", "0", "--jacobi", "-2", "--branch", "minus",
          "--s-range", "0.1:0.53", "--grid", "50"],
-        "e36cb04c217ba017af72c6d602eb4a89740769c1a536f226b6250e6dcec42553",
-        "4ecbd7fe85823c5e311ff944f49e535cff557c7065202730f89a838f2edce348"),
+        "e84a2bcbfd2e911ae20b97dfaabc606c202875f40f7fdbd9455aa39d7fb01300",
+        "8211884c0491b98b97142d39e61bd77a0c1983067247f9a8bbb0d6745b2c376e"),
 }
 
 
@@ -210,11 +210,11 @@ def test_scan_flags_the_chord_that_closes_on_itself(tmp_path):
 GOLDEN_STARSHAPES = {
     "starshape-cert": (
         ["starshape", "--mu", "0.1", "--jacobi", "auto-0.1"],
-        "23c0fa175297886592ac45f9ddb3972b25ab2f0b1033fa494862ea4be0db2240"),
+        "0d359e3635d38ffb9fd6b07a2479ca83f4023b0b3e3ead955b3146b85680e2b2"),
     "mu0.5": (
         ["starshape", "--mu", "0.5", "--jacobi", "auto-0.1",
          "--base-grid", "8", "--ray-grid", "12"],
-        "4a339466f76eaa6574be93e91c853614eb180f30dbaf3dc222517499b09744b9"),
+        "911c82804e71f7ac8756b257bb79412e746cd278a4af78e1f35a9435c78c3c79"),
 }
 
 

@@ -276,19 +276,22 @@ def _per_ray_scan(params, level, base_grid, ray_grid):
     return report
 
 
-@pytest.mark.parametrize("mu, f", [(0.1, None), (0.5, None), (0.01, None),
-                                   (0.0, 2.0)],
-                         ids=["mu0.1", "mu0.5", "mu0.01", "kepler"])
-def test_blocked_starshape_scan_matches_the_per_ray_one(mu, f):
+@pytest.mark.parametrize("mu, f, ray_grid", [
+    pytest.param(mu, f, n, id=name if n == 20 else f"{name}-{n}rays")
+    for n in (20, 2 * diagnostics.RAY_BLOCK + 4)
+    for name, (mu, f) in {"mu0.1": (0.1, None), "mu0.5": (0.5, None),
+                          "mu0.01": (0.01, None), "kepler": (0.0, 2.0)}.items()])
+def test_blocked_starshape_scan_matches_the_per_ray_one(mu, f, ray_grid):
     """Rays in blocks give the report of the ray-by-ray scan, bit for bit:
-    20 rays a base point make two full blocks and a partial one."""
+    20 rays a base point make one partial block, and 2 RAY_BLOCK + 4 rays
+    two full blocks and a partial one."""
     params = SystemParams(mu=mu)
     if f is None:
         f = 0.1 - first_critical_value(params)
     level = RegularizedLevel(params=params, f=f)
-    got = starshape_scan(params, level, base_grid=6, ray_grid=20)
-    want = _per_ray_scan(params, level, base_grid=6, ray_grid=20)
-    assert want.rays_checked == 240 and want.ok
+    got = starshape_scan(params, level, base_grid=6, ray_grid=ray_grid)
+    want = _per_ray_scan(params, level, base_grid=6, ray_grid=ray_grid)
+    assert want.rays_checked == 12 * ray_grid and want.ok
     assert repr(asdict(got)) == repr(asdict(want))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from ccorb import (
     refine_chord,
     scan_and_bracket,
 )
-from ccorb import integrator, lanes, shooting
+from ccorb import integrator, lanes, regularization, shooting
 from ccorb.cli import _scan_ranges
 from ccorb.dynamics import EnergyLevel, solve_bracket
 from ccorb.errors import NumericalError
@@ -203,6 +204,68 @@ def test_shot_locates_its_passes_in_the_step_loop():
     assert hits == pericenter_hits(traj)  # t, chart and y, bit for bit
     last = traj.steps[-1]
     assert last.t0 <= hits[2].t <= last.t0 + last.h
+
+
+def test_the_collision_pass_is_a_simple_zero_of_the_event(monkeypatch):
+    """Each reference chord, shot at its s0, reaches collision at its k-th
+    pass, and the solve that locates that pass takes a handful of ITP
+    probes: through a = 0 the South-chart event is a simple zero.  The
+    rate d|q|^2/dt itself has a near-triple zero there, which uses up the
+    bisection budget (38 probes)."""
+    params, level = _reference_level()
+    probes = []
+
+    def counted(fn, *bracket):
+        calls = []
+
+        def probe(t):
+            calls.append(t)
+            return fn(t)
+        out = solve_bracket(probe, *bracket)
+        probes.append(len(calls))
+        return out
+    monkeypatch.setattr(integrator.dynamics, "solve_bracket", counted)
+    for chord in json.loads(REFERENCE.read_text())["chords"]:
+        spec = ShotSpec(s=chord["s0"], branch=Branch(chord["branch"]),
+                        params=params, level=level)
+        probes.clear()
+        _, hits = _shoot(spec, IntegrationSettings(), chord["k"])
+        hit = hits[chord["k"] - 1]  # the run's last step, its last solve
+        assert hit.chart is Chart.SOUTH
+        assert shooting._radius_sq(hit.chart, hit.y) < 1e-18
+        assert probes[-1] <= 12
+
+
+def test_the_event_has_the_sign_of_the_radial_rate():
+    """On random states of both charts, the event has the sign of
+    d|q|^2/dt = 2 q . dq/dt, with q the chart position and its rate taken
+    along the chart's field; in the South chart it is that rate divided
+    by |a|^2, to rounding."""
+    _, level = _reference_level()
+    rhs = integrator.Trajectory(Flow.REGULARIZED, level, IntegrationSettings(),
+                                None, ()).rhs
+    rng = random.Random(7)
+    for chart in (Chart.NORTH, Chart.SOUTH):
+        for _ in range(200):
+            y = tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) + (0.0, 0.0)
+            a1, a2, b1, b2 = y[:4]
+            dy = rhs(chart, y)
+            da1, da2, db1, db2 = dy[:4]
+            q1, q2 = regularization.chart_position(chart, a1, a2, b1, b2)
+            if chart is Chart.NORTH:
+                alpha, dq1, dq2 = 1.0, db1, db2
+            else:  # the rate of q = |a|^2 b - 2 (a.b) a
+                alpha, w = a1 * a1 + a2 * a2, a1 * b1 + a2 * b2
+                dalpha = 2.0 * (a1 * da1 + a2 * da2)
+                dw = da1 * b1 + da2 * b2 + a1 * db1 + a2 * db2
+                dq1 = dalpha * b1 + alpha * db1 - 2.0 * (dw * a1 + w * da1)
+                dq2 = dalpha * b2 + alpha * db2 - 2.0 * (dw * a2 + w * da2)
+            rate = 2.0 * (q1 * dq1 + q2 * dq2)
+            scale = 2.0 * (abs(q1 * dq1) + abs(q2 * dq2))
+            event = shooting._pericenter_rate(0.0, chart, y, dy)
+            assert abs(event * alpha - rate) <= 1e-13 * scale
+            if abs(rate) > 1e-12 * scale:
+                assert (event > 0.0) == (rate > 0.0)
 
 
 def _sampled_passes(traj, samples: int = 16):
