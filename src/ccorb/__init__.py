@@ -8,77 +8,88 @@ and chart switching, a symmetric shooting search, and contact-geometric
 diagnostics (fiberwise star-shapedness, action = Reeb period).
 """
 
-from ._version import __version__
-from .dynamics import (
-    EnergyLevel,
-    HillInterval,
-    LagrangeConfig,
-    PhaseState,
-    SystemParams,
-    effective_potential,
-    first_critical_value,
-    hamiltonian,
-    hill_component_interval,
-    lagrange_points,
-    reflect,
-)
-from .errors import (
-    AtCollisionError,
-    BisectionStagnationError,
-    CcorbError,
-    EnergeticallyForbiddenError,
-    EnergyAboveCriticalError,
-    IntegrityError,
-    NumericalError,
-    RootFindingError,
-    SingularInputError,
-    SingularityApproachError,
-    StepUnderflowError,
-    TangentialRootError,
-    UsageError,
-)
-from .regularization import (
-    Chart,
-    MoserChartPoint,
-    RegularizedLevel,
-    chart_transition,
-    collision_point,
-    g_value,
-    k_value,
-    kcheck_value,
-    legendrian_membership,
-    phase_to_chart,
-    physical_state,
-)
-from .integrator import (
-    Flow,
-    IntegrationSettings,
-    Trajectory,
-    export_csv,
-    integrate,
-    locate_event,
-)
-from .shooting import (
-    Bracket,
-    Branch,
-    Chord,
-    ShotSpec,
-    axis_initial_state,
-    kepler_oracle_return_time,
-    miss_function,
-    pericenter_hits,
-    refine_chord,
-    scan_and_bracket,
-)
-from .diagnostics import (
-    ChordCatalog,
-    StarshapeReport,
-    catalog_insert,
-    chord_action,
-    entry_from_chord,
-    starshape_scan,
-    symmetry_defect,
-)
+import os as _os
+
+# ccorb calls no BLAS routine, so OpenBLAS gets no idle worker pool.
+_ONE_THREAD = not any(name in _os.environ for name in (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _ONE_THREAD:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from ._version import __version__
+    from .dynamics import (
+        EnergyLevel,
+        HillInterval,
+        LagrangeConfig,
+        PhaseState,
+        SystemParams,
+        effective_potential,
+        first_critical_value,
+        hamiltonian,
+        hill_component_interval,
+        lagrange_points,
+        reflect,
+    )
+    from .errors import (
+        AtCollisionError,
+        BisectionStagnationError,
+        CcorbError,
+        EnergeticallyForbiddenError,
+        EnergyAboveCriticalError,
+        IntegrityError,
+        NumericalError,
+        RootFindingError,
+        SingularInputError,
+        SingularityApproachError,
+        StepUnderflowError,
+        TangentialRootError,
+        UsageError,
+    )
+    from .regularization import (
+        Chart,
+        MoserChartPoint,
+        RegularizedLevel,
+        chart_transition,
+        collision_point,
+        g_value,
+        k_value,
+        kcheck_value,
+        legendrian_membership,
+        phase_to_chart,
+        physical_state,
+    )
+    from .integrator import (
+        Flow,
+        IntegrationSettings,
+        Trajectory,
+        export_csv,
+        integrate,
+        locate_event,
+    )
+    from .shooting import (
+        Bracket,
+        Branch,
+        Chord,
+        ShotSpec,
+        axis_initial_state,
+        kepler_oracle_return_time,
+        miss_function,
+        pericenter_hits,
+        refine_chord,
+        scan_and_bracket,
+    )
+    from .diagnostics import (
+        ChordCatalog,
+        StarshapeReport,
+        catalog_insert,
+        chord_action,
+        entry_from_chord,
+        starshape_scan,
+        symmetry_defect,
+    )
+finally:
+    if _ONE_THREAD:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "__version__",
