@@ -10,7 +10,7 @@ diagnostics (fiberwise star-shapedness, action = Reeb period).
 
 import os as _os
 
-# ccorb calls no BLAS routine, so OpenBLAS gets no idle worker pool.
+# ccorb calls no BLAS: OpenBLAS gets one thread, process-wide if before numpy.
 _ONE_THREAD = not any(name in _os.environ for name in (
     "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
 if _ONE_THREAD:
@@ -90,6 +90,7 @@ try:
 finally:
     if _ONE_THREAD:
         del _os.environ["OPENBLAS_NUM_THREADS"]
+    del _os, _ONE_THREAD
 
 __all__ = [
     "__version__",
