@@ -27,6 +27,7 @@ from .dynamics import (
     SystemParams,
     _first_roots,
     _root_in,
+    _roots_in,
     first_critical_value,
 )
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
@@ -40,7 +41,9 @@ from .regularization import (
     Chart,
     MoserChartPoint,
     RegularizedLevel,
-    fiber_image,
+    fiber_ray,
+    ray_g,
+    ray_gp,
 )
 from .shooting import R_PERI_COLLISION, Chord
 
@@ -57,11 +60,15 @@ SYMMETRY_SAMPLES = 100
 #: fiber ray, radial samples locating the zero-velocity curve (searched
 #: RAY_SAMPLES at a time), and rays per numpy pass: 32, as at 64 or 128
 #: a block's grids pass glibc's 128 kB heap-trim threshold and each pass
-#: faults the freed pages in again (BENCH_roots.json)
+#: faults the freed pages in again (BENCH_roots.json); and base points
+#: whose cap and t* solves go as one column: 8, 480 lanes at 60 rays, as
+#: 20 or 60 run about 5% faster but raise the operation's own peak by
+#: 0.14 and 1.4 MB (BENCH_columns.json)
 STAR_CHART_RADIUS = 1.25
 RAY_SAMPLES = 256
 ZVC_SAMPLES = 1024
 RAY_BLOCK = 32
+BASE_GROUP = 8
 _ZVC_GRID = np.linspace(1e-4, 2.0, ZVC_SAMPLES)
 
 
@@ -210,8 +217,9 @@ def _zvc_radius_along(wh1, mu: float, f: float) -> np.ndarray:
     A direction enters u(r) = U(r w) + f only through ``wh1``, its
     component along the primaries' axis.  The search runs on
     ``_ZVC_GRID`` in chunks of ``RAY_SAMPLES`` radii for ``RAY_BLOCK``
-    directions a pass (two passes for the CLI's 60 rays), and stops for a
-    direction at the chunk holding its first sign change
+    directions a pass (15 passes for a group of 8 base points at the CLI's
+    60 rays), and stops for a direction at the chunk holding its first
+    sign change; the cells found are refined as one column
     (:func:`~ccorb.dynamics._first_roots`).  NaN where a row has none.
     """
     def u(r, w1, sqrt=math.sqrt):
@@ -222,105 +230,99 @@ def _zvc_radius_along(wh1, mu: float, f: float) -> np.ndarray:
     return _first_roots(u, _ZVC_GRID, wh1, 1e-12, RAY_BLOCK, RAY_SAMPLES)
 
 
-def _check_rays(report: StarshapeReport, chart: Chart, a0, rays,
+def _check_rays(report: StarshapeReport, chart: Chart, group, rays,
                 north_caps, mu: float, f: float) -> None:
-    """Certify the fiber rays b = t v, t > 0, of one base point.
+    """Certify the fiber rays b = t v, t > 0, of a group of base points.
 
-    Along a ray G(t) = c1 t + c2 t^2 - mu rho t / d(t) with d the
-    distance of the pulled-back position t w to the primary E.  The ray is
+    Along a ray G is :func:`~ccorb.regularization.ray_g`.  The ray is
     capped where the position meets the zero-velocity curve (in the North
     chart at ``north_caps``, the radii along v; in the South chart at the
-    radii that one :func:`_zvc_radius_along` call finds for all the rays);
-    there G >= target, so an even crossing count on (0, cap] is
-    impossible and a miscount would be detected.  G and G' are written
-    once each and read c2 and w1: columns of ``RAY_BLOCK`` rays for the
-    numpy grids (``sqrt`` = ``np.sqrt``), compared cell to cell once a
-    block, then each ray's floats for its root solves.  The t* solve
-    takes its end values from the G grid, bit for bit its float values.
+    radii that one :func:`_zvc_radius_along` call finds for all the
+    group's rays); there G >= target, so an even crossing count on
+    (0, cap] is impossible and a miscount would be detected.  G and G' are
+    evaluated on numpy grids of ``RAY_BLOCK`` rays of one base point,
+    compared cell to cell once a block.  The t* brackets take their end
+    values from the G grid, bit for bit its float values, and the group's
+    are solved as one column (:func:`~ccorb.dynamics._roots_in`); the
+    margins, dip guards and records then go ray by ray, in order.
     """
-    a1, a2 = a0
-    alpha, target = a1 * a1 + a2 * a2, 1.0 - mu
-    rho = 1.0 if chart is Chart.NORTH else alpha
-    c1 = 0.5 * (1.0 + alpha) + mu * a2 + (f - 0.5) * rho
-    v1, v2 = rays
-    w1 = v1 if chart is Chart.NORTH else fiber_image(a1, a2, v1, v2)[0]
-    c2 = rho * (a1 * v2 - a2 * v1)
-    floats = np.array([v1, v2, c2, w1]).T.tolist()
+    target = 1.0 - mu
+    angles = [math.atan2(b, a) for a, b in rays.T.tolist()]
+    fibers = [(a0, fiber_ray(chart, *a0, *rays, mu, f)) for a0 in group]
+    # collision fiber (and its immediate neighbours): the position ray
+    # degenerates, G is essentially linear; a fixed cap covers the
+    # crossing near t = 2 target with room to spare.
+    wh1 = [w1 / rho for _, (_, _, rho, w1) in fibers if rho >= 1e-9]
+    rds = iter(_zvc_radius_along(np.ravel(wh1), mu, f).reshape(len(wh1), -1)
+               if wh1 and chart is Chart.SOUTH else ())
+    rows, blocks = [], []  # per ray, for its record; per block, t* brackets
+    for a0, (c1, c2s, rho, w1s) in fibers:
+        t_caps = np.full(len(c2s), 6.0)
+        if rho >= 1e-9:
+            rd = north_caps if chart is Chart.NORTH else next(rds)
+            note = (f"no zero-velocity cap on chart {chart.value} ray; "
+                    "capping at |q| = 2")
+            if np.isnan(rd).any() and note not in report.notes:
+                report.notes.append(note)
+            t_caps = (np.where(np.isnan(rd), 2.0, rd) / rho) * (1.0 + 1e-6)
+        guard = mu > 0.0 and rho >= 1e-9
+        for k in range(0, len(c2s), RAY_BLOCK):
+            c2, w1, caps = (x[k:k + RAY_BLOCK] for x in (c2s, w1s, t_caps))
+            block = c1, c2[:, None], rho, w1[:, None], mu, np.sqrt
+            # np.linspace's arithmetic: i * (t_cap / RAY_SAMPLES), the last
+            # column t_cap
+            t_grid = np.arange(RAY_SAMPLES + 1.0) * (caps[:, None]
+                                                     / RAY_SAMPLES)
+            t_grid[:, -1] = caps
+            gs = ray_g(t_grid, *block)
+            below = gs < target
+            if not below[:, 0].all():
+                raise IntegrityError(
+                    "ray starts on or above the level at t = 0")
+            rising = ray_gp(t_grid, *block) > 0.0 if guard else below
+            cells, turns = (x[:, 1:] != x[:, :-1] for x in (below, rising))
+            first = []
+            for ts, gt, up, cell, turn, angle in zip(
+                    t_grid, gs, below, cells, turns, angles[k:k + RAY_BLOCK]):
+                change = cell.nonzero()[0]
+                margin, dips = None, ()
+                if up[-1]:
+                    # cap value below the level contradicts the zero-velocity
+                    # bound; report as a violation rather than trusting
+                    # parity.
+                    margin = float(gt[-1]) - target
+                else:
+                    first.append(change[0])  # G(0) < target <= G(t_cap)
+                    # sub-grid dip guard: the critical points of G, to make
+                    # sure no local extremum beyond the crossing sits below
+                    # the level
+                    if change.size == 1 and guard:
+                        dips = tuple((float(ts[j]), float(ts[j + 1]))
+                                     for j in turn.nonzero()[0])
+                rows.append((a0, angle, change.size, margin, dips))
+            ok = ~below[:, -1]
+            blocks.append(np.array([
+                t_grid[ok, first], gs[ok, first] - target,
+                t_grid[:, 1:][ok, first], gs[:, 1:][ok, first] - target,
+                np.full(len(first), c1), c2[ok], np.full(len(first), rho),
+                w1[ok], caps[ok]]))
 
-    if rho < 1e-9:
-        # collision fiber (and its immediate neighbours): the position ray
-        # degenerates, G is essentially linear; a fixed cap covers the
-        # crossing near t = 2 target with room to spare.
-        t_caps = np.full(len(c2), 6.0)
-    else:
-        rd = (north_caps if chart is Chart.NORTH
-              else _zvc_radius_along(w1 / rho, mu, f))
-        note = (f"no zero-velocity cap on chart {chart.value} ray; "
-                "capping at |q| = 2")
-        if np.isnan(rd).any() and note not in report.notes:
-            report.notes.append(note)
-        t_caps = (np.where(np.isnan(rd), 2.0, rd) / rho) * (1.0 + 1e-6)
-
-    def g(t, sqrt=math.sqrt):
-        if mu == 0.0:
-            return c1 * t + c2 * t * t
-        d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
-        return c1 * t + c2 * t * t - mu * rho * t / d
-
-    def gp(t, sqrt=math.sqrt):
-        if mu == 0.0:
-            return c1 + 2.0 * c2 * t
-        d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
-        return c1 + 2.0 * c2 * t - mu * rho * (1.0 - t * w1) / d ** 3
-
-    guard = mu > 0.0 and rho >= 1e-9
-    cs2, ws1 = c2[:, None], w1[:, None]
-    for k in range(0, len(floats), RAY_BLOCK):
-        c2, w1 = cs2[k:k + RAY_BLOCK], ws1[k:k + RAY_BLOCK]
-        # np.linspace's arithmetic: i * (t_cap / RAY_SAMPLES), the last
-        # column t_cap
-        t_grid = np.arange(RAY_SAMPLES + 1.0) * (
-            t_caps[k:k + RAY_BLOCK, None] / RAY_SAMPLES)
-        t_grid[:, -1] = t_caps[k:k + RAY_BLOCK]
-        gs = g(t_grid, np.sqrt)
-        below = gs < target
-        if not below[:, 0].all():
-            raise IntegrityError("ray starts on or above the level at t = 0")
-        rising = gp(t_grid, np.sqrt) > 0.0 if guard else below  # if guard
-        cells, turns = (x[:, 1:] != x[:, :-1] for x in (below, rising))
-
-        for ts, gt, t_cap, up, cell, turn, (v1, v2, c2, w1) in zip(
-                t_grid, gs, t_grid[:, -1].tolist(), below, cells, turns,
-                floats[k:k + RAY_BLOCK]):
-            change = cell.nonzero()[0]
-            crossings = change.size
-            angle = math.atan2(v2, v1)
-            if up[-1]:
-                # cap value below the level contradicts the zero-velocity
-                # bound; report as a violation rather than trusting parity.
-                report.record(chart, a0, angle, g(t_cap) - target,
-                              crossings)
-                continue
-
-            i = change[0]  # G(0) < target <= G(t_cap): an odd count
-            t_star = _root_in(lambda t: g(t) - target, float(ts[i]),
-                              float(ts[i + 1]), 1e-12 * max(1.0, t_cap),
-                              float(gt[i]) - target,
-                              float(gt[i + 1]) - target)
-            margin = t_star * target * gp(t_star)
-
-            if crossings == 1 and guard:
-                # sub-grid dip guard: locate critical points of G and make
-                # sure no local extremum beyond the crossing sits below the
-                # level.
-                for j in turn.nonzero()[0]:
-                    t_c = _root_in(gp, float(ts[j]), float(ts[j + 1]),
-                                   width=1e-10 * max(1.0, t_cap))
-                    if t_c > t_star and g(t_c) < target:
-                        crossings = 3  # at least; the dip re-enters
-                        break
-
-            report.record(chart, a0, angle, margin, crossings)
+    lo, flo, hi, fhi, *cols, t_cap = np.concatenate(blocks, axis=1)
+    lanes = zip(_roots_in(
+        lambda t, k: ray_g(t, *(x[k] for x in cols), mu, np.sqrt) - target,
+        lo, flo, hi, fhi, 1e-12 * np.where(t_cap > 1.0, t_cap, 1.0)
+    ).tolist(), *(x.tolist() for x in cols), t_cap.tolist())
+    for a0, angle, crossings, margin, dips in rows:
+        if margin is None:
+            t_star, *fiber, t_cap = next(lanes)
+            margin = t_star * target * ray_gp(t_star, *fiber, mu)
+            for t_lo, t_hi in dips:
+                t_c = _root_in(lambda t: ray_gp(t, *fiber, mu), t_lo, t_hi,
+                               width=1e-10 * max(1.0, t_cap))
+                if t_c > t_star and ray_g(t_c, *fiber, mu) < target:
+                    crossings = 3  # at least; the dip re-enters
+                    break
+        report.record(chart, a0, angle, margin, crossings)
 
 
 def starshape_scan(params: SystemParams, level: RegularizedLevel,
@@ -330,8 +332,10 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
     Scans both charts over a golden-angle disk of base points (the origin,
     i.e. the collision fiber of the South chart, is always included) and
     ``ray_grid`` uniformly spread fiber rays per base point, ``RAY_BLOCK``
-    rays to a numpy pass (the CLI's 60 take two).  The North caps are
-    searched once for the whole scan, the South ones once per base point.
+    rays to a numpy pass (the CLI's 60 take two), ``BASE_GROUP`` base
+    points of a chart to a column of root solves.  The North caps are
+    searched once for the whole scan, the South ones once per group, and
+    each group's t* solves are one column.
     Requires the energy to lie below the first critical value so that the
     component around O is compact.
     """
@@ -352,8 +356,9 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
     rays = np.array([(math.cos(t), math.sin(t)) for t in angles]).T
     north_caps = _zvc_radius_along(rays[0], mu, f)
     for chart in (Chart.NORTH, Chart.SOUTH):
-        for a0 in bases:
-            _check_rays(report, chart, a0, rays, north_caps, mu, f)
+        for k in range(0, len(bases), BASE_GROUP):
+            _check_rays(report, chart, bases[k:k + BASE_GROUP], rays,
+                        north_caps, mu, f)
     return report
 
 

@@ -213,12 +213,12 @@ def effective_potential_gradient(q: tuple[float, float], params: SystemParams
 
 #: ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021): a probe
 #: is pushed from the regula falsi point towards the midpoint by
-#: ITP_KAPPA1 * w**ITP_KAPPA2 / w0 for a bracket of width w out of a start
-#: width w0, and may take ITP_N0 calls more than plain bisection would.
-#: Swept on the three benchmark workloads (BENCH_roots.json): kappa1 = 0.05
-#: cuts refine shots 17% from 0.2; n0 = 2 spares the wide Lagrange solves
+#: ITP_KAPPA1 * w**2 / w0 for a bracket of width w out of a start width
+#: w0 (their kappa2 = 2, taken as w * w), and may take ITP_N0 calls more
+#: than plain bisection would.  Swept on the three benchmark workloads
+#: (BENCH_roots.json): kappa1 = 0.05 cuts refine shots 17% from 0.2;
+#: n0 = 2 spares the wide Lagrange solves
 ITP_KAPPA1 = 0.05
-ITP_KAPPA2 = 2.0
 ITP_N0 = 2
 
 
@@ -242,7 +242,11 @@ def solve_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
     budget's span, the lo side's sign class) and writes ``max``, ``abs``
     and the sign factor as comparisons, which pick the same floats, so
     every probe is the one the plain form takes, bit for bit (the tests
-    keep that form as the reference).
+    keep that form as the reference).  It calls no libm routine: the
+    truncation squares w as w * w, and ceil(log2(w0 / unit)) is the
+    exponent of ``math.frexp``, less one at an exact power of two, so
+    the probes do not depend on the platform's ``pow`` or ``log2``, and
+    :func:`solve_brackets` takes them on numpy columns.
     """
     w = hi - lo
     if not w > max(width, 0.0):
@@ -255,7 +259,8 @@ def solve_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
     span = unit - tiny2
     # exponent of the widest bracket this call may leave and still keep
     # the budget, (unit - 2 tiny) 2**e + 2 tiny, counted down per call
-    e = max(0, math.ceil(math.log2(w / unit))) + ITP_N0 - 1
+    m, e = math.frexp(w / unit)
+    e = max(0, e - (m == 0.5)) + ITP_N0 - 1
     kappa1 = ITP_KAPPA1 / w
     negative = flo < 0.0  # the sign class every lo end keeps
     while w > width:
@@ -269,7 +274,7 @@ def solve_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
         if lo <= xf <= hi:
             # at least two ulps: a truncation that rounds away would leave
             # regula falsi creeping along one end of a noisy function
-            delta = kappa1 * w ** ITP_KAPPA2
+            delta = kappa1 * (w * w)
             if delta < tiny2:
                 delta = tiny2
             r = bound - 0.5 * w
@@ -292,6 +297,87 @@ def solve_bracket(fn, lo: float, flo: float, hi: float, fhi: float,
             hi, fhi = x, fx
         w = hi - lo
     return lo, flo, hi, fhi
+
+
+def solve_brackets(fn, lo, flo, hi, fhi, width):
+    """:func:`solve_bracket` on numpy columns of brackets, lane by lane.
+
+    ``lo``, ``flo``, ``hi`` and ``fhi`` are columns of equal length,
+    ``width`` a float or such a column, and ``fn(x, lanes)`` returns fn at
+    the probes ``x`` of the lanes listed in ``lanes`` (indices into the
+    columns).  Every lane takes the floats of the scalar loop for finite
+    ends, with ``np.where`` in place of its branches, and leaves where
+    that loop returns: at ``width``, at adjacent floats, or at an exact
+    zero, which comes back as lo = hi.  A lane already at or below
+    ``width`` comes back as given and is never probed.  Returns new
+    columns (lo, flo, hi, fhi).
+
+    A pass costs some 70 numpy calls, whatever the width: on cos x - x to
+    1e-12 a lane alone takes about 300 us against the scalar loop's 4 us,
+    and a bracket about 5 us in a column of 60 and 0.8 us in one of 480.
+    So the callers that solve one bracket at a time keep the scalar loop.
+    """
+    import numpy as np
+    out = [np.array(c, dtype=float) for c in (lo, flo, hi, fhi)]
+    lo, flo, hi, fhi = out
+    width = np.broadcast_to(np.asarray(width, dtype=float), lo.shape)
+    w = hi - lo
+    # np.where(b > a, b, a) is Python's max(a, b), NaN and all
+    lanes = (w > np.where(0.0 > width, 0.0, width)).nonzero()[0]
+    lo, flo, hi, fhi, w, width = (
+        c[lanes] for c in (lo, flo, hi, fhi, w, width))
+    big = np.where(abs(hi) > abs(lo), abs(hi), abs(lo))
+    # math.ulp(big) for finite big = m 2**e, 0.5 <= m < 1: 2**(e - 53),
+    # and the least subnormal below the normal range
+    tiny2 = 2.0 * np.where(big < math.ldexp(1.0, -1022), math.ulp(0.0),
+                           np.ldexp(math.ulp(0.5), np.frexp(big)[1]))
+    unit = np.where(2.0 * tiny2 > width, 2.0 * tiny2, width)
+    span = unit - tiny2
+    # the budget exponent e as the float 2**e, halved per call: span * 2**e
+    # is ldexp(span, e) down to e = -1074, and below that both are under
+    # half an ulp of tiny2
+    m, e = np.frexp(w / unit)
+    scale = np.ldexp(np.where(m == 0.5, 0.5, 1.0), e)
+    scale = np.where(scale > 1.0, scale, 1.0) * math.ldexp(1.0, ITP_N0 - 1)
+    kappa1 = ITP_KAPPA1 / w
+    negative = flo < 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # as floats go on
+        while True:
+            mid = 0.5 * (lo + hi)
+            go = (w > width) & (mid != lo) & (mid != hi)
+            done = (~go).nonzero()[0]
+            if done.size:
+                for col, now in zip(out, (lo, flo, hi, fhi)):
+                    col[lanes[done]] = now[done]
+                (lanes, lo, flo, hi, fhi, w, mid, width, tiny2, span, scale,
+                 kappa1, negative) = (c[go] for c in (
+                     lanes, lo, flo, hi, fhi, w, mid, width, tiny2, span,
+                     scale, kappa1, negative))
+            if not lanes.size:
+                return tuple(out)
+            bound = span * scale + tiny2
+            scale = 0.5 * scale
+            xf = (fhi * lo - flo * hi) / (fhi - flo)
+            delta = kappa1 * (w * w)
+            delta = np.where(delta < tiny2, tiny2, delta)
+            r = bound - 0.5 * w
+            r = np.where(r > 0.0, r, 0.0)
+            # both branches of the scalar loop at once: xf - mid is
+            # -(mid - xf), and x - -y is x + y, exactly
+            right = mid >= xf
+            xt = np.where(delta <= abs(mid - xf),
+                          xf + np.where(right, delta, -delta), mid)
+            x = np.where(abs(xt - mid) <= r, xt,
+                         mid - np.where(right, r, -r))
+            x = np.where((lo <= xf) & (xf <= hi) & (lo < x) & (x < hi)
+                         & (x - lo <= bound) & (hi - x <= bound), x, mid)
+            fx = np.asarray(fn(x, lanes), dtype=float)
+            zero = fx == 0.0  # lo = hi = x, which leaves at the next pass
+            low = ((fx < 0.0) == negative) | zero
+            high = ~low | zero
+            lo, flo = np.where(low, x, lo), np.where(low, fx, flo)
+            hi, fhi = np.where(high, x, hi), np.where(high, fx, fhi)
+            w = hi - lo
 
 
 def _root_in(fn, lo: float, hi: float, width: float = 1e-13,
@@ -318,6 +404,24 @@ def _root_in(fn, lo: float, hi: float, width: float = 1e-13,
     return 0.5 * (lo + hi)
 
 
+def _roots_in(fn, lo, flo, hi, fhi, width):
+    """:func:`_root_in` on numpy columns of sign-change brackets whose end
+    values are known: each lane's root, bit for bit.
+
+    ``fn(x, lanes)`` is as for :func:`solve_brackets`.  A lane whose
+    ``flo`` or ``fhi`` is exactly 0 takes that end; the others are solved
+    as one :func:`solve_brackets` column and take its midpoints.
+    """
+    import numpy as np
+    lanes = ((flo != 0.0) & (fhi != 0.0)).nonzero()[0]
+    a, _, b, _ = solve_brackets(
+        lambda x, k: fn(x, lanes[k]), lo[lanes], flo[lanes], hi[lanes],
+        fhi[lanes], np.broadcast_to(width, lo.shape)[lanes])
+    roots = np.where(flo == 0.0, lo, hi)
+    roots[lanes] = 0.5 * (a + b)
+    return roots
+
+
 def _first_roots(fn, xs, ps, width: float, rows: int, cols: int):
     """First root of x -> fn(x, p) along the grid ``xs``, for each p in ``ps``.
 
@@ -327,13 +431,15 @@ def _first_roots(fn, xs, ps, width: float, rows: int, cols: int):
     bit for bit; zero counts as negative.  The grid is evaluated in chunks
     of ``cols`` points, each sharing its first point with the last chunk,
     for up to ``rows`` values of p a pass, and a p leaves the search at
-    the chunk that holds its first sign change, which :func:`_root_in`
-    refines to ``width`` from the cell's two grid values.  Returns the
-    roots as an ndarray, NaN where the grid shows no sign change.
+    the chunk that holds its first sign change.  The cells of all those
+    first sign changes are then refined to ``width`` from their two grid
+    values as one column (:func:`_roots_in`), each to the root that
+    :func:`_root_in` finds on it.  Returns the roots as an ndarray, NaN
+    where the grid shows no sign change.
     """
     import numpy as np  # here, so that importing this module stays light
     ps = np.asarray(ps)
-    roots = np.full(len(ps), math.nan)
+    lo, flo, hi, fhi = np.full((4, len(ps)), math.nan)  # first cells
     todo = np.arange(len(ps))
     for c0 in range(0, len(xs) - 1, cols - 1):
         x = xs[c0:c0 + cols]
@@ -344,13 +450,16 @@ def _first_roots(fn, xs, ps, width: float, rows: int, cols: int):
             up = ys > 0.0
             cells = (up[:, 1:] != up[:, :-1]).nonzero()  # in row order
             for j, i in zip(*(c.tolist() for c in cells)):
-                k = int(ks[j])
-                if math.isnan(roots[k]):  # the row's first sign change
-                    p, y = float(ps[k]), ys[j]
-                    roots[k] = _root_in(lambda r: fn(r, p), float(x[i]),
-                                        float(x[i + 1]), width, float(y[i]),
-                                        float(y[i + 1]))
-        todo = todo[np.isnan(roots[todo])]
+                k = ks[j]
+                if math.isnan(lo[k]):  # the row's first sign change
+                    lo[k], flo[k], hi[k], fhi[k] = (x[i], ys[j, i], x[i + 1],
+                                                    ys[j, i + 1])
+        todo = todo[np.isnan(lo[todo])]
+    roots = np.full(len(ps), math.nan)
+    found = (~np.isnan(lo)).nonzero()[0]
+    p = ps[found]
+    roots[found] = _roots_in(lambda x, k: fn(x, p[k], np.sqrt), lo[found],
+                             flo[found], hi[found], fhi[found], width)
     return roots
 
 

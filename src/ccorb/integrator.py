@@ -425,8 +425,9 @@ _FIELDS = {
     # dt_phys/ds = G r with the kernel's r = |q|, and dtau/ds = -b . da/ds
     "regularized": (6, (), (
         "g, ga1, ga2, gb1, gb2, r = field(chart, x0, x1, x2, x3, mu, f)",
-        "k{s}_0 = -g * gb1",
-        "k{s}_1 = -g * gb2",
+        "ng = -g",
+        "k{s}_0 = ng * gb1",
+        "k{s}_1 = ng * gb2",
         "k{s}_2 = g * ga1",
         "k{s}_3 = g * ga2"), (
         "k{s}_4 = g * r",

@@ -125,6 +125,43 @@ def fiber_image(a1: float, a2: float, b1: float, b2: float
     return alpha * b1 - 2.0 * w * a1, alpha * b2 - 2.0 * w * a2
 
 
+def fiber_ray(chart: Chart, a1: float, a2: float, v1, v2, mu: float,
+              f: float):
+    """G along the fiber rays b = t v, t > 0, over the chart point a.
+
+    G(t) = c1 t + c2 t^2 - mu rho t / d(t), with rho = |a|^2 in the South
+    chart and 1 in the North, and d(t) = sqrt(rho^2 t^2 - 2 t w1 + 1) the
+    distance to E of the position t w the ray maps to (w = v in the North
+    chart, the :func:`fiber_image` of v in the South).  Returns
+    (c1, c2, rho, w1), the arguments of :func:`ray_g` and :func:`ray_gp`
+    after t; ``v1``, ``v2`` may be numpy columns, and c2 and w1 then are.
+    """
+    alpha = a1 * a1 + a2 * a2
+    rho = 1.0 if chart is Chart.NORTH else alpha
+    w1 = v1 if chart is Chart.NORTH else fiber_image(a1, a2, v1, v2)[0]
+    return (0.5 * (1.0 + alpha) + mu * a2 + (f - 0.5) * rho,
+            rho * (a1 * v2 - a2 * v1), rho, w1)
+
+
+def ray_g(t, c1, c2, rho, w1, mu: float, sqrt=math.sqrt):
+    """G(t) along a :func:`fiber_ray`: one float formula for floats and,
+    with ``sqrt`` = ``np.sqrt``, for numpy arrays, bit for bit."""
+    if mu == 0.0:
+        return c1 * t + c2 * t * t
+    d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
+    return c1 * t + c2 * t * t - mu * rho * t / d
+
+
+def ray_gp(t, c1, c2, rho, w1, mu: float, sqrt=math.sqrt):
+    """G'(t) along a :func:`fiber_ray`, for floats and numpy arrays; its
+    ``d ** 3`` goes through ``pow`` (numpy's ``power`` on arrays), so the
+    float value, which the margins use, follows the platform's libm."""
+    if mu == 0.0:
+        return c1 + 2.0 * c2 * t
+    d = sqrt(rho * rho * t * t - 2.0 * t * w1 + 1.0)
+    return c1 + 2.0 * c2 * t - mu * rho * (1.0 - t * w1) / d ** 3
+
+
 def chart_position(chart: Chart, a1: float, a2: float, b1: float,
                    b2: float) -> tuple[float, float]:
     """Physical position q represented by chart data.

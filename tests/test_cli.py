@@ -223,10 +223,9 @@ def test_starshape_bytes_are_pinned(name, capsys):
     """``starshape --json`` bytes of two certificates, pinned by SHA-256.
 
     The pin holds where the platform's ``pow`` rounds as glibc's does,
-    which is where CI runs: G' takes ``d ** 3`` and every ITP root solve
-    ``** ITP_KAPPA2`` through it, and each margin, and so every byte,
-    follows.  A change that is meant to keep the outputs must keep these
-    digests.
+    which is where CI runs: G' takes ``d ** 3`` through it, and each
+    margin, and so every byte, follows.  A change that is meant to keep
+    the outputs must keep these digests.
     """
     argv, digest = GOLDEN_STARSHAPES[name]
     capsys.readouterr()

@@ -341,25 +341,30 @@ def test_the_zvc_cases_cover_no_crossings_and_a_chunk_edge():
 
 def test_the_root_solves_call_g_and_u_only_at_their_probes(monkeypatch):
     """On a mu = 0.1 4x12 scan the cap and t* solves take their end values
-    from the grids: every call of u or G they make is an ITP probe, and
-    none is at a grid point."""
-    solves = []
-    root_in, solve_bracket = dynamics._root_in, dynamics.solve_bracket
+    from the grids: every call of u or G they make is an ITP probe of the
+    column solver, and none is at a grid point."""
+    solves, probes = [], []
+    roots_in, solve_brackets = dynamics._roots_in, dynamics.solve_brackets
 
-    def spied_root_in(fn, lo, hi, *args, **kwargs):
-        solve = {"ends": (lo, hi), "calls": [], "probes": 0}
-        solves.append(solve)
+    def spied_roots_in(fn, lo, flo, hi, fhi, width):
+        lanes = [{"ends": ends, "calls": []}
+                 for ends in zip(lo.tolist(), hi.tolist())]
+        solves.extend(lanes)
 
-        def counted(x):
-            solve["calls"].append(x)
-            return fn(x)
-        return root_in(counted, lo, hi, *args, **kwargs)
+        def counted(x, ks):
+            for xi, k in zip(x.tolist(), ks.tolist()):
+                lanes[k]["calls"].append(xi)
+            return fn(x, ks)
+        return roots_in(counted, lo, flo, hi, fhi, width)
 
-    def spied_solve_bracket(fn, *args):
-        def probe(x):
-            solves[-1]["probes"] += 1
-            return fn(x)
-        return solve_bracket(probe, *args)
+    def spied_solve_brackets(fn, *args):
+        def probe(x, ks):
+            probes.extend(x.tolist())
+            return fn(x, ks)
+        return solve_brackets(probe, *args)
+
+    def scalar_root_in(*args, **kwargs):
+        raise AssertionError("a scalar root solve")
 
     params = SystemParams(mu=0.1)
     critical = first_critical_value(params)
@@ -367,9 +372,10 @@ def test_the_root_solves_call_g_and_u_only_at_their_probes(monkeypatch):
     # the scan's own Lagrange-point solves are not the certificate's
     monkeypatch.setattr(diagnostics, "first_critical_value",
                         lambda params: critical)
-    monkeypatch.setattr(dynamics, "_root_in", spied_root_in)
-    monkeypatch.setattr(diagnostics, "_root_in", spied_root_in)
-    monkeypatch.setattr(dynamics, "solve_bracket", spied_solve_bracket)
+    monkeypatch.setattr(dynamics, "_roots_in", spied_roots_in)
+    monkeypatch.setattr(diagnostics, "_roots_in", spied_roots_in)
+    monkeypatch.setattr(dynamics, "solve_brackets", spied_solve_brackets)
+    monkeypatch.setattr(diagnostics, "_root_in", scalar_root_in)
     report = starshape_scan(params, RegularizedLevel(params=params, f=-c),
                             base_grid=4, ray_grid=12)
     assert report.rays_checked == 96 and report.ok
@@ -377,7 +383,7 @@ def test_the_root_solves_call_g_and_u_only_at_their_probes(monkeypatch):
     # fiber, one t* per ray; G' has no sign change to solve at this level
     assert len(solves) == 12 + 3 * 12 + 96
     calls = [x for solve in solves for x in solve["calls"]]
-    assert len(calls) == sum(solve["probes"] for solve in solves) > 0
+    assert sorted(calls) == sorted(probes) and calls
     assert not [x for solve in solves for x in solve["calls"]
                 if x in solve["ends"]]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,7 +300,8 @@ def _reference_solve_bracket(fn, lo, flo, hi, fhi, width):
         return lo, flo, hi, fhi
     tiny = math.ulp(max(abs(lo), abs(hi)))
     unit = max(width, 4.0 * tiny)
-    n_max = max(0, math.ceil(math.log2(w0 / unit))) + dynamics.ITP_N0
+    m, e = math.frexp(w0 / unit)  # ceil(log2(w0 / unit)), libm-free
+    n_max = max(0, e - (m == 0.5)) + dynamics.ITP_N0
     kappa1 = dynamics.ITP_KAPPA1 / w0
     j = 0
     while hi - lo > width:
@@ -311,7 +313,7 @@ def _reference_solve_bracket(fn, lo, flo, hi, fhi, width):
         xf = (fhi * lo - flo * hi) / (fhi - flo)
         if lo <= xf <= hi:
             sigma = 1.0 if mid >= xf else -1.0
-            delta = max(kappa1 * (hi - lo) ** dynamics.ITP_KAPPA2, 2.0 * tiny)
+            delta = max(kappa1 * ((hi - lo) * (hi - lo)), 2.0 * tiny)
             xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
             r = max(0.0, bound - 0.5 * (hi - lo))
             x = xt if abs(xt - mid) <= r else mid - sigma * r
@@ -373,6 +375,54 @@ def test_the_lean_itp_loop_matches_the_reference_bit_for_bit():
             outcomes["unchanged"] += 1
         checked += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_the_column_solve_matches_the_scalar_one_bit_for_bit():
+    """The brackets of the test above, adjacent-float and exact-zero cases
+    included, as one column and in columns of 1, 7 and 480 lanes: every
+    lane makes the probes of ``solve_bracket`` and returns its
+    (lo, flo, hi, fhi) by ``float.hex``; a lane already at or below its
+    width comes back as given, never probed."""
+    rng = random.Random(20212)
+    cases = []
+    while len(cases) < 5000:
+        _, fn, (a, b) = rng.choice(_BRACKET_CASES)
+        lo, hi = sorted((rng.uniform(a, b), rng.uniform(a, b)))
+        if rng.random() < 0.05:
+            lo, _, hi, _ = dynamics.solve_bracket(fn, a, fn(a), b, fn(b), 0.0)
+        flo, fhi = fn(lo), fn(hi)
+        if (flo < 0.0) != (fhi < 0.0):
+            width = rng.choice(_WIDTHS + [10.0 ** rng.uniform(-16.0, 0.0)])
+            cases.append((fn, lo, flo, hi, fhi, width))
+    wants = []
+    for fn, *bracket in cases:
+        counted, seen = _counted(fn)
+        wants.append((dynamics.solve_bracket(counted, *bracket), seen))
+    outcomes = {"zero": 0, "adjacent": 0, "unchanged": 0}
+    for got, seen in wants:
+        outcomes["zero"] += got[0] == got[2]
+        outcomes["adjacent"] += math.nextafter(got[0], math.inf) == got[2]
+        outcomes["unchanged"] += not seen
+    assert min(outcomes.values()) >= 50, outcomes
+    for size in (len(cases), 1, 7, 480):
+        for k0 in range(0, len(cases), size):
+            group = cases[k0:k0 + size]
+            probes = [[] for _ in group]
+
+            def column_fn(x, lanes):
+                assert len(lanes) and len(set(lanes.tolist())) == len(lanes)
+                for xi, k in zip(x.tolist(), lanes.tolist()):
+                    probes[k].append(xi)
+                return [group[k][0](xi) for xi, k in zip(x.tolist(),
+                                                         lanes.tolist())]
+            cols = [np.array([case[j] for case in group]) for j in range(1, 6)]
+            got = dynamics.solve_brackets(column_fn, *cols)
+            for k, ((want, seen), *lane) in enumerate(
+                    zip(wants[k0:k0 + size], *(c.tolist() for c in got))):
+                case = (size, k0 + k, group[k][1].hex(), group[k][4])
+                assert [v.hex() for v in lane] == [v.hex() for v in want], case
+                assert ([v.hex() for v in probes[k]]
+                        == [v.hex() for v in seen]), case
 
 
 # ----------------------------------------------------------- Hill regions

@@ -1,5 +1,6 @@
 """Every name a package module imports is read by that module, no module
-calls BLAS, and ``import ccorb`` loads OpenBLAS with one thread."""
+calls BLAS, the ITP solvers call no libm power, and ``import ccorb`` loads
+OpenBLAS with one thread."""
 
 from __future__ import annotations
 
@@ -104,6 +105,61 @@ def test_a_module_calls_no_blas(module):
     """ccorb imports numpy with one OpenBLAS thread (see ``__init__``); a
     BLAS call here would have to revisit that choice."""
     assert _blas_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+#: the ITP solvers, whose probes must not depend on the platform's libm,
+#: and the calls that would make them (CPython sends every float ``**``
+#: to libm's ``pow``)
+LIBM_FREE = ("solve_bracket", "solve_brackets")
+LIBM_NAMES = {"log2", "pow", "power"}
+
+
+def _libm_uses(source: str) -> list[str]:
+    """``function: use`` for each ``**`` and each call of a name in
+    ``LIBM_NAMES`` inside the top-level functions ``LIBM_FREE`` of
+    ``source``, in source order; ``function: missing`` for each of them
+    that ``source`` does not define."""
+    found, defined = [], set()
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name in LIBM_FREE):
+            continue
+        defined.add(top.name)
+        for node in ast.walk(top):
+            use = None
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.Pow):
+                use = "**"
+            elif isinstance(node, ast.Call):
+                use = getattr(node.func, "attr", getattr(node.func, "id",
+                                                         None))
+            if use == "**" or use in LIBM_NAMES:
+                found.append((node.lineno, node.col_offset,
+                              f"{top.name}: {use}"))
+    return [use for _, _, use in sorted(found)] + [
+        f"{name}: missing" for name in LIBM_FREE if name not in defined]
+
+
+def test_the_check_finds_a_libm_power():
+    source = ("import math\n"
+              "def solve_bracket(w):\n"
+              "    w **= 2\n"
+              "    return math.log2(w) + pow(w, 3) + w * w\n"
+              "def other(w):\n"
+              "    return w ** 2\n")
+    assert _libm_uses(source) == [
+        "solve_bracket: **", "solve_bracket: log2", "solve_bracket: pow",
+        "solve_brackets: missing"]
+    assert _libm_uses("def solve_brackets(w):\n    return np.power(w, 2)\n"
+                      "def solve_bracket(w):\n    return w ** 2\n") == [
+        "solve_brackets: power", "solve_bracket: **"]
+
+
+def test_the_itp_solvers_call_no_libm_power():
+    """The scalar and column ITP loops take the same probes on every
+    platform: the truncation squares w as w * w, and the budget exponent
+    comes from ``frexp``."""
+    source = (SRC / "dynamics.py").read_text(encoding="utf-8")
+    assert _libm_uses(source) == []
 
 
 CHILD = """\
