@@ -28,6 +28,7 @@ from .dynamics import (
     _first_roots,
     _root_in,
     _roots_in,
+    _sign_changes,
     first_critical_value,
 )
 from .errors import EnergyAboveCriticalError, IntegrityError, UsageError
@@ -239,12 +240,14 @@ def _check_rays(report: StarshapeReport, chart: Chart, group, rays,
     chart at ``north_caps``, the radii along v; in the South chart at the
     radii that one :func:`_zvc_radius_along` call finds for all the
     group's rays); there G >= target, so an even crossing count on
-    (0, cap] is impossible and a miscount would be detected.  G and G' are
-    evaluated on numpy grids of ``RAY_BLOCK`` rays of one base point,
-    compared cell to cell once a block.  The t* brackets take their end
+    (0, cap] is impossible and a miscount would be detected.  G is
+    evaluated on numpy grids of ``RAY_BLOCK`` rays of one base point, and
+    G' (the dip guard's) only from the block's first once-crossing cell on;
+    each grid's sign changes are read block-wide
+    (:func:`~ccorb.dynamics._sign_changes`).  The t* brackets take their end
     values from the G grid, bit for bit its float values, and the group's
     are solved as one column (:func:`~ccorb.dynamics._roots_in`); the
-    margins, dip guards and records then go ray by ray, in order.
+    margins, dip solves and records then go ray by ray, in order.
     """
     target = 1.0 - mu
     angles = [math.atan2(b, a) for a, b in rays.T.tolist()]
@@ -279,28 +282,24 @@ def _check_rays(report: StarshapeReport, chart: Chart, group, rays,
             if not below[:, 0].all():
                 raise IntegrityError(
                     "ray starts on or above the level at t = 0")
-            rising = ray_gp(t_grid, *block) > 0.0 if guard else below
-            cells, turns = (x[:, 1:] != x[:, :-1] for x in (below, rising))
-            first = []
-            for ts, gt, up, cell, turn, angle in zip(
-                    t_grid, gs, below, cells, turns, angles[k:k + RAY_BLOCK]):
-                change = cell.nonzero()[0]
-                margin, dips = None, ()
-                if up[-1]:
-                    # cap value below the level contradicts the zero-velocity
-                    # bound; report as a violation rather than trusting
-                    # parity.
-                    margin = float(gt[-1]) - target
-                else:
-                    first.append(change[0])  # G(0) < target <= G(t_cap)
-                    # sub-grid dip guard: the critical points of G, to make
-                    # sure no local extremum beyond the crossing sits below
-                    # the level
-                    if change.size == 1 and guard:
-                        dips = tuple((float(ts[j]), float(ts[j + 1]))
-                                     for j in turn.nonzero()[0])
-                rows.append((a0, angle, change.size, margin, dips))
+            # G(0) < target <= G(t_cap), or else the zero-velocity bound fails
+            # and the cap's shortfall is the margin: a violation, not parity
             ok = ~below[:, -1]
+            changes, crosses = _sign_changes(below), ok.tolist()
+            first = [c[0] for c, x in zip(changes, crosses) if x]
+            # sub-grid dip guard of a once-crossing ray: G' from the block's
+            # first such crossing cell i0 on, as a G' root in a cell j before
+            # the ray's crossing cell i lies at t <= t[j + 1] <= t[i] <= t*
+            i0 = min([c[0] for c in changes if guard and len(c) == 1],
+                     default=RAY_SAMPLES)
+            ts = t_grid[:, i0:]
+            turns = _sign_changes(ray_gp(ts, *block) > 0.0)
+            for r, (c, x, shortfall) in enumerate(zip(
+                    changes, crosses, (gs[:, -1] - target).tolist())):
+                dips = ([ts[r, j:j + 2].tolist() for j in turns[r]]
+                        if len(c) == 1 else ())
+                rows.append((a0, angles[k + r], len(c),
+                             None if x else shortfall, dips))
             blocks.append(np.array([
                 t_grid[ok, first], gs[ok, first] - target,
                 t_grid[:, 1:][ok, first], gs[:, 1:][ok, first] - target,
@@ -335,7 +334,8 @@ def starshape_scan(params: SystemParams, level: RegularizedLevel,
     rays to a numpy pass (the CLI's 60 take two), ``BASE_GROUP`` base
     points of a chart to a column of root solves.  The North caps are
     searched once for the whole scan, the South ones once per group, and
-    each group's t* solves are one column.
+    each group's t* solves are one column; a pass reads G' only from its
+    first crossing on.
     Requires the energy to lie below the first critical value so that the
     component around O is compact.
     """

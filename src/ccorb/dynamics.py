@@ -422,6 +422,18 @@ def _roots_in(fn, lo, flo, hi, fhi, width):
     return roots
 
 
+def _sign_changes(up) -> list[list[int]]:
+    """Each row's sign changes in the boolean 2-D array ``up``: per row, in
+    order, the cells i where up[i] != up[i + 1].  One flat ``nonzero()``
+    serves all rows (numpy's 2-D one is 10x slower at 32 x 256)."""
+    cols = up.shape[1] - 1
+    changes = [[] for _ in range(len(up))]
+    for n in (up[:, 1:] != up[:, :-1]).ravel().nonzero()[0].tolist():
+        j, i = divmod(n, cols)
+        changes[j].append(i)
+    return changes
+
+
 def _first_roots(fn, xs, ps, width: float, rows: int, cols: int):
     """First root of x -> fn(x, p) along the grid ``xs``, for each p in ``ps``.
 
@@ -447,11 +459,9 @@ def _first_roots(fn, xs, ps, width: float, rows: int, cols: int):
             ks = todo[k0:k0 + rows]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ys = fn(x, ps[ks, None], np.sqrt)
-            up = ys > 0.0
-            cells = (up[:, 1:] != up[:, :-1]).nonzero()  # in row order
-            for j, i in zip(*(c.tolist() for c in cells)):
-                k = ks[j]
-                if math.isnan(lo[k]):  # the row's first sign change
+            for j, cells in enumerate(_sign_changes(ys > 0.0)):
+                if cells:  # the row's first sign change
+                    k, i = ks[j], cells[0]
                     lo[k], flo[k], hi[k], fhi[k] = (x[i], ys[j, i], x[i + 1],
                                                     ys[j, i + 1])
         todo = todo[np.isnan(lo[todo])]

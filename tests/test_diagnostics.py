@@ -295,6 +295,74 @@ def test_blocked_starshape_scan_matches_the_per_ray_one(mu, f, ray_grid):
     assert repr(asdict(got)) == repr(asdict(want))
 
 
+def _spy_dip_solves(monkeypatch):
+    """The brackets of the dip guard's scalar G' solves, as they are made."""
+    solves, root_in = [], diagnostics._root_in
+
+    def spied(fn, lo, hi, **kwargs):
+        solves.append((lo, hi))
+        return root_in(fn, lo, hi, **kwargs)
+    monkeypatch.setattr(diagnostics, "_root_in", spied)
+    return solves
+
+
+def test_blocked_starshape_scan_matches_the_per_ray_one_near_critical(
+        monkeypatch):
+    """0.001 below the first critical value at mu = 0.1, G' of one ray
+    turns in cell 253, past the ray's crossing in cell 173, so the dip
+    guard solves for it; the blocked scan, which reads G' only from each
+    block's first crossing cell on, still gives the ray-by-ray report,
+    bit for bit."""
+    params = SystemParams(mu=0.1)
+    level = RegularizedLevel(params=params,
+                             f=0.001 - first_critical_value(params))
+    solves = _spy_dip_solves(monkeypatch)
+    got = starshape_scan(params, level, base_grid=8, ray_grid=12)
+    want = _per_ray_scan(params, level, base_grid=8, ray_grid=12)
+    assert solves  # the case reaches the dip solves
+    assert want.rays_checked == 192 and want.ok
+    assert repr(asdict(got)) == repr(asdict(want))
+
+
+def _toy(on_ray_0, on_ray_1):
+    """A toy G or G' for two North-chart rays, one text for floats and numpy
+    arrays: ``on_ray_0`` along v = (1, 0), where w1 = 1, and ``on_ray_1``
+    along v = (0, 1), where w1 = 0."""
+    return lambda t, c1, c2, rho, w1, mu, sqrt=None: (
+        w1 * on_ray_0(t) + (1.0 - w1) * on_ray_1(t))
+
+
+def test_the_dip_guard_reads_g_prime_from_the_first_crossing_on(
+        monkeypatch):
+    """G and G' replaced by toys along two rays of one block, in + - * only
+    so that the grid and the floats agree.  On ray 0, G - target =
+    (t - 1)((t - 2.0068)^2 - 4e-6) crosses at t = 1 and dips back below
+    the level in (2.0048, 2.0088), inside the grid cell (t[205], t[206])
+    for a cap of 2.5; its G' turns at 1.3356 and in the dip.  On ray 1,
+    G - target = (t - 0.3)^2 - 3.61 crosses at 2.2, past that dip, and its
+    G' turns only at 0.3.  Ray 0 re-enters: 3 crossings, a violation.  Ray 1
+    passes, and its turn, before the block's first crossing, makes no
+    scalar G' solve."""
+    mu = 0.5
+    g = _toy(lambda t: (t - 1.0) * ((t - 2.0068) * (t - 2.0068) - 4e-6),
+             lambda t: (t - 0.3) * (t - 0.3) - 3.61)
+    gp = _toy(lambda t: ((t - 2.0068) * (t - 2.0068) - 4e-6
+                         + 2.0 * (t - 1.0) * (t - 2.0068)),
+              lambda t: 2.0 * (t - 0.3))
+    monkeypatch.setattr(diagnostics, "ray_g",
+                        lambda *args: 1.0 - mu + g(*args))
+    monkeypatch.setattr(diagnostics, "ray_gp", gp)
+    solves = _spy_dip_solves(monkeypatch)
+    report = StarshapeReport(mu=mu, jacobi=0.0, base_grid=1, ray_grid=2)
+    diagnostics._check_rays(report, Chart.NORTH, [(0.0, 0.0)],
+                            np.array([[1.0, 0.0], [0.0, 1.0]]),
+                            np.array([2.5, 2.5]), mu, 0.0)
+    assert report.rays_checked == 2
+    assert [(v["angle"], v["crossings"], v["margin"] > 0.0)
+            for v in report.violations] == [(0.0, 3, True)]
+    assert len(solves) == 2 and all(lo > 1.0 for lo, _ in solves)
+
+
 def test_zvc_polyline_matches_the_per_angle_search():
     mu = 0.1
     f = 0.1 - first_critical_value(SystemParams(mu=mu))
